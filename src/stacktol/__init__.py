@@ -42,11 +42,13 @@ from .montecarlo import McConfig, McEstimate, mc_prob, mc_quantile, sample_outpu
 from .numerics import (
     Bracket,
     BracketError,
+    ConvergenceError,
     NonFiniteError,
     h_stable,
     invert_monotone,
+    langevin,
+    legendre_term,
     log_sinh_over_x,
-    minimize_1d,
 )
 from .study import StudyRow, StudySpec, random_chain, run_study
 
@@ -98,9 +100,11 @@ __all__ = [
     # numerics
     "Bracket",
     "BracketError",
+    "ConvergenceError",
     "NonFiniteError",
     "h_stable",
     "log_sinh_over_x",
-    "minimize_1d",
+    "langevin",
+    "legendre_term",
     "invert_monotone",
 ]

@@ -13,25 +13,30 @@ convention for the rho-free methods):
 * HOEFFDING  3 * l_rho * T_RSS, the sub-Gaussian bound with parameter
              w_i per input.  Guaranteed, often very conservative.
 * CHERNOV    exact optimized exponential bound, the tightest of the
-             family; requires a 1-D minimization per evaluation.
+             family.
 * LIPSCHITZ  closed-form relaxation of CHERNOV paying lambda*sum|w-wbar|
              for imbalance.
 * QUADRATIC  relaxation paying a curvature term n*lambda^2*Var(w)*c.
 * AIRBUS     industrial balance-corrected RSS rule, no rho attached.
 
 Probability-at-t and t-at-rho directions are both provided for the
-Chernoff family.  All functions are pure; results are frozen records.
+Chernoff family.  Each member has a log-MGF K(lam) of which the bound is
+2 exp(inf_lam K(lam) - lam t); the infimum sits where K'(lam) = t
+(Cramer-Chernoff / Legendre duality), so every inversion is one monotone
+root in lam, solved on the chain scaled to mean bound 1.  All functions
+are pure; results are frozen records.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .chain import StackChain, balance_report, t_rss, t_wc
-from .numerics import h_stable, invert_monotone, log_sinh_over_x, minimize_1d
+from .numerics import h_stable, invert_monotone, langevin, legendre_term, log_sinh_over_x
 
 __all__ = [
     "Method",
@@ -52,14 +57,10 @@ __all__ = [
     "tolerance",
 ]
 
-# lambda search window [LAM_LO_SCALE/wbar, LAM_HI_SCALE/wmin]; widened
-# tenfold per endpoint hit, at most MAX_EXPAND times
-_LAM_LO_SCALE = 1e-9
-_LAM_HI_SCALE = 500.0
-_MAX_EXPAND = 3
 
-_LAMBDA_REL_TOL = 1e-10
-_T_REL_TOL = 1e-9
+# wbar * slope(lam) carries a few ulps of rounding, and near wc, where the
+# exact tail goes as (wc - t)^n, one ulp down can under-cover: round t up.
+_ROUND_UP = 1.0 + 8.0 * sys.float_info.epsilon
 
 
 class Method(str, Enum):
@@ -116,10 +117,11 @@ def gaussian_l(rho: "float | ConfidenceLevel") -> float:
     """Gaussian deviation coefficient l_rho = (1/3) sqrt(2 ln(2/rho)).
 
     With inputs modeled as N(0, (w_i/3)^2), P(|Y| >= l_rho * T_RSS) <= rho
-    by the sub-Gaussian tail bound.  Strictly decreasing in rho.
+    by the sub-Gaussian tail bound.  Strictly decreasing in rho; 2/rho is
+    never formed, as it overflows for subnormal rho.
     """
     r = _rho_value(rho)
-    return math.sqrt(2.0 * math.log(2.0 / r)) / 3.0
+    return math.sqrt(2.0 * (math.log(2.0) - math.log(r))) / 3.0
 
 
 def _result(
@@ -232,82 +234,101 @@ def psi_tilde(chain: StackChain, lam: float, t: float, curvature: float = 0.5) -
     )
 
 
-def _min_exponent(chain: StackChain, exponent: Callable[[float], float]) -> float:
-    """Minimum of a convex exponent over the adaptive lambda window."""
+# On the chain scaled to u_i = w_i / wbar, a member of the Chernoff family
+# is its slope t(lam) = K'(lam), increasing, and its gap g = K - lam K',
+# decreasing from 0; both are sums of langevin and legendre_term terms.
+_Fn = Callable[[float], float]
+
+
+def _scaled(chain: StackChain) -> tuple[float, list[float]]:
     w = chain.weighted_bounds
     wbar = math.fsum(w) / len(w)
-    lo = _LAM_LO_SCALE / wbar
-    hi = _LAM_HI_SCALE / min(w)
-    expansions = 0
-    while True:
-        arg, val = minimize_1d(exponent, (lo, hi), rel_tol=_LAMBDA_REL_TOL)
-        if expansions >= _MAX_EXPAND:
-            return val
-        if arg <= lo * 1.01:
-            lo /= 10.0
-        elif arg >= hi * 0.99:
-            hi *= 10.0
-        else:
-            return val
-        expansions += 1
+    return wbar, [wi / wbar for wi in w]
+
+
+def _phi_family(u: Sequence[float]) -> tuple[_Fn, _Fn]:
+    """Slope and gap of K = sum_i log(sinh(lam u_i) / (lam u_i)), the exponent phi."""
+    return (
+        lambda lam: math.fsum(ui * langevin(lam * ui) for ui in u),
+        lambda lam: math.fsum(legendre_term(lam * ui) for ui in u),
+    )
+
+
+def _lambda_root(g: _Fn, target: float, slope: _Fn) -> tuple[float, bool]:
+    """(lam, at_limit): the root of g(lam) = target for a decreasing g, g(0) > target.
+
+    The bracket [1/2, 1] halves or doubles until it straddles the target;
+    lam is its edge where g <= target.  If slope stops changing while the
+    bracket doubles, t has reached its limit as lam -> inf: at_limit is set.
+    """
+    lo, hi = 0.5, 1.0
+    while g(lo) <= target:
+        lo, hi = 0.5 * lo, lo
+    t_hi = slope(hi)
+    while g(hi) > target:
+        lo, hi = hi, 2.0 * hi
+        t_lo, t_hi = t_hi, slope(hi)
+        if t_hi == t_lo:
+            return hi, True
+    return invert_monotone(g, target, (lo, hi)), False
+
+
+def _quantile(wbar: float, rho: float, slope: _Fn, gap: _Fn, limit: float) -> float:
+    """Smallest t, in chain units, with 2 exp(g) <= rho at the optimal lam.
+
+    ``limit`` is t(inf), returned exact once rho is beyond double precision.
+    """
+    lam, at_limit = _lambda_root(gap, math.log(rho) - math.log(2.0), slope)
+    return limit if at_limit else wbar * slope(lam) * _ROUND_UP
 
 
 def chernov_prob(chain: StackChain, t: float) -> float:
     """Optimized exponential tail bound min(1, 2 exp(inf_lam phi(lam, t))).
 
-    Returns 0 for t >= the worst case (the infimum diverges to -inf
-    there).  Nonincreasing in t.  The minimization runs on the exponent
-    itself, never on its exp, so extreme tails cannot underflow the
-    search.
+    Returns 1 at t = 0 and 0 for t >= the worst case (the infimum diverges
+    to -inf there).  Nonincreasing in t.  The optimal lam solves K' = t;
+    K - lam t, formed as g + lam (K' - t), is a valid bound at any lam.
     """
     t = _check_t(t)
+    if t == 0.0:
+        return 1.0
     if t >= t_wc(chain):
         return 0.0
-    val = _min_exponent(chain, lambda lam: phi(chain, lam, t))
-    return min(1.0, 2.0 * math.exp(val))
-
-
-def _invert_bound(
-    chain: StackChain,
-    rho: float,
-    prob: Callable[[float], float],
-    hi: float,
-) -> float:
-    """Smallest t with prob(t) <= rho, expanding hi until it brackets."""
-    for _ in range(200):
-        if prob(hi) <= rho:
-            break
-        hi *= 2.0
-    return invert_monotone(prob, rho, (0.0, hi), rel_tol=_T_REL_TOL)
+    wbar, u = _scaled(chain)
+    slope, gap = _phi_family(u)
+    tau = t / wbar
+    lam, _ = _lambda_root(lambda x: -slope(x), -tau, slope)
+    return min(1.0, 2.0 * math.exp(gap(lam) + lam * (slope(lam) - tau)))
 
 
 def chernov_t(chain: StackChain, rho: "float | ConfidenceLevel") -> ToleranceResult:
     """Half-width from inverting the optimized exponential bound at rho.
 
-    Always strictly below the worst case; the tightest guaranteed method
-    in this family.
+    Below the worst case unless rho is so small that t rounds to it; the
+    tightest guaranteed method in this family.
     """
     r = _rho_value(rho)
-    t = invert_monotone(
-        lambda x: chernov_prob(chain, x), r, (0.0, t_wc(chain)), rel_tol=_T_REL_TOL
-    )
+    wbar, u = _scaled(chain)
+    wc = t_wc(chain)
+    # wbar * slope can round an ulp past wc near the limit
+    t = min(_quantile(wbar, r, *_phi_family(u), wc), wc)
     return _result(Method.CHERNOV, chain, t, r)
 
 
 def lipschitz_t(chain: StackChain, rho: "float | ConfidenceLevel") -> ToleranceResult:
     """Half-width from inverting the imbalance-linear relaxation at rho.
 
-    May exceed the worst case on unbalanced chains; both raw and clamped
-    values are reported.
+    K = n log(sinh(lam)/lam) + lam sum|u_i - 1|; the penalty is linear in
+    lam, so it cancels from g and t tends to wc + sum|w_i - wbar| as rho
+    goes to 0.  May exceed the worst case on unbalanced chains; both raw
+    and clamped values are reported.
     """
     r = _rho_value(rho)
-
-    def prob(x: float) -> float:
-        val = _min_exponent(chain, lambda lam: psi(chain, lam, x))
-        return min(1.0, 2.0 * math.exp(val))
-
-    start = 3.0 * gaussian_l(r) * t_rss(chain)
-    t = _invert_bound(chain, r, prob, start)
+    wbar, u = _scaled(chain)
+    n = len(u)
+    abs_dev = math.fsum(abs(ui - 1.0) for ui in u)
+    t = _quantile(wbar, r, lambda lam: n * langevin(lam) + abs_dev,
+                  lambda lam: n * legendre_term(lam), t_wc(chain) + wbar * abs_dev)
     return _result(Method.LIPSCHITZ, chain, t, r)
 
 
@@ -316,18 +337,19 @@ def quadratic_t(
 ) -> ToleranceResult:
     """Half-width from inverting the variance-quadratic relaxation at rho.
 
-    The quadratic-in-lambda exponent keeps the minimizer interior for
-    every t, so this inversion is the best behaved of the relaxations;
-    tighter than LIPSCHITZ when the imbalance is small.
+    K = n log(sinh(lam)/lam) + curvature lam^2 sum (u_i - 1)^2, so t grows
+    without bound as rho goes to 0 unless all bounds are equal, where it
+    is CHERNOV with limit wc.  Tighter than LIPSCHITZ when the imbalance
+    is small.
     """
     r = _rho_value(rho)
-
-    def prob(x: float) -> float:
-        val = _min_exponent(chain, lambda lam: psi_tilde(chain, lam, x, curvature))
-        return min(1.0, 2.0 * math.exp(val))
-
-    start = 3.0 * gaussian_l(r) * t_rss(chain)
-    t = _invert_bound(chain, r, prob, start)
+    if curvature < 1.0 / 6.0:
+        raise ValueError(f"curvature must be >= 1/6 to keep the bound valid, got {curvature}")
+    wbar, u = _scaled(chain)
+    n = len(u)
+    sq_dev = math.fsum((ui - 1.0) * (ui - 1.0) for ui in u)
+    t = _quantile(wbar, r, lambda lam: n * langevin(lam) + 2.0 * curvature * lam * sq_dev,
+                  lambda lam: n * legendre_term(lam) - curvature * lam * lam * sq_dev, t_wc(chain))
     return _result(Method.QUADRATIC, chain, t, r)
 
 

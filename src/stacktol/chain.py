@@ -102,8 +102,8 @@ def t_wc(chain: StackChain) -> float:
 
 
 def t_rss(chain: StackChain) -> float:
-    """Root sum of squares of the weighted bounds."""
-    return math.sqrt(math.fsum(w * w for w in chain.weighted_bounds))
+    """Root sum of squares of the weighted bounds, free of over- and underflow."""
+    return math.hypot(*chain.weighted_bounds)
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,8 @@ def balance_report(chain: StackChain) -> BalanceReport:
     w = chain.weighted_bounds
     n = len(w)
     mean = math.fsum(w) / n
-    variance = math.fsum((wi - mean) ** 2 for wi in w) / n
+    # d * d goes to inf where d ** 2 would raise OverflowError
+    variance = math.fsum((wi - mean) * (wi - mean) for wi in w) / n
     abs_dev_sum = math.fsum(abs(wi - mean) for wi in w)
     s1 = math.fsum(h_stable(2.0 * wi) for wi in w) - n * h_stable(2.0 * mean)
     # Jensen: mean of a convex function >= function of the mean; clip off

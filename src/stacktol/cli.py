@@ -11,7 +11,7 @@ import argparse
 import sys
 from typing import IO, Optional, Sequence
 
-from .bounds import ConfidenceLevel, Method, analyze_all, tolerance
+from .bounds import _ANALYZE_ORDER, ConfidenceLevel, Method, analyze_all, tolerance
 from .io import ChainFileError, CurvePoint, read_chain, write_results
 from .montecarlo import McConfig, mc_prob, mc_quantile
 from .numerics import BracketError, NonFiniteError
@@ -21,21 +21,9 @@ __all__ = ["main", "cmd_analyze", "cmd_sweep", "cmd_study", "cmd_mc"]
 
 DEFAULT_RHO = 0.0027  # two-sided exceedance of the 3-sigma convention
 
-_ANALYTIC_METHODS = (
-    Method.WC,
-    Method.RSS,
-    Method.GAUSSIAN,
-    Method.HOEFFDING,
-    Method.CHERNOV,
-    Method.LIPSCHITZ,
-    Method.QUADRATIC,
-    Method.AIRBUS,
-)
-
-
 def _parse_methods(spec: Optional[str]) -> list[Method]:
     if spec is None or spec.strip().lower() == "all":
-        return list(_ANALYTIC_METHODS)
+        return list(_ANALYZE_ORDER)
     methods: list[Method] = []
     for token in spec.split(","):
         name = token.strip().lower()
@@ -46,9 +34,9 @@ def _parse_methods(spec: Optional[str]) -> list[Method]:
         except ValueError:
             raise ValueError(
                 f"unknown method {token.strip()!r}; choose from "
-                + ",".join(m.value for m in _ANALYTIC_METHODS)
+                + ",".join(m.value for m in _ANALYZE_ORDER)
             ) from None
-        if method not in _ANALYTIC_METHODS:
+        if method not in _ANALYZE_ORDER:
             raise ValueError("monte carlo estimation is the separate 'mc' subcommand")
         if method not in methods:
             methods.append(method)
@@ -67,8 +55,8 @@ def cmd_analyze(
     """Evaluate the requested methods on one chain and print the table."""
     out = out or sys.stdout
     chain = read_chain(chain_file)
-    wanted = list(methods) if methods else list(_ANALYTIC_METHODS)
-    if set(wanted) == set(_ANALYTIC_METHODS):
+    wanted = list(methods) if methods else list(_ANALYZE_ORDER)
+    if set(wanted) == set(_ANALYZE_ORDER):
         results = analyze_all(chain, rho)
     else:
         ConfidenceLevel(rho)
@@ -103,7 +91,7 @@ def cmd_sweep(
     """Emit a CSV curve of t versus confidence level for each method."""
     out = out or sys.stdout
     chain = read_chain(chain_file)
-    wanted = list(methods) if methods else list(_ANALYTIC_METHODS)
+    wanted = list(methods) if methods else list(_ANALYZE_ORDER)
     grid = _rho_grid(rho_min, rho_max, points, linear)
     curve = [
         CurvePoint(rho=r, method=m, t=tolerance(chain, m, r).t)

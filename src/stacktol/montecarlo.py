@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import ConfidenceLevel
+from .bounds import ConfidenceLevel, _check_t, _rho_value
 from .chain import StackChain
 
 __all__ = ["McConfig", "McEstimate", "sample_output", "mc_quantile", "mc_prob"]
@@ -95,7 +95,7 @@ def mc_quantile(
     central finite difference of the empirical quantile function over a
     window of half-width rho/2 in probability.
     """
-    r = rho.rho if isinstance(rho, ConfidenceLevel) else ConfidenceLevel(float(rho)).rho
+    r = _rho_value(rho)
     y = np.abs(sample_output(chain, cfg, workers=workers))
     q = float(np.quantile(y, 1.0 - r, method="linear"))
     delta = min(r, 1.0 - r) / 2.0
@@ -114,9 +114,7 @@ def mc_prob(
     workers: int = 1,
 ) -> McEstimate:
     """Empirical P(|Y| >= t) with binomial standard error sqrt(p(1-p)/N)."""
-    t = float(t)
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValueError(f"t must be finite and >= 0, got {t!r}")
+    t = _check_t(t)
     y = np.abs(sample_output(chain, cfg, workers=workers))
     p = float(np.mean(y >= t))
     stderr = math.sqrt(p * (1.0 - p) / cfg.draws)

@@ -1,19 +1,20 @@
-"""Stable special functions and 1-D solvers shared by the bound engines.
+"""Stable special functions and the 1-D solver shared by the bound engines.
 
-The two special functions here are the building blocks of every analytic
+The special functions here are the building blocks of every analytic
 tolerance bound in this package:
 
 * ``h_stable(x) = log((1 - exp(-x)) / x)`` -- convex, 1/2-Lipschitz, with
   h(0+) = 0 and h(x) ~ -log(x) for large x.
 * ``log_sinh_over_x(x) = log(sinh(x) / x)`` -- the log moment generating
   function of a uniform variable on [-1, 1] evaluated at x, nonnegative.
+* ``langevin(x) = coth(x) - 1/x`` -- the derivative of log(sinh(x) / x).
+* ``legendre_term(x) = log(sinh(x) / x) - x * langevin(x)``, falling from 0.
 
-Both are evaluated without overflow or cancellation across the full double
-range actually exercised by the solvers (x from 1e-300 up to ~1e6).
+All are evaluated without overflow or cancellation across the full double
+range actually exercised by the solvers (x from 1e-300 up to ~1e17).
 
-The solvers are deliberately tiny: a golden-section minimizer for convex
-one-dimensional functions and a bisection inverter for nonincreasing ones.
-Everything in this module is pure and stateless.
+The solver is deliberately tiny: a bisection inverter for nonincreasing
+functions.  Everything in this module is pure and stateless.
 """
 
 from __future__ import annotations
@@ -25,10 +26,12 @@ from typing import Callable
 __all__ = [
     "Bracket",
     "BracketError",
+    "ConvergenceError",
     "NonFiniteError",
     "h_stable",
     "log_sinh_over_x",
-    "minimize_1d",
+    "langevin",
+    "legendre_term",
     "invert_monotone",
 ]
 
@@ -36,7 +39,10 @@ __all__ = [
 # expm1/log route; both branches agree to ~1e-14 in [5e-4, 5e-3].
 _H_SERIES_SWITCH = 1e-3
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden ratio conjugate, ~0.618
+# Below this point langevin and legendre_term use their 5-term series
+# (truncation below 2e-15 relative there); above it the exp forms lose at
+# most ~1e-13 relative to cancellation.
+_LANGEVIN_SERIES_SWITCH = 0.1
 
 
 class BracketError(ValueError):
@@ -47,12 +53,15 @@ class NonFiniteError(ArithmeticError):
     """A callee returned NaN or infinity where a finite value was required."""
 
 
+class ConvergenceError(ArithmeticError):
+    """A solver used up its iteration budget before reaching its tolerance."""
+
+
 @dataclass(frozen=True)
 class Bracket:
     """Closed search interval [lo, hi] for a 1-D solver.
 
-    Requires 0 <= lo < hi with both edges finite.  Inversion over t uses
-    lo = 0; the lambda searches always pass strictly positive edges.
+    Requires 0 <= lo < hi with both edges finite.
     """
 
     lo: float
@@ -112,52 +121,40 @@ def log_sinh_over_x(x: float) -> float:
     return v if v > 0.0 else 0.0
 
 
-def minimize_1d(
-    f: Callable[[float], float],
-    bracket: Bracket | tuple[float, float],
-    rel_tol: float = 1e-10,
-    max_iter: int = 300,
-) -> tuple[float, float]:
-    """Golden-section minimum of a unimodal f on the bracket.
+def _coth_minus_one(x: float) -> float:
+    # coth(x) - 1 = 2 e^-2x / (1 - e^-2x), with no overflow for large x
+    return 2.0 * math.exp(-2.0 * x) / -math.expm1(-2.0 * x)
 
-    Returns ``(argmin, min_value)``.  The caller guarantees unimodality
-    (all the bound exponents are convex in lambda); for monotone f the
-    result is the cheaper bracket endpoint.  Stops once the interval width
-    falls below ``rel_tol`` times the current argmin scale.
 
-    Raises NonFiniteError if f evaluates to NaN/inf anywhere it is probed.
+def langevin(x: float) -> float:
+    """Langevin function L(x) = coth(x) - 1/x for x >= 0, L(0) = 0.
+
+    L is the derivative of log(sinh(x)/x): increasing, with slope 1/3 at 0
+    and L(x) -> 1 as x -> inf.  Relative error below 1e-13.
     """
-    b = _as_bracket(bracket)
-    lo, hi = b.lo, b.hi
-    a, d = lo, hi
-    c = d - _INVPHI * (d - a)
-    e = a + _INVPHI * (d - a)
-    fc = _checked(f, c)
-    fe = _checked(f, e)
-    for _ in range(max_iter):
-        if d - a <= rel_tol * max(abs(a), abs(d)):
-            break
-        if fc <= fe:
-            d, e, fe = e, c, fc
-            c = d - _INVPHI * (d - a)
-            fc = _checked(f, c)
-        else:
-            a, c, fc = c, e, fe
-            e = a + _INVPHI * (d - a)
-            fe = _checked(f, e)
-    if fc <= fe:
-        x_in, f_in = c, fc
-    else:
-        x_in, f_in = e, fe
-    # A monotone f has its true minimum at an endpoint; report it exactly.
-    f_lo = _checked(f, lo)
-    f_hi = _checked(f, hi)
-    best_x, best_f = x_in, f_in
-    if f_hi < best_f:
-        best_x, best_f = hi, f_hi
-    if f_lo < best_f:
-        best_x, best_f = lo, f_lo
-    return best_x, best_f
+    x = float(x)
+    if not math.isfinite(x) or x < 0.0:
+        raise ValueError(f"langevin requires finite x >= 0, got {x!r}")
+    if x < _LANGEVIN_SERIES_SWITCH:
+        x2 = x * x
+        return x * (1 / 3 - x2 * (1 / 45 - x2 * (2 / 945 - x2 * (1 / 4725 - x2 * 2 / 93555))))
+    return 1.0 - 1.0 / x + _coth_minus_one(x)
+
+
+def legendre_term(x: float) -> float:
+    """m(x) = log(sinh(x)/x) - x L(x) for x >= 0, m(0) = 0.
+
+    Decreasing: -x^2/6 near 0, 1 - log(2x) for large x.  Formed as
+    1 + h(2x) - x (coth(x) - 1), never as the difference of two large
+    terms; relative error below 1e-13.
+    """
+    x = float(x)
+    if not math.isfinite(x) or x < 0.0:
+        raise ValueError(f"legendre_term requires finite x >= 0, got {x!r}")
+    if x < _LANGEVIN_SERIES_SWITCH:
+        x2 = x * x
+        return -x2 * (1 / 6 - x2 * (1 / 60 - x2 * (1 / 567 - x2 * (1 / 5400 - x2 / 51975))))
+    return 1.0 + h_stable(2.0 * x) - x * _coth_minus_one(x)
 
 
 def invert_monotone(
@@ -169,9 +166,11 @@ def invert_monotone(
 ) -> float:
     """Bisection root of a nonincreasing g: the t with g(t) = target.
 
-    Requires g(lo) >= target >= g(hi); raises BracketError otherwise so the
-    caller can widen or clamp.  Deterministic: pure midpoint bisection until
-    the interval width falls below rel_tol relative to the root scale.
+    Requires g(lo) >= target >= g(hi), else raises BracketError.  Halves
+    the bracket until its width falls below rel_tol relative to the root,
+    then returns its upper edge, where g <= target, so a bound inverted
+    through g is never undershot; raises ConvergenceError if max_iter
+    halvings do not get there.
     """
     b = _as_bracket(bracket)
     lo, hi = b.lo, b.hi
@@ -184,9 +183,9 @@ def invert_monotone(
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
         if hi - lo <= rel_tol * max(abs(mid), 1e-300):
-            break
+            return hi
         if _checked(g, mid) > target:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    raise ConvergenceError(f"bisection stopped at [{lo}, {hi}] after {max_iter} steps")

@@ -125,7 +125,7 @@ def test_criterion_04_exact_oracle_validity_small_n():
             chains.append((5.0, 4.0, 3.0))
         for bounds in chains:
             chain = StackChain.from_bounds(bounds)
-            for rho in RHO_GRID:
+            for rho in RHO_GRID + (1e-6, 1e-12):
                 for method in GUARANTEED_METHODS:
                     t = tolerance(chain, method, rho).t_clamped
                     assert exact_abs_tail(bounds, t) <= rho

@@ -29,7 +29,7 @@ from stacktol import (
     tolerance,
 )
 from conftest import random_bounds
-from oracles import grid_bound_t
+from oracles import exact_abs_tail, grid_bound_t
 
 # frozen 50-digit references
 L_0027 = 1.2117618657266322227
@@ -281,7 +281,7 @@ class TestLipschitzAndQuadratic:
 
 
 class TestScaleEquivariance:
-    @pytest.mark.parametrize("c", [0.01, 100.0])
+    @pytest.mark.parametrize("c", [1e-200, 0.01, 100.0, 1e200])
     def test_all_methods(self, table_chain, c):
         scaled = StackChain.from_bounds([c * w for w in table_chain.weighted_bounds])
         rho = 0.0027
@@ -291,6 +291,25 @@ class TestScaleEquivariance:
             base = tolerance(table_chain, method, rho).t
             other = tolerance(scaled, method, rho).t
             assert other == pytest.approx(c * base, rel=1e-6)
+
+
+class TestExtremeRho:
+    @pytest.mark.parametrize("rho", [1e-300, 1e-308])
+    @pytest.mark.parametrize("bounds", [(1.0,), (1.0, 2.0)])
+    def test_limits_at_tiny_rho(self, bounds, rho):
+        chain = StackChain.from_bounds(bounds)
+        wc = t_wc(chain)
+        tc = chernov_t(chain, rho).t
+        assert tc <= wc
+        assert exact_abs_tail(bounds, tc) <= rho
+        # the imbalance penalty is linear in lambda, so t tends to its limit
+        mean = sum(bounds) / len(bounds)
+        limit = wc + sum(abs(w - mean) for w in bounds)
+        assert lipschitz_t(chain, rho).t == pytest.approx(limit, rel=1e-12)
+        for method in (Method.GAUSSIAN, Method.HOEFFDING, Method.QUADRATIC):
+            assert math.isfinite(tolerance(chain, method, rho).t)
+        l_rho = math.sqrt(2.0 * (math.log(2.0) - math.log(rho))) / 3.0
+        assert hoeffding_t(chain, rho).t == pytest.approx(3.0 * l_rho * t_rss(chain), rel=1e-12)
 
 
 class TestMonotonicity:

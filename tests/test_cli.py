@@ -1,6 +1,7 @@
 """End-to-end command line checks via main(argv)."""
 
 import csv
+import json
 import math
 
 import pytest
@@ -36,6 +37,16 @@ def _run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _analyze_json(capsys, path, bounds):
+    path.write_text(
+        "name,tolerance\n" + "".join(f"x{i},{w!r}\n" for i, w in enumerate(bounds)),
+        encoding="utf-8",
+    )
+    code, out, err = _run(capsys, ["analyze", str(path), "--format", "json"])
+    assert code == 0, err
+    return {r["method"]: r["t"] for r in json.loads(out)}
+
+
 class TestAnalyze:
     def test_table_output(self, capsys, chain_csv):
         code, out, err = _run(capsys, ["analyze", str(chain_csv)])
@@ -69,6 +80,14 @@ class TestAnalyze:
     def test_json_format(self, capsys, chain_csv):
         code, out, _ = _run(capsys, ["analyze", str(chain_csv), "--format", "json"])
         assert code == 0 and out.lstrip().startswith("[")
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_extreme_scale_is_equivariant(self, capsys, tmp_path, scale):
+        base = _analyze_json(capsys, tmp_path / "base.csv", (1.0, 2.0))
+        scaled = _analyze_json(capsys, tmp_path / "scaled.csv", (scale, 2.0 * scale))
+        assert scaled.keys() == base.keys()
+        for method, t in base.items():
+            assert scaled[method] == pytest.approx(scale * t, rel=1e-9), method
 
     def test_default_rho_is_0027(self, capsys, chain_csv):
         _, out, _ = _run(capsys, ["analyze", str(chain_csv), "--format", "csv"])

@@ -1,4 +1,4 @@
-"""Special functions and 1-D solvers: stability, calculus properties, solver contracts."""
+"""Special functions and the 1-D solver: stability, calculus properties, solver contracts."""
 
 import math
 
@@ -9,16 +9,16 @@ import pytest
 from stacktol import (
     Bracket,
     BracketError,
-    NonFiniteError,
+    ConvergenceError,
     StackChain,
     h_stable,
     invert_monotone,
+    langevin,
+    legendre_term,
     log_sinh_over_x,
-    minimize_1d,
-    phi,
     chernov_prob,
 )
-from oracles import grid_bound_t, grid_min_exponent
+from oracles import grid_bound_t
 
 # 50-digit reference evaluations of log((1 - e^-x)/x), frozen
 H_AT_2 = -0.83856063842880436639
@@ -123,31 +123,38 @@ class TestBracket:
             Bracket(lo, hi)
 
 
-class TestMinimize1D:
-    def test_quadratic(self):
-        x, fx = minimize_1d(lambda x: (x - 2.0) ** 2, (0.1, 10.0))
-        assert x == pytest.approx(2.0, abs=1e-8)
-        assert fx == pytest.approx(0.0, abs=1e-15)
+class TestLangevinAndLegendreTerm:
+    def test_against_high_precision_sweep(self):
+        with mpmath.workdps(50):
+            for x in np.logspace(-300, 17, 400):
+                mx = mpmath.mpf(float(x))
+                coth_term = mpmath.coth(mx) - 1 / mx
+                ref_l = float(coth_term)
+                ref_m = float(mpmath.log(mpmath.sinh(mx) / mx) - mx * coth_term)
+                assert langevin(float(x)) == pytest.approx(ref_l, rel=1e-13)
+                assert legendre_term(float(x)) == pytest.approx(ref_m, rel=1e-13)
 
-    def test_monotone_returns_endpoint(self):
-        x, fx = minimize_1d(lambda x: x, (1.0, 5.0))
-        assert x == 1.0 and fx == 1.0
-        x, fx = minimize_1d(lambda x: -x, (1.0, 5.0))
-        assert x == 5.0 and fx == -5.0
+    def test_branches_agree_at_switch(self):
+        for f in (langevin, legendre_term):
+            below, above = f(0.1 * (1.0 - 1e-15)), f(0.1)
+            assert below == pytest.approx(above, rel=1e-12)
 
-    def test_beats_dense_grid(self, table_chain):
-        f = lambda lam: phi(table_chain, lam, 10.0)
-        _, fmin = minimize_1d(f, (1e-9 / 3.0, 500.0))
-        grid_min = grid_min_exponent((5.0, 4.0, 3.0, 2.0, 1.0), 10.0, "phi")
-        assert fmin <= grid_min + 1e-10
+    def test_limits(self):
+        assert langevin(0.0) == 0.0 and legendre_term(0.0) == 0.0
+        assert langevin(1e300) == 1.0
+        assert legendre_term(1e300) == pytest.approx(1.0 - math.log(2e300), rel=1e-15)
 
-    def test_nonfinite_objective(self):
-        with pytest.raises(NonFiniteError):
-            minimize_1d(lambda x: math.nan, (0.1, 1.0))
+    def test_legendre_term_is_log_sinh_minus_tangent(self):
+        for x in (0.3, 2.0, 25.0):
+            assert legendre_term(x) == pytest.approx(
+                log_sinh_over_x(x) - x * langevin(x), rel=1e-12
+            )
 
-    def test_bad_bracket(self):
-        with pytest.raises(BracketError):
-            minimize_1d(lambda x: x, (3.0, 1.0))
+    @pytest.mark.parametrize("bad", [-1e-300, -2.0, math.nan, math.inf])
+    def test_domain_errors(self, bad):
+        for f in (langevin, legendre_term):
+            with pytest.raises(ValueError):
+                f(bad)
 
 
 class TestInvertMonotone:
@@ -167,3 +174,7 @@ class TestInvertMonotone:
         root = invert_monotone(lambda t: chernov_prob(pair, t), 0.05, (0.0, 2.0))
         oracle = grid_bound_t((1.0, 1.0), 0.05, "phi")
         assert root == pytest.approx(oracle, abs=1e-6)
+
+    def test_exhausted_budget_raises(self):
+        with pytest.raises(ConvergenceError):
+            invert_monotone(lambda t: 1.0 - t, 0.25, (0.0, 1.0), max_iter=3)
