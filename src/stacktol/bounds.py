@@ -23,8 +23,10 @@ Probability-at-t and t-at-rho directions are both provided for the
 Chernoff family.  Each member has a log-MGF K(lam) of which the bound is
 2 exp(inf_lam K(lam) - lam t); the infimum sits where K'(lam) = t
 (Cramer-Chernoff / Legendre duality), so every inversion is one monotone
-root in lam, solved on the chain scaled to mean bound 1.  All functions
-are pure; results are frozen records.
+root in lam, solved on the chain scaled to mean bound 1.  Each member's
+K is written once, on that scaled chain, and serves both its exponent
+(phi, psi, psi_tilde) and its inversions.  All functions are pure;
+results are frozen records.
 """
 
 from __future__ import annotations
@@ -33,10 +35,10 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
-from .chain import StackChain, balance_report, t_rss, t_wc
-from .numerics import h_stable, invert_monotone, langevin, legendre_term, log_sinh_over_x
+from .chain import StackChain, _jensen_gap, balance_report, t_rss, t_wc
+from .numerics import invert_monotone, langevin, legendre_term, log_sinh_over_x
 
 __all__ = [
     "Method",
@@ -165,16 +167,77 @@ def _check_t(t: float) -> float:
     return t
 
 
-def phi(chain: StackChain, lam: float, t: float) -> float:
-    """Exponential-bound exponent: sum_i log(sinh(lam w_i)/(lam w_i)) - lam t.
+# On the chain scaled to u_i = w_i / wbar, each member of the Chernoff family
+# is its log-MGF K(lam), its slope t(lam) = K'(lam), increasing, and its gap
+# g = K - lam K', decreasing from 0; slope and gap are sums of langevin and
+# legendre_term terms.
+_Fn = Callable[[float], float]
 
-    P(|Y| >= t) <= 2 exp(phi(lam, t)) for every lam > 0.  Convex in lam,
-    strictly decreasing in t, finite for lam up to ~1e6/min(w).
-    """
+
+class _Member(NamedTuple):
+    wbar: float
+    k: _Fn
+    slope: _Fn
+    gap: _Fn
+    limit: float  # t(inf), in chain units
+
+
+def _member(chain: StackChain, method: Method, curvature: float = 0.5) -> _Member:
+    """The Chernoff-family member ``method`` on ``chain``: each K is written here once."""
+    w = chain.weighted_bounds
+    n = len(w)
+    wbar = math.fsum(w) / n
+    u = [wi / wbar for wi in w]
+    wc = t_wc(chain)
+    if method is Method.CHERNOV:
+        # K = sum_i log(sinh(lam u_i) / (lam u_i)), the exact log-MGF
+        return _Member(
+            wbar,
+            lambda lam: math.fsum(log_sinh_over_x(lam * ui) for ui in u),
+            lambda lam: math.fsum(ui * langevin(lam * ui) for ui in u),
+            lambda lam: math.fsum(legendre_term(lam * ui) for ui in u),
+            wc,
+        )
+    if method is Method.LIPSCHITZ:
+        # K = n log(sinh(lam)/lam) + lam sum|u_i - 1|; the penalty is linear
+        # in lam, so it cancels from the gap and t(inf) is finite
+        abs_dev = math.fsum(abs(ui - 1.0) for ui in u)
+        return _Member(
+            wbar,
+            lambda lam: n * log_sinh_over_x(lam) + lam * abs_dev,
+            lambda lam: n * langevin(lam) + abs_dev,
+            lambda lam: n * legendre_term(lam),
+            wc + wbar * abs_dev,
+        )
+    # QUADRATIC: K = n log(sinh(lam)/lam) + curvature lam^2 sum (u_i - 1)^2
+    if curvature < 1.0 / 6.0:
+        raise ValueError(f"curvature must be >= 1/6 to keep the bound valid, got {curvature}")
+    sq_dev = math.fsum((ui - 1.0) * (ui - 1.0) for ui in u)
+    return _Member(
+        wbar,
+        lambda lam: n * log_sinh_over_x(lam) + curvature * lam * lam * sq_dev,
+        lambda lam: n * langevin(lam) + 2.0 * curvature * lam * sq_dev,
+        lambda lam: n * legendre_term(lam) - curvature * lam * lam * sq_dev,
+        wc,
+    )
+
+
+def _exponent(chain: StackChain, method: Method, lam: float, t: float,
+              curvature: float = 0.5) -> float:
     lam = _check_lambda(lam)
     t = _check_t(t)
-    s = math.fsum(log_sinh_over_x(lam * w) for w in chain.weighted_bounds)
-    return s - lam * t
+    m = _member(chain, method, curvature)
+    return m.k(lam * m.wbar) - lam * t
+
+
+def phi(chain: StackChain, lam: float, t: float) -> float:
+    """Exponential-bound exponent K(lam) - lam t, K = sum_i log(sinh(lam w_i)/(lam w_i)).
+
+    P(|Y| >= t) <= 2 exp(phi(lam, t)) for every lam > 0.  Convex in lam,
+    strictly decreasing in t, finite while lam * max(w) and lam * t stay
+    below ~1e307.
+    """
+    return _exponent(chain, Method.CHERNOV, lam, t)
 
 
 def s_lambda(chain: StackChain, lam: float) -> float:
@@ -184,74 +247,31 @@ def s_lambda(chain: StackChain, lam: float) -> float:
     exactly what the balance-agnostic relaxations give away versus the
     optimized exponent at scale lam.
     """
-    lam = _check_lambda(lam)
-    w = chain.weighted_bounds
-    wbar = math.fsum(w) / len(w)
-    val = math.fsum(h_stable(2.0 * lam * wi) for wi in w) - len(w) * h_stable(
-        2.0 * lam * wbar
-    )
-    return val if val > 0.0 else 0.0
+    return _jensen_gap(chain, _check_lambda(lam))
 
 
 def psi(chain: StackChain, lam: float, t: float) -> float:
-    """Imbalance-linear relaxation of phi.
+    """Imbalance-linear relaxation of phi: K(lam) - lam t with
+    K = n log(sinh(lam wbar)/(lam wbar)) + lam sum|w_i - wbar|.
 
-    psi = -lam t + lam n wbar + n h(2 lam wbar) + lam sum|w_i - wbar|,
-    an upper bound on phi because S_lambda <= lam sum|w_i - wbar| (h is
-    1/2-Lipschitz).  Equals phi exactly on all-equal chains.
+    An upper bound on phi because K exceeds phi's K by
+    lam sum|w_i - wbar| - S_lambda >= 0 (h is 1/2-Lipschitz).  Equals phi
+    exactly on all-equal chains.
     """
-    lam = _check_lambda(lam)
-    t = _check_t(t)
-    w = chain.weighted_bounds
-    n = len(w)
-    wbar = math.fsum(w) / n
-    abs_dev = math.fsum(abs(wi - wbar) for wi in w)
-    return -lam * t + lam * n * wbar + n * h_stable(2.0 * lam * wbar) + lam * abs_dev
+    return _exponent(chain, Method.LIPSCHITZ, lam, t)
 
 
 def psi_tilde(chain: StackChain, lam: float, t: float, curvature: float = 0.5) -> float:
-    """Variance-quadratic relaxation of phi.
+    """Variance-quadratic relaxation of phi: K(lam) - lam t with
+    K = n log(sinh(lam wbar)/(lam wbar)) + curvature lam^2 sum (w_i - wbar)^2.
 
-    psi_tilde = -lam t + lam n wbar + n h(2 lam wbar)
-                + n lam^2 Var(w) * curvature,
-    an upper bound on phi for any curvature >= 1/6 (the sharp constant,
+    An upper bound on phi for any curvature >= 1/6 (the sharp constant,
     from sup h'' = 1/12); the conservative default is 0.5.  Equals phi
-    exactly on all-equal chains.
+    exactly on all-equal chains.  The penalty is formed on the scaled
+    chain, as curvature (lam wbar)^2 sum (w_i / wbar - 1)^2, so it stays
+    finite at any scale.
     """
-    lam = _check_lambda(lam)
-    t = _check_t(t)
-    if curvature < 1.0 / 6.0:
-        raise ValueError(f"curvature must be >= 1/6 to keep the bound valid, got {curvature}")
-    w = chain.weighted_bounds
-    n = len(w)
-    wbar = math.fsum(w) / n
-    var = math.fsum((wi - wbar) ** 2 for wi in w) / n
-    return (
-        -lam * t
-        + lam * n * wbar
-        + n * h_stable(2.0 * lam * wbar)
-        + n * lam * lam * var * curvature
-    )
-
-
-# On the chain scaled to u_i = w_i / wbar, a member of the Chernoff family
-# is its slope t(lam) = K'(lam), increasing, and its gap g = K - lam K',
-# decreasing from 0; both are sums of langevin and legendre_term terms.
-_Fn = Callable[[float], float]
-
-
-def _scaled(chain: StackChain) -> tuple[float, list[float]]:
-    w = chain.weighted_bounds
-    wbar = math.fsum(w) / len(w)
-    return wbar, [wi / wbar for wi in w]
-
-
-def _phi_family(u: Sequence[float]) -> tuple[_Fn, _Fn]:
-    """Slope and gap of K = sum_i log(sinh(lam u_i) / (lam u_i)), the exponent phi."""
-    return (
-        lambda lam: math.fsum(ui * langevin(lam * ui) for ui in u),
-        lambda lam: math.fsum(legendre_term(lam * ui) for ui in u),
-    )
+    return _exponent(chain, Method.QUADRATIC, lam, t, curvature)
 
 
 def _lambda_root(g: _Fn, target: float, slope: _Fn) -> tuple[float, bool]:
@@ -273,13 +293,13 @@ def _lambda_root(g: _Fn, target: float, slope: _Fn) -> tuple[float, bool]:
     return invert_monotone(g, target, (lo, hi)), False
 
 
-def _quantile(wbar: float, rho: float, slope: _Fn, gap: _Fn, limit: float) -> float:
-    """Smallest t, in chain units, with 2 exp(g) <= rho at the optimal lam.
+def _quantile(m: _Member, rho: float) -> float:
+    """Smallest t with 2 exp(g) <= rho at the optimal lam.
 
-    ``limit`` is t(inf), returned exact once rho is beyond double precision.
+    The member's limit is returned exact once rho is beyond double precision.
     """
-    lam, at_limit = _lambda_root(gap, math.log(rho) - math.log(2.0), slope)
-    return limit if at_limit else wbar * slope(lam) * _ROUND_UP
+    lam, at_limit = _lambda_root(m.gap, math.log(rho) - math.log(2.0), m.slope)
+    return m.limit if at_limit else m.wbar * m.slope(lam) * _ROUND_UP
 
 
 def chernov_prob(chain: StackChain, t: float) -> float:
@@ -294,11 +314,10 @@ def chernov_prob(chain: StackChain, t: float) -> float:
         return 1.0
     if t >= t_wc(chain):
         return 0.0
-    wbar, u = _scaled(chain)
-    slope, gap = _phi_family(u)
-    tau = t / wbar
-    lam, _ = _lambda_root(lambda x: -slope(x), -tau, slope)
-    return min(1.0, 2.0 * math.exp(gap(lam) + lam * (slope(lam) - tau)))
+    m = _member(chain, Method.CHERNOV)
+    tau = t / m.wbar
+    lam, _ = _lambda_root(lambda x: -m.slope(x), -tau, m.slope)
+    return min(1.0, 2.0 * math.exp(m.gap(lam) + lam * (m.slope(lam) - tau)))
 
 
 def chernov_t(chain: StackChain, rho: "float | ConfidenceLevel") -> ToleranceResult:
@@ -308,48 +327,33 @@ def chernov_t(chain: StackChain, rho: "float | ConfidenceLevel") -> ToleranceRes
     tightest guaranteed method in this family.
     """
     r = _rho_value(rho)
-    wbar, u = _scaled(chain)
-    wc = t_wc(chain)
+    m = _member(chain, Method.CHERNOV)
     # wbar * slope can round an ulp past wc near the limit
-    t = min(_quantile(wbar, r, *_phi_family(u), wc), wc)
-    return _result(Method.CHERNOV, chain, t, r)
+    return _result(Method.CHERNOV, chain, min(_quantile(m, r), m.limit), r)
 
 
 def lipschitz_t(chain: StackChain, rho: "float | ConfidenceLevel") -> ToleranceResult:
-    """Half-width from inverting the imbalance-linear relaxation at rho.
+    """Half-width from inverting the imbalance-linear relaxation (psi) at rho.
 
-    K = n log(sinh(lam)/lam) + lam sum|u_i - 1|; the penalty is linear in
-    lam, so it cancels from g and t tends to wc + sum|w_i - wbar| as rho
-    goes to 0.  May exceed the worst case on unbalanced chains; both raw
-    and clamped values are reported.
+    t tends to wc + sum|w_i - wbar| as rho goes to 0.  May exceed the worst
+    case on unbalanced chains; both raw and clamped values are reported.
     """
     r = _rho_value(rho)
-    wbar, u = _scaled(chain)
-    n = len(u)
-    abs_dev = math.fsum(abs(ui - 1.0) for ui in u)
-    t = _quantile(wbar, r, lambda lam: n * langevin(lam) + abs_dev,
-                  lambda lam: n * legendre_term(lam), t_wc(chain) + wbar * abs_dev)
+    t = _quantile(_member(chain, Method.LIPSCHITZ), r)
     return _result(Method.LIPSCHITZ, chain, t, r)
 
 
 def quadratic_t(
     chain: StackChain, rho: "float | ConfidenceLevel", curvature: float = 0.5
 ) -> ToleranceResult:
-    """Half-width from inverting the variance-quadratic relaxation at rho.
+    """Half-width from inverting the variance-quadratic relaxation (psi_tilde) at rho.
 
-    K = n log(sinh(lam)/lam) + curvature lam^2 sum (u_i - 1)^2, so t grows
-    without bound as rho goes to 0 unless all bounds are equal, where it
-    is CHERNOV with limit wc.  Tighter than LIPSCHITZ when the imbalance
-    is small.
+    t grows without bound as rho goes to 0 unless all bounds are equal,
+    where it is CHERNOV with limit wc.  Tighter than LIPSCHITZ when the
+    imbalance is small.
     """
     r = _rho_value(rho)
-    if curvature < 1.0 / 6.0:
-        raise ValueError(f"curvature must be >= 1/6 to keep the bound valid, got {curvature}")
-    wbar, u = _scaled(chain)
-    n = len(u)
-    sq_dev = math.fsum((ui - 1.0) * (ui - 1.0) for ui in u)
-    t = _quantile(wbar, r, lambda lam: n * langevin(lam) + 2.0 * curvature * lam * sq_dev,
-                  lambda lam: n * legendre_term(lam) - curvature * lam * lam * sq_dev, t_wc(chain))
+    t = _quantile(_member(chain, Method.QUADRATIC, curvature), r)
     return _result(Method.QUADRATIC, chain, t, r)
 
 
@@ -364,44 +368,35 @@ def airbus_t(chain: StackChain) -> ToleranceResult:
     return _result(Method.AIRBUS, chain, t, None)
 
 
+# Every analytic method in reporting order, with its solver.  Each entry
+# looks its function up at call time, so a wrapped module attribute is seen.
+_SOLVERS: dict[Method, Callable[[StackChain, Optional[float]], ToleranceResult]] = {
+    Method.WC: lambda c, r: _result(Method.WC, c, t_wc(c), None),
+    Method.RSS: lambda c, r: _result(Method.RSS, c, t_rss(c), None),
+    Method.GAUSSIAN: lambda c, r: _result(Method.GAUSSIAN, c, gaussian_l(r) * t_rss(c), r),
+    Method.HOEFFDING: lambda c, r: hoeffding_t(c, r),
+    Method.CHERNOV: lambda c, r: chernov_t(c, r),
+    Method.LIPSCHITZ: lambda c, r: lipschitz_t(c, r),
+    Method.QUADRATIC: lambda c, r: quadratic_t(c, r),
+    Method.AIRBUS: lambda c, r: airbus_t(c),
+}
+_RHO_FREE = frozenset({Method.WC, Method.RSS, Method.AIRBUS})
+
+
 def tolerance(
     chain: StackChain, method: Method, rho: "float | ConfidenceLevel | None" = None
 ) -> ToleranceResult:
     """Dispatch a single analytic method; rho required for the rho-aware ones."""
-    if method in (Method.WC, Method.RSS, Method.AIRBUS):
-        if method is Method.WC:
-            return _result(Method.WC, chain, t_wc(chain), None)
-        if method is Method.RSS:
-            return _result(Method.RSS, chain, t_rss(chain), None)
-        return airbus_t(chain)
     if method is Method.MONTE_CARLO:
         raise ValueError("Monte Carlo estimates need a sampling config; use the montecarlo module")
+    solver = _SOLVERS.get(method)
+    if solver is None:
+        raise ValueError(f"unknown method {method!r}")
+    if method in _RHO_FREE:
+        return solver(chain, None)
     if rho is None:
         raise ValueError(f"method {method.value} requires a confidence level")
-    r = _rho_value(rho)
-    if method is Method.GAUSSIAN:
-        return _result(Method.GAUSSIAN, chain, gaussian_l(r) * t_rss(chain), r)
-    if method is Method.HOEFFDING:
-        return hoeffding_t(chain, r)
-    if method is Method.CHERNOV:
-        return chernov_t(chain, r)
-    if method is Method.LIPSCHITZ:
-        return lipschitz_t(chain, r)
-    if method is Method.QUADRATIC:
-        return quadratic_t(chain, r)
-    raise ValueError(f"unknown method {method!r}")
-
-
-_ANALYZE_ORDER = (
-    Method.WC,
-    Method.RSS,
-    Method.GAUSSIAN,
-    Method.HOEFFDING,
-    Method.CHERNOV,
-    Method.LIPSCHITZ,
-    Method.QUADRATIC,
-    Method.AIRBUS,
-)
+    return solver(chain, _rho_value(rho))
 
 
 def analyze_all(chain: StackChain, rho: "float | ConfidenceLevel") -> list[ToleranceResult]:
@@ -411,4 +406,4 @@ def analyze_all(chain: StackChain, rho: "float | ConfidenceLevel") -> list[Toler
     AIRBUS.  WC, RSS and AIRBUS do not consume rho and report f = None.
     """
     r = _rho_value(rho)
-    return [tolerance(chain, m, r) for m in _ANALYZE_ORDER]
+    return [tolerance(chain, m, r) for m in _SOLVERS]

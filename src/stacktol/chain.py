@@ -106,6 +106,18 @@ def t_rss(chain: StackChain) -> float:
     return math.hypot(*chain.weighted_bounds)
 
 
+def _jensen_gap(chain: StackChain, lam: float) -> float:
+    """sum_i h(2 lam w_i) - n h(2 lam wbar), the Jensen gap of h at scale lam.
+
+    Mean of a convex function >= function of the mean; the few-ulp
+    negatives on near-equal chains are clipped so callers can rely on >= 0.
+    """
+    w = chain.weighted_bounds
+    wbar = math.fsum(w) / len(w)
+    gap = math.fsum(h_stable(2.0 * lam * wi) for wi in w) - len(w) * h_stable(2.0 * lam * wbar)
+    return gap if gap > 0.0 else 0.0
+
+
 @dataclass(frozen=True)
 class BalanceReport:
     """How evenly the chain's weighted bounds are spread.
@@ -133,16 +145,11 @@ def balance_report(chain: StackChain) -> BalanceReport:
     # d * d goes to inf where d ** 2 would raise OverflowError
     variance = math.fsum((wi - mean) * (wi - mean) for wi in w) / n
     abs_dev_sum = math.fsum(abs(wi - mean) for wi in w)
-    s1 = math.fsum(h_stable(2.0 * wi) for wi in w) - n * h_stable(2.0 * mean)
-    # Jensen: mean of a convex function >= function of the mean; clip off
-    # the few-ulp negatives on near-equal chains so callers can rely on >= 0
-    if s1 < 0.0:
-        s1 = 0.0
     d_factor = (max(w) - mean) / math.fsum(w)
     return BalanceReport(
         mean=mean,
         variance=variance,
         abs_dev_sum=abs_dev_sum,
-        s1=s1,
+        s1=_jensen_gap(chain, 1.0),
         d_factor=d_factor,
     )

@@ -11,7 +11,7 @@ import argparse
 import sys
 from typing import IO, Optional, Sequence
 
-from .bounds import _ANALYZE_ORDER, ConfidenceLevel, Method, analyze_all, tolerance
+from .bounds import _SOLVERS, ConfidenceLevel, Method, tolerance
 from .io import ChainFileError, CurvePoint, read_chain, write_results
 from .montecarlo import McConfig, mc_prob, mc_quantile
 from .numerics import BracketError, NonFiniteError
@@ -23,7 +23,7 @@ DEFAULT_RHO = 0.0027  # two-sided exceedance of the 3-sigma convention
 
 def _parse_methods(spec: Optional[str]) -> list[Method]:
     if spec is None or spec.strip().lower() == "all":
-        return list(_ANALYZE_ORDER)
+        return list(_SOLVERS)
     methods: list[Method] = []
     for token in spec.split(","):
         name = token.strip().lower()
@@ -34,9 +34,9 @@ def _parse_methods(spec: Optional[str]) -> list[Method]:
         except ValueError:
             raise ValueError(
                 f"unknown method {token.strip()!r}; choose from "
-                + ",".join(m.value for m in _ANALYZE_ORDER)
+                + ",".join(m.value for m in _SOLVERS)
             ) from None
-        if method not in _ANALYZE_ORDER:
+        if method not in _SOLVERS:
             raise ValueError("monte carlo estimation is the separate 'mc' subcommand")
         if method not in methods:
             methods.append(method)
@@ -55,13 +55,9 @@ def cmd_analyze(
     """Evaluate the requested methods on one chain and print the table."""
     out = out or sys.stdout
     chain = read_chain(chain_file)
-    wanted = list(methods) if methods else list(_ANALYZE_ORDER)
-    if set(wanted) == set(_ANALYZE_ORDER):
-        results = analyze_all(chain, rho)
-    else:
-        ConfidenceLevel(rho)
-        results = [tolerance(chain, m, rho) for m in wanted]
-    write_results(results, out_format, out)
+    wanted = list(methods) if methods else list(_SOLVERS)
+    ConfidenceLevel(rho)
+    write_results([tolerance(chain, m, rho) for m in wanted], out_format, out)
     return 0
 
 
@@ -91,7 +87,7 @@ def cmd_sweep(
     """Emit a CSV curve of t versus confidence level for each method."""
     out = out or sys.stdout
     chain = read_chain(chain_file)
-    wanted = list(methods) if methods else list(_ANALYZE_ORDER)
+    wanted = list(methods) if methods else list(_SOLVERS)
     grid = _rho_grid(rho_min, rho_max, points, linear)
     curve = [
         CurvePoint(rho=r, method=m, t=tolerance(chain, m, r).t)

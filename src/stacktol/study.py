@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import _ANALYZE_ORDER, ConfidenceLevel, Method, gaussian_l, tolerance
+from .bounds import _SOLVERS, ConfidenceLevel, Method, gaussian_l, tolerance
 from .chain import Contributor, StackChain, balance_report, t_rss
 from .montecarlo import McConfig, mc_quantile
 
@@ -66,7 +66,7 @@ class StudySpec:
         ConfidenceLevel(self.rho)
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        ordered = tuple(m for m in _ANALYZE_ORDER if m in set(self.methods))
+        ordered = tuple(m for m in _SOLVERS if m in set(self.methods))
         if len(ordered) != len(set(self.methods)):
             raise ValueError("methods must be analytic (Monte Carlo is controlled by mc_cfg)")
         if not ordered:

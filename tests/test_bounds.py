@@ -292,6 +292,14 @@ class TestScaleEquivariance:
             other = tolerance(scaled, method, rho).t
             assert other == pytest.approx(c * base, rel=1e-6)
 
+    @pytest.mark.parametrize("c", [1e-200, 0.01, 100.0, 1e200])
+    def test_exponents(self, table_chain, c):
+        scaled = StackChain.from_bounds([c * w for w in table_chain.weighted_bounds])
+        for lam, t in ((0.1, 5.0), (0.5, 3.0), (2.0, 12.0)):
+            for exponent in (phi, psi, psi_tilde):
+                base = exponent(table_chain, lam, t)
+                assert exponent(scaled, lam / c, c * t) == pytest.approx(base, rel=1e-12)
+
 
 class TestExtremeRho:
     @pytest.mark.parametrize("rho", [1e-300, 1e-308])

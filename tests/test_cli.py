@@ -77,6 +77,17 @@ class TestAnalyze:
         rows = list(csv.DictReader(out.splitlines()))
         assert [r["method"] for r in rows] == ["chernov", "wc"]
 
+    def test_all_methods_in_request_order(self, capsys, chain_csv):
+        names = ["airbus", "quadratic", "lipschitz", "chernov",
+                 "hoeffding", "gaussian", "rss", "wc"]
+        code, out, _ = _run(
+            capsys,
+            ["analyze", str(chain_csv), "--methods", ",".join(names), "--format", "csv"],
+        )
+        assert code == 0
+        rows = list(csv.DictReader(out.splitlines()))
+        assert [r["method"] for r in rows] == names
+
     def test_json_format(self, capsys, chain_csv):
         code, out, _ = _run(capsys, ["analyze", str(chain_csv), "--format", "json"])
         assert code == 0 and out.lstrip().startswith("[")
