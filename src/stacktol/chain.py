@@ -106,6 +106,18 @@ def t_rss(chain: StackChain) -> float:
     return math.hypot(*chain.weighted_bounds)
 
 
+def _h_scaled(lam: float, w: float) -> float:
+    """h(2 lam w), without forming 2 lam w where it overflows.
+
+    Past x ~ 745, h(x) = -log(x) in doubles, so the overflowing product is
+    only ever needed through its logarithm.
+    """
+    x = 2.0 * lam * w
+    if math.isinf(x):
+        return -(math.log(2.0) + math.log(lam) + math.log(w))
+    return h_stable(x)
+
+
 def _jensen_gap(chain: StackChain, lam: float) -> float:
     """sum_i h(2 lam w_i) - n h(2 lam wbar), the Jensen gap of h at scale lam.
 
@@ -114,7 +126,7 @@ def _jensen_gap(chain: StackChain, lam: float) -> float:
     """
     w = chain.weighted_bounds
     wbar = math.fsum(w) / len(w)
-    gap = math.fsum(h_stable(2.0 * lam * wi) for wi in w) - len(w) * h_stable(2.0 * lam * wbar)
+    gap = math.fsum(_h_scaled(lam, wi) for wi in w) - len(w) * _h_scaled(lam, wbar)
     return gap if gap > 0.0 else 0.0
 
 

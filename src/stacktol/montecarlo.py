@@ -5,20 +5,23 @@ substream per (contributor, chunk) pair, derived from the configured
 seed.  Chunk boundaries do not depend on the worker count, so serial and
 parallel runs produce bit-identical samples, and therefore bit-identical
 quantiles and probabilities.
+
+numpy is needed only here and in ``study``; it is imported on first use,
+so the analytic path never loads it.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .bounds import ConfidenceLevel, _check_t, _rho_value
 from .chain import StackChain
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["McConfig", "McEstimate", "sample_output", "mc_quantile", "mc_prob"]
 
@@ -55,6 +58,8 @@ class McEstimate(NamedTuple):
 
 
 def _chunk_sum(chain: StackChain, seed: int, chunk_index: int, size: int) -> np.ndarray:
+    import numpy as np
+
     y = np.zeros(size)
     for i, w in enumerate(chain.weighted_bounds):
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(i, chunk_index))
@@ -68,12 +73,16 @@ def sample_output(chain: StackChain, cfg: McConfig, workers: int = 1) -> np.ndar
 
     Deterministic given (chain, cfg); independent of ``workers``.
     """
+    import numpy as np
+
     sizes = [
         min(_CHUNK, cfg.draws - start) for start in range(0, cfg.draws, _CHUNK)
     ]
     if workers <= 1 or len(sizes) == 1:
         parts = [_chunk_sum(chain, cfg.seed, k, m) for k, m in enumerate(sizes)]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(
                 pool.map(lambda km: _chunk_sum(chain, cfg.seed, km[0], km[1]), enumerate(sizes))
@@ -95,16 +104,15 @@ def mc_quantile(
     central finite difference of the empirical quantile function over a
     window of half-width rho/2 in probability.
     """
+    import numpy as np
+
     r = _rho_value(rho)
     y = np.abs(sample_output(chain, cfg, workers=workers))
-    q = float(np.quantile(y, 1.0 - r, method="linear"))
     delta = min(r, 1.0 - r) / 2.0
-    spacing = float(
-        np.quantile(y, 1.0 - r + delta, method="linear")
-        - np.quantile(y, 1.0 - r - delta, method="linear")
-    )
-    stderr = math.sqrt(r * (1.0 - r) / cfg.draws) * spacing / (2.0 * delta)
-    return McEstimate(value=q, stderr=stderr)
+    # one partition serves all three order statistics
+    lo, q, hi = np.quantile(y, [1.0 - r - delta, 1.0 - r, 1.0 - r + delta], method="linear")
+    stderr = math.sqrt(r * (1.0 - r) / cfg.draws) * float(hi - lo) / (2.0 * delta)
+    return McEstimate(value=float(q), stderr=stderr)
 
 
 def mc_prob(
@@ -114,6 +122,8 @@ def mc_prob(
     workers: int = 1,
 ) -> McEstimate:
     """Empirical P(|Y| >= t) with binomial standard error sqrt(p(1-p)/N)."""
+    import numpy as np
+
     t = _check_t(t)
     y = np.abs(sample_output(chain, cfg, workers=workers))
     p = float(np.mean(y >= t))

@@ -6,21 +6,22 @@ confidence level, records balance diagnostics, and optionally attaches a
 Monte Carlo quantile per chain.  Everything derives from the single study
 seed: chain i uses substream (0, i), its Monte Carlo run substream (1, i),
 so results are reproducible row by row and independent of the worker
-count.
+count.  numpy, used only to draw chains and seeds, is imported on first
+use.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .bounds import _SOLVERS, ConfidenceLevel, Method, gaussian_l, tolerance
 from .chain import Contributor, StackChain, balance_report, t_rss
 from .montecarlo import McConfig, mc_quantile
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["StudySpec", "StudyRow", "random_chain", "run_study"]
 
@@ -105,11 +106,15 @@ def random_chain(n: int, lo: float, hi: float, rng: np.random.Generator) -> Stac
 
 
 def _chain_rng(seed: int, chain_id: int) -> np.random.Generator:
+    import numpy as np
+
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(0, chain_id))
     return np.random.Generator(np.random.PCG64(ss))
 
 
 def _mc_seed(base_seed: int, chain_id: int) -> int:
+    import numpy as np
+
     ss = np.random.SeedSequence(entropy=base_seed, spawn_key=(1, chain_id))
     return int(ss.generate_state(2, np.uint64)[0])
 
@@ -149,5 +154,7 @@ def run_study(spec: StudySpec, workers: int = 1) -> list[StudyRow]:
     ids = range(spec.n_chains)
     if workers <= 1:
         return [_one_row(spec, i) for i in ids]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda i: _one_row(spec, i), ids))

@@ -135,6 +135,16 @@ class TestBalanceReport:
                 assert rep.s1 > 0.0
         assert balance_report(StackChain.from_bounds((1.7,) * 5)).s1 == 0.0
 
+    def test_s1_single_bound_near_double_max(self):
+        assert balance_report(StackChain.from_bounds((1e308,))).s1 == 0.0
+
+    def test_s1_finite_where_2w_overflows(self):
+        # 2 * 1e308 overflows; h(x) = -log(x) there, so s1 is scale-free
+        top = balance_report(StackChain.from_bounds((1e308, 5e307))).s1
+        ref = balance_report(StackChain.from_bounds((1e300, 5e299))).s1
+        assert ref == pytest.approx(math.log(1.125), rel=1e-12)
+        assert top == pytest.approx(ref, rel=1e-12)
+
     def test_d_factor_range(self, rng):
         for _ in range(100):
             n = int(rng.integers(1, 9))

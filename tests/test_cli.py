@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -99,6 +103,13 @@ class TestAnalyze:
         assert scaled.keys() == base.keys()
         for method, t in base.items():
             assert scaled[method] == pytest.approx(scale * t, rel=1e-9), method
+
+    def test_bound_near_double_max_exits_0(self, capsys, tmp_path):
+        p = tmp_path / "big.csv"
+        p.write_text("name,tolerance\nx1,1e308\n", encoding="utf-8")
+        code, out, err = _run(capsys, ["analyze", str(p), "--format", "json"])
+        assert code == 0, err
+        assert len(json.loads(out)) == 8
 
     def test_default_rho_is_0027(self, capsys, chain_csv):
         _, out, _ = _run(capsys, ["analyze", str(chain_csv), "--format", "csv"])
@@ -297,3 +308,25 @@ class TestParser:
             main([sub, "--help"])
         assert exc.value.code == 0
         assert sub in capsys.readouterr().out
+
+
+_LAZY_NUMPY_SCRIPT = """
+import sys
+from stacktol import cli
+assert cli.main(["analyze", sys.argv[1], "--format", "json"]) == 0
+assert cli.main(["sweep", sys.argv[1], "--rho-min", "1e-6", "--rho-max", "0.1",
+                 "--points", "3"]) == 0
+assert "numpy" not in sys.modules, "the analytic path loaded numpy"
+assert cli.main(["mc", sys.argv[1], "--rho", "0.0027", "--seed", "1"]) == 0
+assert "numpy" in sys.modules
+"""
+
+
+def test_analytic_path_never_loads_numpy(chain_csv):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_NUMPY_SCRIPT, str(chain_csv)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

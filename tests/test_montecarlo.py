@@ -100,6 +100,14 @@ class TestQuantile:
         assert mc_quantile(chain, 0.01, CFG) == mc_quantile(chain, 0.01, CFG)
         assert mc_quantile(chain, 0.01, CFG) == mc_quantile(chain, 0.01, CFG, workers=3)
 
+    def test_seeded_values_pinned(self):
+        # literal outputs of one seeded run; any change to sampling or to
+        # the quantile arithmetic shows here
+        chain = StackChain.from_bounds((2.0, 1.0, 0.5))
+        est = mc_quantile(chain, 0.0027, CFG)
+        assert est == (3.0970069635119613, 0.005800480558404893)
+        assert mc_prob(chain, 3.0, CFG) == (0.005125, 0.0001596673788693232)
+
 
 class TestProb:
     def test_edges(self):
