@@ -146,11 +146,20 @@ def hoeffding_t(chain: StackChain, rho: "float | ConfidenceLevel") -> ToleranceR
 
     The shape coefficient is exactly 3: the bound treats each uniform
     input as sub-Gaussian with parameter w_i, three times the standard
-    deviation the GAUSSIAN model assumes.
+    deviation the GAUSSIAN model assumes.  f and coverage are given in
+    closed form, so they stay finite where t overflows.
     """
     r = _rho_value(rho)
-    t = 3.0 * (gaussian_l(r) * t_rss(chain))
-    return _result(Method.HOEFFDING, chain, t, r)
+    l_rho = gaussian_l(r)
+    t = 3.0 * (l_rho * t_rss(chain))
+    return ToleranceResult(
+        method=Method.HOEFFDING,
+        t=t,
+        t_clamped=min(t, t_wc(chain)),
+        f=3.0,
+        coverage=3.0 * l_rho,
+        rho=r,
+    )
 
 
 def _check_lambda(lam: float) -> float:

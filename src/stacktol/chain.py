@@ -107,14 +107,17 @@ def t_rss(chain: StackChain) -> float:
 
 
 def _h_scaled(lam: float, w: float) -> float:
-    """h(2 lam w), without forming 2 lam w where it overflows.
+    """h(2 lam w), without forming 2 lam w where it over- or underflows.
 
     Past x ~ 745, h(x) = -log(x) in doubles, so the overflowing product is
-    only ever needed through its logarithm.
+    only ever needed through its logarithm; an underflowed product is
+    h(0+) = 0.
     """
     x = 2.0 * lam * w
     if math.isinf(x):
         return -(math.log(2.0) + math.log(lam) + math.log(w))
+    if x == 0.0:
+        return 0.0
     return h_stable(x)
 
 

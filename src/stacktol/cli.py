@@ -9,20 +9,20 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import IO, Optional, Sequence
+from typing import Optional, Sequence
 
 from .bounds import _SOLVERS, ConfidenceLevel, Method, tolerance
-from .io import ChainFileError, CurvePoint, read_chain, write_results
+from .io import CurvePoint, read_chain, write_results
 from .montecarlo import McConfig, mc_prob, mc_quantile
-from .numerics import BracketError, NonFiniteError
+from .numerics import BracketError
 from .study import StudySpec, run_study
 
-__all__ = ["main", "cmd_analyze", "cmd_sweep", "cmd_study", "cmd_mc"]
+__all__ = ["main"]
 
 DEFAULT_RHO = 0.0027  # two-sided exceedance of the 3-sigma convention
 
-def _parse_methods(spec: Optional[str]) -> list[Method]:
-    if spec is None or spec.strip().lower() == "all":
+def _parse_methods(spec: str) -> list[Method]:
+    if spec.strip().lower() == "all":
         return list(_SOLVERS)
     methods: list[Method] = []
     for token in spec.split(","):
@@ -45,20 +45,12 @@ def _parse_methods(spec: Optional[str]) -> list[Method]:
     return methods
 
 
-def cmd_analyze(
-    chain_file: str,
-    rho: float = DEFAULT_RHO,
-    methods: Optional[Sequence[Method]] = None,
-    out_format: str = "table",
-    out: Optional[IO[str]] = None,
-) -> int:
+def cmd_analyze(args: argparse.Namespace) -> None:
     """Evaluate the requested methods on one chain and print the table."""
-    out = out or sys.stdout
-    chain = read_chain(chain_file)
-    wanted = list(methods) if methods else list(_SOLVERS)
-    ConfidenceLevel(rho)
-    write_results([tolerance(chain, m, rho) for m in wanted], out_format, out)
-    return 0
+    methods = _parse_methods(args.methods)
+    chain = read_chain(args.chain_file)
+    ConfidenceLevel(args.rho)
+    write_results([tolerance(chain, m, args.rho) for m in methods], args.format, sys.stdout)
 
 
 def _rho_grid(rho_min: float, rho_max: float, points: int, linear: bool) -> list[float]:
@@ -75,55 +67,43 @@ def _rho_grid(rho_min: float, rho_max: float, points: int, linear: bool) -> list
     return [rho_min * ratio ** (k / (points - 1)) for k in range(points)]
 
 
-def cmd_sweep(
-    chain_file: str,
-    rho_min: float,
-    rho_max: float,
-    points: int = 50,
-    linear: bool = False,
-    methods: Optional[Sequence[Method]] = None,
-    out: Optional[IO[str]] = None,
-) -> int:
+def cmd_sweep(args: argparse.Namespace) -> None:
     """Emit a CSV curve of t versus confidence level for each method."""
-    out = out or sys.stdout
-    chain = read_chain(chain_file)
-    wanted = list(methods) if methods else list(_SOLVERS)
-    grid = _rho_grid(rho_min, rho_max, points, linear)
+    methods = _parse_methods(args.methods)
+    chain = read_chain(args.chain_file)
+    grid = _rho_grid(args.rho_min, args.rho_max, args.points, args.linear)
     curve = [
         CurvePoint(rho=r, method=m, t=tolerance(chain, m, r).t)
         for r in grid
-        for m in wanted
+        for m in methods
     ]
-    write_results(curve, "csv", out)
-    return 0
+    write_results(curve, "csv", sys.stdout)
 
 
-def cmd_study(spec: StudySpec, out_path: str) -> int:
-    """Run a random-chain study and write its CSV to out_path."""
-    rows = run_study(spec)
-    write_results(rows, "csv", out_path)
-    return 0
+def cmd_study(args: argparse.Namespace) -> None:
+    """Run a random-chain study and write its CSV to the --out path."""
+    mc_cfg = McConfig(draws=args.mc_draws, seed=args.seed) if args.mc_draws > 0 else None
+    spec = StudySpec(
+        n_inputs=args.n,
+        bound_lo=args.lo,
+        bound_hi=args.hi,
+        n_chains=args.chains,
+        rho=args.rho,
+        seed=args.seed,
+        mc_cfg=mc_cfg,
+    )
+    write_results(run_study(spec), "csv", args.out)
 
 
-def cmd_mc(
-    chain_file: str,
-    cfg: McConfig,
-    rho: Optional[float] = None,
-    t: Optional[float] = None,
-    out: Optional[IO[str]] = None,
-) -> int:
-    """Monte Carlo quantile (given rho) or exceedance probability (given t)."""
-    out = out or sys.stdout
-    if (rho is None) == (t is None):
-        raise ValueError("exactly one of rho and t is required")
-    chain = read_chain(chain_file)
-    if rho is not None:
-        est = mc_quantile(chain, rho, cfg)
-        out.write(f"t_hat={est.value!r} stderr={est.stderr!r}\n")
+def cmd_mc(args: argparse.Namespace) -> None:
+    """Monte Carlo quantile (given --rho) or exceedance probability (given --t)."""
+    cfg = McConfig(draws=args.draws, seed=args.seed)
+    chain = read_chain(args.chain_file)
+    if args.rho is not None:
+        est, label = mc_quantile(chain, args.rho, cfg), "t_hat"
     else:
-        est = mc_prob(chain, t, cfg)
-        out.write(f"p_hat={est.value!r} stderr={est.stderr!r}\n")
-    return 0
+        est, label = mc_prob(chain, args.t, cfg), "p_hat"
+    sys.stdout.write(f"{label}={est.value!r} stderr={est.stderr!r}\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -142,6 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated subset of wc,rss,gaussian,hoeffding,"
                         "chernov,lipschitz,quadratic,airbus (default all)")
     p.add_argument("--format", default="table", choices=["table", "csv", "json"])
+    p.set_defaults(run=cmd_analyze)
 
     p = sub.add_parser("sweep", help="tabulate t against a confidence-level grid")
     p.add_argument("chain_file")
@@ -151,6 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--linear", action="store_true",
                    help="linear rho grid (default log-spaced)")
     p.add_argument("--methods", default="all")
+    p.set_defaults(run=cmd_sweep)
 
     p = sub.add_parser("study", help="random-chain batch study, CSV output")
     p.add_argument("--n", type=int, default=5, help="contributors per chain")
@@ -162,6 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mc-draws", type=int, default=200_000,
                    help="Monte Carlo draws per chain; 0 disables the mc_t column")
     p.add_argument("-o", "--out", required=True, help="output CSV path")
+    p.set_defaults(run=cmd_study)
 
     p = sub.add_parser("mc", help="seeded Monte Carlo quantile or probability")
     p.add_argument("chain_file")
@@ -170,58 +153,23 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--t", type=float, help="estimate P(|Y| >= t)")
     p.add_argument("--draws", type=int, default=200_000)
     p.add_argument("--seed", type=int, required=True)
+    p.set_defaults(run=cmd_mc)
 
     return parser
 
 
-def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "analyze":
-        return cmd_analyze(
-            args.chain_file,
-            rho=args.rho,
-            methods=_parse_methods(args.methods),
-            out_format=args.format,
-        )
-    if args.command == "sweep":
-        return cmd_sweep(
-            args.chain_file,
-            rho_min=args.rho_min,
-            rho_max=args.rho_max,
-            points=args.points,
-            linear=args.linear,
-            methods=_parse_methods(args.methods),
-        )
-    if args.command == "study":
-        mc_cfg = None
-        if args.mc_draws > 0:
-            mc_cfg = McConfig(draws=args.mc_draws, seed=args.seed)
-        spec = StudySpec(
-            n_inputs=args.n,
-            bound_lo=args.lo,
-            bound_hi=args.hi,
-            n_chains=args.chains,
-            rho=args.rho,
-            seed=args.seed,
-            mc_cfg=mc_cfg,
-        )
-        return cmd_study(spec, args.out)
-    if args.command == "mc":
-        cfg = McConfig(draws=args.draws, seed=args.seed)
-        return cmd_mc(args.chain_file, cfg, rho=args.rho, t=args.t)
-    raise ValueError(f"unknown command {args.command!r}")
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run the stacktol command line; returns the process exit code."""
+    args = _build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
-    except (BracketError, NonFiniteError, ArithmeticError) as exc:
+        args.run(args)
+    except (BracketError, ArithmeticError) as exc:  # BracketError is a ValueError
         print(f"stacktol: numeric failure: {exc}", file=sys.stderr)
         return 1
-    except (ChainFileError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"stacktol: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import IO, Sequence, Union
 
@@ -71,6 +71,13 @@ def _parse_number(cell: str, where: str, allow_ascii_sign: bool) -> float:
     return value
 
 
+def _contributor(where: str, name: str, half_width: float, influence: float) -> Contributor:
+    try:
+        return Contributor(name=name, half_width=half_width, influence=influence)
+    except ValueError as exc:
+        raise ChainFileError(f"{where}: {exc}") from None
+
+
 def _read_chain_csv(path: Path) -> StackChain:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -99,10 +106,7 @@ def _read_chain_csv(path: Path) -> StackChain:
             infl = 1.0
             if len(header) == 3 and row[2].strip():
                 infl = _parse_number(row[2], f"{where}: field 'influence'", allow_ascii_sign=True)
-            try:
-                contributors.append(Contributor(name=name, half_width=tol, influence=infl))
-            except ValueError as exc:
-                raise ChainFileError(f"{where}: contributor {name!r}: {exc}") from None
+            contributors.append(_contributor(where, name, tol, infl))
         if header is None:
             raise ChainFileError(f"{path}: empty file")
     return _build(contributors, str(path))
@@ -142,16 +146,9 @@ def _read_chain_json(path: Path) -> StackChain:
             raise ChainFileError(f"{where}: field 'name' must be a non-empty string")
         tol = _json_number(item, "tolerance", where, required=True)
         infl = _json_number(item, "influence", where, required=False)
-        try:
-            contributors.append(
-                Contributor(
-                    name=name.strip(),
-                    half_width=tol,
-                    influence=1.0 if infl is None else infl,
-                )
-            )
-        except ValueError as exc:
-            raise ChainFileError(f"{where}: {exc}") from None
+        contributors.append(
+            _contributor(where, name.strip(), tol, 1.0 if infl is None else infl)
+        )
     return _build(contributors, str(path))
 
 
@@ -180,29 +177,19 @@ def read_chain(path: "str | Path", fmt: "str | None" = None) -> StackChain:
     raise ChainFileError(f"{p}: cannot determine format (expected .csv or .json, or pass fmt=)")
 
 
-def _columns(item: object) -> list[str]:
-    if isinstance(item, ToleranceResult):
-        return ["method", "t", "t_clamped", "f", "coverage", "rho"]
-    if isinstance(item, CurvePoint):
-        return ["rho", "method", "t"]
+def _record(item: object) -> dict:
+    """Column name -> cell value, in output column order."""
     if isinstance(item, StudyRow):
-        cols = ["chain_id", "s1", "d_factor"]
-        for m in item.ts:
-            cols += [f"{m.value}_t", f"{m.value}_f"]
-        return cols + ["mc_t"]
-    raise ValueError(f"cannot serialize values of type {type(item).__name__}")
-
-
-def _values(item: object) -> list:
-    if isinstance(item, ToleranceResult):
-        return [item.method.value, item.t, item.t_clamped, item.f, item.coverage, item.rho]
-    if isinstance(item, CurvePoint):
-        return [item.rho, item.method.value, item.t]
-    if isinstance(item, StudyRow):
-        vals: list = [item.chain_id, item.s1, item.d_factor]
-        for m in item.ts:
-            vals += [item.ts[m], item.fs[m]]
-        return vals + [item.mc_t]
+        rec = {"chain_id": item.chain_id, "s1": item.s1, "d_factor": item.d_factor}
+        for m, t in item.ts.items():
+            rec[f"{m.value}_t"] = t
+            rec[f"{m.value}_f"] = item.fs[m]
+        rec["mc_t"] = item.mc_t
+        return rec
+    if isinstance(item, (ToleranceResult, CurvePoint)):
+        rec = {f.name: getattr(item, f.name) for f in fields(item)}
+        rec["method"] = item.method.value
+        return rec
     raise ValueError(f"cannot serialize values of type {type(item).__name__}")
 
 
@@ -222,11 +209,10 @@ def _table_cell(value: object) -> str:
     return str(value)
 
 
-def _write_table(rows: Sequence[object], fh: IO[str]) -> None:
-    cols = _columns(rows[0])
-    cells = [cols] + [[_table_cell(v) for v in _values(r)] for r in rows]
-    widths = [max(len(line[j]) for line in cells) for j in range(len(cols))]
-    numeric = [not isinstance(v, str) for v in _values(rows[0])]
+def _write_table(records: Sequence[dict], fh: IO[str]) -> None:
+    cells = [list(records[0])] + [[_table_cell(v) for v in r.values()] for r in records]
+    widths = [max(len(line[j]) for line in cells) for j in range(len(cells[0]))]
+    numeric = [not isinstance(v, str) for v in records[0].values()]
     for k, line in enumerate(cells):
         out = []
         for j, cell in enumerate(line):
@@ -237,25 +223,19 @@ def _write_table(rows: Sequence[object], fh: IO[str]) -> None:
         fh.write("  ".join(out).rstrip() + "\n")
 
 
-def _write_csv(rows: Sequence[object], fh: IO[str]) -> None:
+def _write_csv(records: Sequence[dict], fh: IO[str]) -> None:
     writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(_columns(rows[0]))
-    for r in rows:
-        writer.writerow([_csv_cell(v) for v in _values(r)])
+    writer.writerow(records[0])
+    for r in records:
+        writer.writerow([_csv_cell(v) for v in r.values()])
 
 
-def _write_json(rows: Sequence[object], fh: IO[str]) -> None:
-    cols = _columns(rows[0])
-    doc = [dict(zip(cols, _values(r))) for r in rows]
-    json.dump(doc, fh, indent=2)
+def _write_json(records: Sequence[dict], fh: IO[str]) -> None:
+    json.dump(records, fh, indent=2)
     fh.write("\n")
 
 
-def write_results(
-    results: Sequence[object],
-    fmt: str = "table",
-    destination: Destination = None,
-) -> None:
+def write_results(results: Sequence[object], fmt: str, destination: Destination) -> None:
     """Serialize tolerance results, curve points, or study rows.
 
     ``fmt`` is one of table, csv, json.  ``destination`` is a path or an
@@ -271,10 +251,9 @@ def write_results(
     key = str(fmt).lower()
     if key not in writers:
         raise ValueError(f"unknown format {fmt!r}, expected table, csv, or json")
-    if destination is None:
-        raise ValueError("destination is required")
+    records = [_record(r) for r in results]
     if hasattr(destination, "write"):
-        writers[key](results, destination)  # type: ignore[arg-type]
+        writers[key](records, destination)  # type: ignore[arg-type]
     else:
         with open(Path(destination), "w", encoding="utf-8", newline="") as fh:
-            writers[key](results, fh)
+            writers[key](records, fh)

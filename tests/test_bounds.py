@@ -93,6 +93,13 @@ class TestHoeffding:
         assert single.t == pytest.approx(HOEFF_SINGLE_0027, rel=1e-12)
         assert single.t_clamped == 1.0
 
+    def test_closed_form_near_double_max(self):
+        res = hoeffding_t(StackChain.from_bounds((1e308,)), 0.0027)
+        assert res.t == math.inf  # 3 l_rho 1e308 exceeds the largest double
+        assert res.t_clamped == 1e308
+        assert res.f == 3.0
+        assert res.coverage == 3.0 * gaussian_l(0.0027)
+
 
 class TestPhi:
     def test_nonnegative_at_t_zero(self, table_chain):
@@ -138,6 +145,10 @@ class TestSLambda:
             chain = StackChain.from_bounds(random_bounds(rng))
             assert s_lambda(chain, 1e-6) <= 1e-9
             assert s_lambda(chain, 0.3) >= 0.0
+
+    def test_zero_where_two_lambda_w_underflows(self):
+        chain = StackChain.from_bounds((1e-200, 2e-200))
+        assert s_lambda(chain, 1e-200) == 0.0  # h(0+) = 0 for every term
 
     def test_lambda_domain(self, table_chain):
         with pytest.raises(ValueError):

@@ -284,6 +284,14 @@ class TestMc:
         _, out2, _ = _run(capsys, argv)
         assert out1 == out2
 
+    def test_bound_near_double_max_exits_1(self, capsys, tmp_path):
+        # the sampling range 2 * 1e308 exceeds the largest double
+        p = tmp_path / "big.csv"
+        p.write_text("name,tolerance\nx1,1e308\n", encoding="utf-8")
+        code, out, err = _run(capsys, ["mc", str(p), "--rho", "0.05", "--seed", "1"])
+        assert code == 1 and out == ""
+        assert "numeric failure" in err
+
     def test_rho_and_t_mutually_exclusive(self, capsys, chain_csv):
         with pytest.raises(SystemExit) as exc:
             main(["mc", str(chain_csv), "--rho", "0.05", "--t", "1.0",

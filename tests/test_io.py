@@ -75,6 +75,19 @@ class TestReadCsv:
         with pytest.raises(ChainFileError, match=r"c\.csv:3.*bad"):
             read_chain(p)
 
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("c.csv", "name,tolerance\nx,0\n"),
+            ("c.json", '{"contributors": [{"name": "x", "tolerance": 0}]}'),
+        ],
+    )
+    def test_contributor_error_names_it_once(self, tmp_path, name, text):
+        p = _write(tmp_path, name, text)
+        with pytest.raises(ChainFileError) as exc:
+            read_chain(p)
+        assert str(exc.value).count("'x'") == 1
+
     def test_signed_influence_allowed_but_glyphs_rejected(self, tmp_path):
         ok = _write(tmp_path, "ok.csv", "name,tolerance,influence\na,2,-1.5\n")
         assert read_chain(ok).weighted_bounds == (3.0,)
@@ -211,6 +224,25 @@ class TestWriteResults:
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "chain_id,s1,d_factor,chernov_t,chernov_f,hoeffding_t,hoeffding_f,mc_t"
         assert lines[1].endswith(",")  # empty mc_t cell
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [CurvePoint(rho=0.01, method=Method.CHERNOV, t=2.5)],
+            [StudyRow(chain_id=0, s1=0.1, d_factor=0.2,
+                      ts={Method.LIPSCHITZ: 1.5, Method.WC: 3.0},
+                      fs={Method.LIPSCHITZ: 1.1, Method.WC: 2.0}, mc_t=1.2)],
+        ],
+    )
+    def test_json_and_table_columns_match_csv(self, rows):
+        outs = {}
+        for fmt in ("csv", "json", "table"):
+            buf = io.StringIO()
+            write_results(rows, fmt, buf)
+            outs[fmt] = buf.getvalue()
+        header = outs["csv"].splitlines()[0].split(",")
+        assert list(json.loads(outs["json"])[0]) == header
+        assert outs["table"].splitlines()[0].split() == header
 
     def test_lf_only_output(self, table_chain, tmp_path):
         path = tmp_path / "r.csv"
