@@ -23,10 +23,11 @@ Probability-at-t and t-at-rho directions are both provided for the
 Chernoff family.  Each member has a log-MGF K(lam) of which the bound is
 2 exp(inf_lam K(lam) - lam t); the infimum sits where K'(lam) = t
 (Cramer-Chernoff / Legendre duality), so every inversion is one monotone
-root in lam, solved on the chain scaled to mean bound 1.  Each member's
-K is written once, on that scaled chain, and serves both its exponent
-(phi, psi, psi_tilde) and its inversions.  All functions are pure;
-results are frozen records.
+root in lam, solved on the chain scaled to mean bound 1.  Each member is
+written once, on that scaled chain, as its slope K' and its gap
+K - lam K'; these drive the inversions, and K = gap + lam K' gives its
+exponent (phi, psi, psi_tilde).  All functions are pure; results are
+frozen records.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
 from .chain import StackChain, _jensen_gap, balance_report, t_rss, t_wc
-from .numerics import invert_monotone, langevin, legendre_term, log_sinh_over_x
+from .numerics import invert_monotone, langevin, legendre_term
 
 __all__ = [
     "Method",
@@ -177,7 +178,7 @@ def _check_t(t: float) -> float:
 
 
 # On the chain scaled to u_i = w_i / wbar, each member of the Chernoff family
-# is its log-MGF K(lam), its slope t(lam) = K'(lam), increasing, and its gap
+# is the slope t(lam) = K'(lam) of its log-MGF K, increasing, and its gap
 # g = K - lam K', decreasing from 0; slope and gap are sums of langevin and
 # legendre_term terms.
 _Fn = Callable[[float], float]
@@ -185,14 +186,13 @@ _Fn = Callable[[float], float]
 
 class _Member(NamedTuple):
     wbar: float
-    k: _Fn
     slope: _Fn
     gap: _Fn
     limit: float  # t(inf), in chain units
 
 
 def _member(chain: StackChain, method: Method, curvature: float = 0.5) -> _Member:
-    """The Chernoff-family member ``method`` on ``chain``: each K is written here once."""
+    """The Chernoff-family member ``method`` on ``chain``, written here once."""
     w = chain.weighted_bounds
     n = len(w)
     wbar = math.fsum(w) / n
@@ -202,7 +202,6 @@ def _member(chain: StackChain, method: Method, curvature: float = 0.5) -> _Membe
         # K = sum_i log(sinh(lam u_i) / (lam u_i)), the exact log-MGF
         return _Member(
             wbar,
-            lambda lam: math.fsum(log_sinh_over_x(lam * ui) for ui in u),
             lambda lam: math.fsum(ui * langevin(lam * ui) for ui in u),
             lambda lam: math.fsum(legendre_term(lam * ui) for ui in u),
             wc,
@@ -213,7 +212,6 @@ def _member(chain: StackChain, method: Method, curvature: float = 0.5) -> _Membe
         abs_dev = math.fsum(abs(ui - 1.0) for ui in u)
         return _Member(
             wbar,
-            lambda lam: n * log_sinh_over_x(lam) + lam * abs_dev,
             lambda lam: n * langevin(lam) + abs_dev,
             lambda lam: n * legendre_term(lam),
             wc + wbar * abs_dev,
@@ -224,7 +222,6 @@ def _member(chain: StackChain, method: Method, curvature: float = 0.5) -> _Membe
     sq_dev = math.fsum((ui - 1.0) * (ui - 1.0) for ui in u)
     return _Member(
         wbar,
-        lambda lam: n * log_sinh_over_x(lam) + curvature * lam * lam * sq_dev,
         lambda lam: n * langevin(lam) + 2.0 * curvature * lam * sq_dev,
         lambda lam: n * legendre_term(lam) - curvature * lam * lam * sq_dev,
         wc,
@@ -236,7 +233,12 @@ def _exponent(chain: StackChain, method: Method, lam: float, t: float,
     lam = _check_lambda(lam)
     t = _check_t(t)
     m = _member(chain, method, curvature)
-    return m.k(lam * m.wbar) - lam * t
+    x = lam * m.wbar
+    gap, tangent = m.gap(x), x * m.slope(x)
+    # K = gap + x K' cancels at most one bit: K' is concave from K'(0) >= 0,
+    # so K >= x K' / 2.  Where psi_tilde's penalty overflows, gap = -inf, K = +inf.
+    k = math.inf if gap == -math.inf else gap + tangent
+    return k - lam * t
 
 
 def phi(chain: StackChain, lam: float, t: float) -> float:

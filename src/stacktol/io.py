@@ -13,6 +13,7 @@ Output formats for results, sweep curves and study rows:
 * ``table``  aligned human-readable text, 4 significant digits.
 * ``csv`` / ``json``  full precision; floats are written with their
   shortest round-tripping representation, so read-back is lossless.
+  JSON has no spelling for inf or nan and writes them as null.
 
 All files are UTF-8; CRLF and LF are both accepted on read, LF is written.
 """
@@ -231,7 +232,10 @@ def _write_csv(records: Sequence[dict], fh: IO[str]) -> None:
 
 
 def _write_json(records: Sequence[dict], fh: IO[str]) -> None:
-    json.dump(records, fh, indent=2)
+    # inf and nan have no JSON spelling; null keeps the file strict JSON
+    cells = [{k: None if isinstance(v, float) and not math.isfinite(v) else v
+              for k, v in r.items()} for r in records]
+    json.dump(cells, fh, indent=2, allow_nan=False)
     fh.write("\n")
 
 
@@ -240,18 +244,18 @@ def write_results(results: Sequence[object], fmt: str, destination: Destination)
 
     ``fmt`` is one of table, csv, json.  ``destination`` is a path or an
     open text handle; handles are written to but not closed.  The result
-    list must be nonempty and homogeneous.
+    list must be nonempty and homogeneous: every record has the first
+    one's columns, in order.
     """
     if not results:
         raise ValueError("nothing to write: results are empty")
-    first_type = type(results[0])
-    if any(type(r) is not first_type for r in results):
-        raise ValueError("results must be homogeneous")
     writers = {"table": _write_table, "csv": _write_csv, "json": _write_json}
     key = str(fmt).lower()
     if key not in writers:
         raise ValueError(f"unknown format {fmt!r}, expected table, csv, or json")
     records = [_record(r) for r in results]
+    if any(list(r) != list(records[0]) for r in records):
+        raise ValueError("results must be homogeneous")
     if hasattr(destination, "write"):
         writers[key](records, destination)  # type: ignore[arg-type]
     else:

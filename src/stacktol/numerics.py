@@ -109,16 +109,14 @@ def h_stable(x: float) -> float:
 def log_sinh_over_x(x: float) -> float:
     """log(sinh(x) / x) for x > 0, overflow-free, always >= 0.
 
-    Uses sinh(x)/x = exp(x) * (1 - exp(-2x)) / (2x), i.e. the value is
-    x + h_stable(2x), which stays finite for x up to ~1e308 instead of
-    overflowing at x ~ 710 like a naive sinh call.
+    Formed as legendre_term(x) + x * langevin(x): langevin is concave from
+    L(0) = 0, so the sum is at least x L(x) / 2 and cancels at most one
+    bit.  Relative error below 1e-13 for x from 1e-150 up to ~1e17.
     """
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise ValueError(f"log_sinh_over_x requires finite x > 0, got {x!r}")
-    v = x + h_stable(2.0 * x)
-    # mathematically >= 0; clip the ~1-ulp negatives from the subtraction
-    return v if v > 0.0 else 0.0
+    return legendre_term(x) + x * langevin(x)
 
 
 def _coth_minus_one(x: float) -> float:

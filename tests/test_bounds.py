@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -28,7 +29,7 @@ from stacktol import (
     t_wc,
     tolerance,
 )
-from conftest import random_bounds
+from conftest import TABLE_BOUNDS, random_bounds
 from oracles import exact_abs_tail, grid_bound_t
 
 # frozen 50-digit references
@@ -181,6 +182,43 @@ class TestRelaxations:
         # psi_tilde - psi = n lam^2 Var/2 - lam*abs_dev = 0.05 - 0.6
         quad_gap = psi_tilde(table_chain, 0.1, 5.0) - psi(table_chain, 0.1, 5.0)
         assert quad_gap == pytest.approx(0.05 - 0.6, rel=1e-10)
+
+    @pytest.mark.parametrize("bounds", [(1.0,), TABLE_BOUNDS])
+    def test_log_mgf_against_high_precision_at_small_lambda(self, bounds):
+        # at t = 0 each exponent is its K; lam wbar from 1e-6 to 1e-3
+        chain = StackChain.from_bounds(bounds)
+        wbar_f = sum(bounds) / len(bounds)
+        with mpmath.workdps(50):
+            w = [mpmath.mpf(b) for b in bounds]
+            wbar = sum(w) / len(w)
+
+            def log_sinh_over_x(y):
+                return mpmath.log(mpmath.sinh(y) / y)
+
+            for x in (1e-6, 1e-5, 1e-4, 1e-3):
+                lam = x / wbar_f
+                ml = mpmath.mpf(lam)
+                base = len(w) * log_sinh_over_x(ml * wbar)
+                refs = {
+                    phi: sum(log_sinh_over_x(ml * wi) for wi in w),
+                    psi: base + ml * sum(abs(wi - wbar) for wi in w),
+                    psi_tilde: base + ml * ml * sum((wi - wbar) ** 2 for wi in w) / 2,
+                }
+                for f, ref in refs.items():
+                    expected = pytest.approx(float(ref), rel=1e-12, abs=0.0)
+                    assert f(chain, lam, 0.0) == expected, (f, x)
+
+    def test_zero_where_lambda_wbar_underflows(self):
+        chain = StackChain.from_bounds((1e-200, 2e-200))
+        for f in (phi, psi, psi_tilde):
+            assert f(chain, 1e-200, 0.0) == 0.0
+            assert math.isfinite(f(chain, 1e-200, 3e-200))
+
+    def test_overflowed_penalty_is_plus_inf(self):
+        # c (lam wbar)^2 overflows while lam wbar K' does not: K is +inf, never -inf
+        chain = StackChain.from_bounds((0.8, 1.2))
+        assert psi_tilde(chain, 2e154, 0.0) == math.inf
+        assert psi_tilde(chain, 2e154, 1.0) == math.inf
 
     def test_curvature_knob(self, table_chain):
         sharp = psi_tilde(table_chain, 0.5, 3.0, curvature=1.0 / 6.0)

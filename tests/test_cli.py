@@ -111,6 +111,19 @@ class TestAnalyze:
         assert code == 0, err
         assert len(json.loads(out)) == 8
 
+    def test_json_is_strict_where_t_overflows(self, capsys, tmp_path):
+        p = tmp_path / "big.csv"
+        p.write_text("name,tolerance\nx1,1e308\n", encoding="utf-8")
+        code, out, err = _run(capsys, ["analyze", str(p), "--format", "json"])
+        assert code == 0, err
+
+        def reject(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        rows = {r["method"]: r for r in json.loads(out, parse_constant=reject)}
+        assert rows["hoeffding"]["t"] is None  # inf has no JSON spelling
+        assert rows["hoeffding"]["t_clamped"] == 1e308
+
     def test_default_rho_is_0027(self, capsys, chain_csv):
         _, out, _ = _run(capsys, ["analyze", str(chain_csv), "--format", "csv"])
         rows = list(csv.DictReader(out.splitlines()))

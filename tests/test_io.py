@@ -244,6 +244,18 @@ class TestWriteResults:
         assert list(json.loads(outs["json"])[0]) == header
         assert outs["table"].splitlines()[0].split() == header
 
+    def test_rows_with_other_columns_are_rejected(self):
+        rows = [
+            StudyRow(chain_id=0, s1=0.1, d_factor=0.2, ts={Method.CHERNOV: 1.5},
+                     fs={Method.CHERNOV: 1.1}, mc_t=None),
+            StudyRow(chain_id=1, s1=0.1, d_factor=0.2,
+                     ts={Method.WC: 3.0, Method.RSS: 2.0},
+                     fs={Method.WC: None, Method.RSS: None}, mc_t=None),
+        ]
+        for fmt in ("table", "csv", "json"):
+            with pytest.raises(ValueError, match="homogeneous"):
+                write_results(rows, fmt, io.StringIO())
+
     def test_lf_only_output(self, table_chain, tmp_path):
         path = tmp_path / "r.csv"
         write_results(analyze_all(table_chain, 0.05), "csv", path)
