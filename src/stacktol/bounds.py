@@ -39,7 +39,7 @@ from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
 from .chain import StackChain, _jensen_gap, balance_report, t_rss, t_wc
-from .numerics import invert_monotone, langevin, legendre_term
+from .numerics import _x2_langevin_prime, invert_monotone, langevin, legendre_term
 
 __all__ = [
     "Method",
@@ -179,8 +179,9 @@ def _check_t(t: float) -> float:
 
 # On the chain scaled to u_i = w_i / wbar, each member of the Chernoff family
 # is the slope t(lam) = K'(lam) of its log-MGF K, increasing, and its gap
-# g = K - lam K', decreasing from 0; slope and gap are sums of langevin and
-# legendre_term terms.
+# g = K - lam K', decreasing from 0 and concave in log lam, with
+# dg/dlog lam = -lam^2 K''; all are sums of langevin, legendre_term and
+# x^2 langevin_prime terms.
 _Fn = Callable[[float], float]
 
 
@@ -188,7 +189,10 @@ class _Member(NamedTuple):
     wbar: float
     slope: _Fn
     gap: _Fn
-    limit: float  # t(inf), in chain units
+    dgap: _Fn  # dg / dlog lam
+    curv: float  # K''(0): g >= -curv lam^2 / 2
+    limit: float  # t(inf), in the chain's own units
+    pen: float = 0.0  # g <= -pen lam^2
 
 
 def _member(chain: StackChain, method: Method, curvature: float = 0.5) -> _Member:
@@ -204,6 +208,8 @@ def _member(chain: StackChain, method: Method, curvature: float = 0.5) -> _Membe
             wbar,
             lambda lam: math.fsum(ui * langevin(lam * ui) for ui in u),
             lambda lam: math.fsum(legendre_term(lam * ui) for ui in u),
+            lambda lam: -math.fsum(_x2_langevin_prime(lam * ui) for ui in u),
+            math.fsum(ui * ui for ui in u) / 3.0,
             wc,
         )
     if method is Method.LIPSCHITZ:
@@ -214,17 +220,25 @@ def _member(chain: StackChain, method: Method, curvature: float = 0.5) -> _Membe
             wbar,
             lambda lam: n * langevin(lam) + abs_dev,
             lambda lam: n * legendre_term(lam),
+            lambda lam: -n * _x2_langevin_prime(lam),
+            n / 3.0,
             wc + wbar * abs_dev,
         )
     # QUADRATIC: K = n log(sinh(lam)/lam) + curvature lam^2 sum (u_i - 1)^2
     if curvature < 1.0 / 6.0:
         raise ValueError(f"curvature must be >= 1/6 to keep the bound valid, got {curvature}")
     sq_dev = math.fsum((ui - 1.0) * (ui - 1.0) for ui in u)
+    pen = curvature * sq_dev
+    # 0 on an all-equal chain at any lam, also where lam^2 overflows
+    penalty = (lambda lam: curvature * lam * lam * sq_dev) if sq_dev else (lambda lam: 0.0)
     return _Member(
         wbar,
         lambda lam: n * langevin(lam) + 2.0 * curvature * lam * sq_dev,
-        lambda lam: n * legendre_term(lam) - curvature * lam * lam * sq_dev,
+        lambda lam: n * legendre_term(lam) - penalty(lam),
+        lambda lam: -n * _x2_langevin_prime(lam) - 2.0 * penalty(lam),
+        n / 3.0 + 2.0 * pen,
         wc,
+        pen,
     )
 
 
@@ -285,32 +299,31 @@ def psi_tilde(chain: StackChain, lam: float, t: float, curvature: float = 0.5) -
     return _exponent(chain, Method.QUADRATIC, lam, t, curvature)
 
 
-def _lambda_root(g: _Fn, target: float, slope: _Fn) -> tuple[float, bool]:
-    """(lam, at_limit): the root of g(lam) = target for a decreasing g, g(0) > target.
-
-    The bracket [1/2, 1] halves or doubles until it straddles the target;
-    lam is its edge where g <= target.  If slope stops changing while the
-    bracket doubles, t has reached its limit as lam -> inf: at_limit is set.
-    """
-    lo, hi = 0.5, 1.0
-    while g(lo) <= target:
-        lo, hi = 0.5 * lo, lo
-    t_hi = slope(hi)
-    while g(hi) > target:
-        lo, hi = hi, 2.0 * hi
-        t_lo, t_hi = t_hi, slope(hi)
-        if t_hi == t_lo:
-            return hi, True
-    return invert_monotone(g, target, (lo, hi)), False
+# Past this lam every gap is finite and no slope changes in double precision.
+_LAM_MAX = 2.0 ** 900
 
 
 def _quantile(m: _Member, rho: float) -> float:
     """Smallest t with 2 exp(g) <= rho at the optimal lam.
 
-    The member's limit is returned exact once rho is beyond double precision.
+    The root of g(lam) = log(rho / 2) lies right of lo, where the Gaussian
+    bound -curv lam^2 / 2 meets the target, and left of the Newton step in
+    log lam from lo (g is concave in log lam) and of the root of -pen lam^2.
+    Newton steps from there find it.  Once t stops changing in double
+    precision, the member's limit is returned.
     """
-    lam, at_limit = _lambda_root(m.gap, math.log(rho) - math.log(2.0), m.slope)
-    return m.limit if at_limit else m.wbar * m.slope(lam) * _ROUND_UP
+    target = math.log(rho) - math.log(2.0)
+    lo = math.sqrt(-2.0 * target / m.curv)
+    # a step past 700 overshoots _LAM_MAX anyway, and exp(700) is finite
+    step = min((target - m.gap(lo)) / m.dgap(lo), 700.0)
+    pen_root = math.sqrt(-target / m.pen) if m.pen else math.inf
+    # 1e-6 wider keeps g(hi) <= target through rounding where hi is nearly the root
+    hi = min((1.0 + 1e-6) * min(lo * math.exp(step), pen_root), _LAM_MAX)
+    if hi == _LAM_MAX and m.gap(hi) > target:
+        return m.limit
+    lam = invert_monotone(m.gap, target, (lo, hi), dg=m.dgap)
+    t = m.slope(lam)
+    return m.limit if t == m.slope(2.0 * lam) else m.wbar * t * _ROUND_UP
 
 
 def chernov_prob(chain: StackChain, t: float) -> float:
@@ -327,7 +340,11 @@ def chernov_prob(chain: StackChain, t: float) -> float:
         return 0.0
     m = _member(chain, Method.CHERNOV)
     tau = t / m.wbar
-    lam, _ = _lambda_root(lambda x: -m.slope(x), -tau, m.slope)
+    # K' <= curv lam puts lo left of the root, and K' >= n - n / lam, from
+    # 1 - L(x) <= 1/x, puts lam right of it, unless t rounds to wc there
+    lo, lam = tau / m.curv, 2.0 * m.limit / (m.limit - t)
+    if m.slope(lam) >= tau:
+        lam = invert_monotone(lambda x: -m.slope(x), -tau, (lo, lam), dg=lambda x: m.dgap(x) / x)
     return min(1.0, 2.0 * math.exp(m.gap(lam) + lam * (m.slope(lam) - tau)))
 
 

@@ -8,13 +8,16 @@ tolerance bound in this package:
 * ``log_sinh_over_x(x) = log(sinh(x) / x)`` -- the log moment generating
   function of a uniform variable on [-1, 1] evaluated at x, nonnegative.
 * ``langevin(x) = coth(x) - 1/x`` -- the derivative of log(sinh(x) / x).
+* ``langevin_prime(x) = 1/x^2 - 1/sinh(x)^2``, its derivative, falling from 1/3.
 * ``legendre_term(x) = log(sinh(x) / x) - x * langevin(x)``, falling from 0.
 
 All are evaluated without overflow or cancellation across the full double
 range actually exercised by the solvers (x from 1e-300 up to ~1e17).
 
-The solver is deliberately tiny: a bisection inverter for nonincreasing
-functions.  Everything in this module is pure and stateless.
+The solver is deliberately tiny: one inverter for nonincreasing functions,
+which bisects, or, given the derivative in log x, takes Newton steps in
+log x with a bisection safeguard.  Everything in this module is pure and
+stateless.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ __all__ = [
     "h_stable",
     "log_sinh_over_x",
     "langevin",
+    "langevin_prime",
     "legendre_term",
     "invert_monotone",
 ]
@@ -39,9 +43,9 @@ __all__ = [
 # expm1/log route; both branches agree to ~1e-14 in [5e-4, 5e-3].
 _H_SERIES_SWITCH = 1e-3
 
-# Below this point langevin and legendre_term use their 5-term series
-# (truncation below 2e-15 relative there); above it the exp forms lose at
-# most ~1e-13 relative to cancellation.
+# Below this point langevin, langevin_prime and legendre_term use their
+# series (truncation below 2e-15 relative there); above it the exp forms
+# lose at most ~1e-13 relative to cancellation.
 _LANGEVIN_SERIES_SWITCH = 0.1
 
 
@@ -139,6 +143,29 @@ def langevin(x: float) -> float:
     return 1.0 - 1.0 / x + _coth_minus_one(x)
 
 
+def _x2_langevin_prime(x: float) -> float:
+    # x^2 L'(x) = 1 - (x / sinh x)^2, increasing from 0 to 1: finite where
+    # x^2 overflows or L'(x) underflows
+    x2 = x * x
+    if x < _LANGEVIN_SERIES_SWITCH:
+        return x2 * (1 / 3 - x2 * (1 / 15 - x2 * (2 / 189 - x2 * (1 / 675 - x2 * (
+            2 / 10395 - x2 * 1382 / 58046625)))))
+    r = 2.0 * x * math.exp(-x) / -math.expm1(-2.0 * x)
+    return 1.0 - r * r
+
+
+def langevin_prime(x: float) -> float:
+    """L'(x) = 1/x^2 - 1/sinh^2(x) for x >= 0, L'(0) = 1/3.
+
+    Decreasing, ~1/x^2 for large x; relative error below 1e-13.  Below
+    1e-8 it is 1/3 - x^2/15 = 1/3 in double precision.
+    """
+    x = float(x)
+    if not math.isfinite(x) or x < 0.0:
+        raise ValueError(f"langevin_prime requires finite x >= 0, got {x!r}")
+    return _x2_langevin_prime(x) / x / x if x > 1e-8 else 1.0 / 3.0
+
+
 def legendre_term(x: float) -> float:
     """m(x) = log(sinh(x)/x) - x L(x) for x >= 0, m(0) = 0.
 
@@ -150,8 +177,8 @@ def legendre_term(x: float) -> float:
     if not math.isfinite(x) or x < 0.0:
         raise ValueError(f"legendre_term requires finite x >= 0, got {x!r}")
     if x < _LANGEVIN_SERIES_SWITCH:
-        x2 = x * x
-        return -x2 * (1 / 6 - x2 * (1 / 60 - x2 * (1 / 567 - x2 * (1 / 5400 - x2 / 51975))))
+        x2 = x * x  # x (x c), not x2 c: one rounding where the value is subnormal
+        return -x * (x * (1 / 6 - x2 * (1 / 60 - x2 * (1 / 567 - x2 * (1 / 5400 - x2 / 51975)))))
     return 1.0 + h_stable(2.0 * x) - x * _coth_minus_one(x)
 
 
@@ -161,29 +188,57 @@ def invert_monotone(
     bracket: Bracket | tuple[float, float],
     rel_tol: float = 1e-9,
     max_iter: int = 256,
+    dg: Callable[[float], float] | None = None,
 ) -> float:
-    """Bisection root of a nonincreasing g: the t with g(t) = target.
+    """Root of a nonincreasing g: the x with g(x) = target, from its safe side.
 
-    Requires g(lo) >= target >= g(hi), else raises BracketError.  Halves
-    the bracket until its width falls below rel_tol relative to the root,
-    then returns its upper edge, where g <= target, so a bound inverted
-    through g is never undershot; raises ConvergenceError if max_iter
-    halvings do not get there.
+    Requires g(lo) >= target >= g(hi), else raises BracketError.  Without
+    dg it halves the bracket until its width falls below rel_tol relative
+    to the root.  With dg(x) = x g'(x), the derivative in log x, it takes
+    Newton steps in log x from hi.  A step that does not land strictly
+    inside the bracket is replaced by halving it in log x, and one too
+    small to move x moves it an ulp toward hi, past a g that rounds just
+    above the target.  It stops at a point with g <= target reached by a
+    Newton step below rel_tol, or whose own step is a few ulps: Newton has
+    converged to rounding there.
+
+    Either way g <= target at the returned x, so a bound inverted through
+    g is never undershot; raises ConvergenceError if max_iter steps do not
+    get there.
     """
     b = _as_bracket(bracket)
     lo, hi = b.lo, b.hi
+    if dg is not None and lo <= 0.0:
+        raise BracketError(f"Newton steps in log x need lo > 0, got {lo}")
     g_lo = _checked(g, lo)
     g_hi = _checked(g, hi)
     if not (g_lo >= target >= g_hi):
         raise BracketError(
             f"bracket does not straddle target: g({lo})={g_lo}, g({hi})={g_hi}, target={target}"
         )
+    x, gx, step = hi, g_hi, math.inf  # step: the last Newton step, in log x
     for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= rel_tol * max(abs(mid), 1e-300):
-            return hi
-        if _checked(g, mid) > target:
-            lo = mid
+        if gx > target:
+            lo = x
         else:
-            hi = mid
-    raise ConvergenceError(f"bisection stopped at [{lo}, {hi}] after {max_iter} steps")
+            hi = x
+        if dg is None:
+            x = 0.5 * (lo + hi)
+            if hi - lo <= rel_tol * max(abs(x), 1e-300):
+                return hi
+        else:
+            if gx <= target and step <= rel_tol:
+                return x
+            newton = (target - gx) / _checked(dg, x)
+            if gx <= target and abs(newton) <= 4.0 * math.ulp(1.0):
+                return x
+            nxt = x * math.exp(min(newton, 700.0))  # capped so that exp stays finite
+            if nxt == x:  # g rounds just above the target: step past it
+                nxt = math.nextafter(x, hi)
+            x, step = nxt, abs(newton)
+            if not lo < x < hi:
+                x, step = math.sqrt(lo) * math.sqrt(hi), math.inf
+                if not lo < x < hi:
+                    return hi
+        gx = _checked(g, x)
+    raise ConvergenceError(f"solver stopped at [{lo}, {hi}] after {max_iter} steps")

@@ -220,6 +220,14 @@ class TestRelaxations:
         assert psi_tilde(chain, 2e154, 0.0) == math.inf
         assert psi_tilde(chain, 2e154, 1.0) == math.inf
 
+    @pytest.mark.parametrize("bounds", [(1.0,), (2.5, 2.5, 2.5, 2.5)])
+    @pytest.mark.parametrize("x", [1e156, 1e200, 1e300])
+    def test_no_penalty_on_all_equal_chains_where_lambda_squared_overflows(self, bounds, x):
+        chain = StackChain.from_bounds(bounds)
+        lam, wc = x / bounds[0], sum(bounds)
+        for t in (0.0, 0.5 * wc, wc):
+            assert psi_tilde(chain, lam, t) == psi(chain, lam, t)
+
     def test_curvature_knob(self, table_chain):
         sharp = psi_tilde(table_chain, 0.5, 3.0, curvature=1.0 / 6.0)
         default = psi_tilde(table_chain, 0.5, 3.0)

@@ -14,6 +14,7 @@ from stacktol import (
     h_stable,
     invert_monotone,
     langevin,
+    langevin_prime,
     legendre_term,
     log_sinh_over_x,
     chernov_prob,
@@ -123,16 +124,24 @@ class TestBracket:
             Bracket(lo, hi)
 
 
+SWEEP = [float(x) for x in np.logspace(-300, 17, 400)]
+
+
+def _sweep_digits(x: float) -> int:
+    # coth x - 1/x and 1/x^2 - 1/sinh^2 x cancel about 2 log10(1/x) digits
+    return 40 + int(2 * max(0.0, -math.log10(x)))
+
+
 class TestLangevinAndLegendreTerm:
     def test_against_high_precision_sweep(self):
-        with mpmath.workdps(50):
-            for x in np.logspace(-300, 17, 400):
-                mx = mpmath.mpf(float(x))
+        for x in SWEEP:
+            with mpmath.workdps(_sweep_digits(x)):
+                mx = mpmath.mpf(x)
                 coth_term = mpmath.coth(mx) - 1 / mx
                 ref_l = float(coth_term)
                 ref_m = float(mpmath.log(mpmath.sinh(mx) / mx) - mx * coth_term)
-                assert langevin(float(x)) == pytest.approx(ref_l, rel=1e-13)
-                assert legendre_term(float(x)) == pytest.approx(ref_m, rel=1e-13)
+            assert langevin(x) == pytest.approx(ref_l, rel=1e-13, abs=0.0)
+            assert legendre_term(x) == pytest.approx(ref_m, rel=1e-13, abs=0.0)
 
     def test_branches_agree_at_switch(self):
         for f in (langevin, legendre_term):
@@ -155,6 +164,31 @@ class TestLangevinAndLegendreTerm:
         for f in (langevin, legendre_term):
             with pytest.raises(ValueError):
                 f(bad)
+
+
+class TestLangevinPrime:
+    def test_against_high_precision_sweep(self):
+        for x in SWEEP:
+            with mpmath.workdps(_sweep_digits(x)):
+                mx = mpmath.mpf(x)
+                ref = float(1 / mx**2 - 1 / mpmath.sinh(mx) ** 2)
+            assert langevin_prime(x) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    def test_is_the_derivative_of_langevin(self):
+        for x in (0.05, 0.1, 0.7, 3.0, 30.0):
+            d = 1e-5 * x
+            fd = (langevin(x + d) - langevin(x - d)) / (2.0 * d)
+            assert langevin_prime(x) == pytest.approx(fd, rel=1e-8)
+
+    def test_limits(self):
+        assert langevin_prime(0.0) == 1.0 / 3.0
+        assert langevin_prime(1e150) == pytest.approx(1e-300, rel=1e-15)
+        assert langevin_prime(1e200) == 0.0  # 1e-400 underflows
+
+    @pytest.mark.parametrize("bad", [-1e-300, -2.0, math.nan, math.inf])
+    def test_domain_errors(self, bad):
+        with pytest.raises(ValueError):
+            langevin_prime(bad)
 
 
 class TestInvertMonotone:
