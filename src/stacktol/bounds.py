@@ -39,7 +39,9 @@ from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
 from .chain import StackChain, _jensen_gap, balance_report, t_rss, t_wc
-from .numerics import _x2_langevin_prime, invert_monotone, langevin, legendre_term
+from .numerics import (
+    _one_minus_langevin, invert_monotone, langevin, legendre_term, x2_langevin_prime,
+)
 
 __all__ = [
     "Method",
@@ -181,7 +183,7 @@ def _check_t(t: float) -> float:
 # is the slope t(lam) = K'(lam) of its log-MGF K, increasing, and its gap
 # g = K - lam K', decreasing from 0 and concave in log lam, with
 # dg/dlog lam = -lam^2 K''; all are sums of langevin, legendre_term and
-# x^2 langevin_prime terms.
+# x2_langevin_prime terms.
 _Fn = Callable[[float], float]
 
 
@@ -208,7 +210,7 @@ def _member(chain: StackChain, method: Method, curvature: float = 0.5) -> _Membe
             wbar,
             lambda lam: math.fsum(ui * langevin(lam * ui) for ui in u),
             lambda lam: math.fsum(legendre_term(lam * ui) for ui in u),
-            lambda lam: -math.fsum(_x2_langevin_prime(lam * ui) for ui in u),
+            lambda lam: -math.fsum(x2_langevin_prime(lam * ui) for ui in u),
             math.fsum(ui * ui for ui in u) / 3.0,
             wc,
         )
@@ -220,7 +222,7 @@ def _member(chain: StackChain, method: Method, curvature: float = 0.5) -> _Membe
             wbar,
             lambda lam: n * langevin(lam) + abs_dev,
             lambda lam: n * legendre_term(lam),
-            lambda lam: -n * _x2_langevin_prime(lam),
+            lambda lam: -n * x2_langevin_prime(lam),
             n / 3.0,
             wc + wbar * abs_dev,
         )
@@ -235,7 +237,7 @@ def _member(chain: StackChain, method: Method, curvature: float = 0.5) -> _Membe
         wbar,
         lambda lam: n * langevin(lam) + 2.0 * curvature * lam * sq_dev,
         lambda lam: n * legendre_term(lam) - penalty(lam),
-        lambda lam: -n * _x2_langevin_prime(lam) - 2.0 * penalty(lam),
+        lambda lam: -n * x2_langevin_prime(lam) - 2.0 * penalty(lam),
         n / 3.0 + 2.0 * pen,
         wc,
         pen,
@@ -330,22 +332,30 @@ def chernov_prob(chain: StackChain, t: float) -> float:
     """Optimized exponential tail bound min(1, 2 exp(inf_lam phi(lam, t))).
 
     Returns 1 at t = 0 and 0 for t >= the worst case (the infimum diverges
-    to -inf there).  Nonincreasing in t.  The optimal lam solves K' = t;
-    K - lam t, formed as g + lam (K' - t), is a valid bound at any lam.
+    to -inf there).  Nonincreasing in t.  The optimal lam solves K' = t, or
+    n - K' = (wc - t) / wbar on the scaled chain, which stays exact near wc
+    where K' saturates; K - lam t = g + lam (K' - t) bounds at any lam.
     """
     t = _check_t(t)
     if t == 0.0:
         return 1.0
-    if t >= t_wc(chain):
-        return 0.0
     m = _member(chain, Method.CHERNOV)
-    tau = t / m.wbar
-    # K' <= curv lam puts lo left of the root, and K' >= n - n / lam, from
-    # 1 - L(x) <= 1/x, puts lam right of it, unless t rounds to wc there
-    lo, lam = tau / m.curv, 2.0 * m.limit / (m.limit - t)
-    if m.slope(lam) >= tau:
-        lam = invert_monotone(lambda x: -m.slope(x), -tau, (lo, lam), dg=lambda x: m.dgap(x) / x)
-    return min(1.0, 2.0 * math.exp(m.gap(lam) + lam * (m.slope(lam) - tau)))
+    if t >= m.limit:
+        return 0.0
+    u = [wi / m.wbar for wi in chain.weighted_bounds]
+    tau, rest = t / m.wbar, (m.limit - t) / m.wbar
+    # co_slope = n - K' >= n - curv lam puts lo left of the root, and
+    # co_slope <= n / lam, from 1 - L(x) <= 1/x, puts hi right of it; both
+    # with a factor 2 to spare
+    lo, hi = 0.5 * tau / m.curv, 2.0 * len(u) / rest
+    if hi * tau <= math.log(2.0):  # K >= 0 at the optimal lam <= hi: the bound is >= 1
+        return 1.0
+
+    def co_slope(lam: float) -> float:  # n - K'(lam)
+        return math.fsum(ui * _one_minus_langevin(lam * ui) for ui in u)
+
+    lam = invert_monotone(co_slope, rest, (lo, hi), dg=lambda x: m.dgap(x) / x)
+    return min(1.0, 2.0 * math.exp(m.gap(lam) + lam * (rest - co_slope(lam))))
 
 
 def chernov_t(chain: StackChain, rho: "float | ConfidenceLevel") -> ToleranceResult:

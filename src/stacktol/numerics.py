@@ -8,7 +8,8 @@ tolerance bound in this package:
 * ``log_sinh_over_x(x) = log(sinh(x) / x)`` -- the log moment generating
   function of a uniform variable on [-1, 1] evaluated at x, nonnegative.
 * ``langevin(x) = coth(x) - 1/x`` -- the derivative of log(sinh(x) / x).
-* ``langevin_prime(x) = 1/x^2 - 1/sinh(x)^2``, its derivative, falling from 1/3.
+* ``x2_langevin_prime(x) = x^2 L'(x) = 1 - (x / sinh(x))^2``, x^2 times its
+  derivative, rising from 0 to 1.
 * ``legendre_term(x) = log(sinh(x) / x) - x * langevin(x)``, falling from 0.
 
 All are evaluated without overflow or cancellation across the full double
@@ -34,7 +35,7 @@ __all__ = [
     "h_stable",
     "log_sinh_over_x",
     "langevin",
-    "langevin_prime",
+    "x2_langevin_prime",
     "legendre_term",
     "invert_monotone",
 ]
@@ -43,7 +44,7 @@ __all__ = [
 # expm1/log route; both branches agree to ~1e-14 in [5e-4, 5e-3].
 _H_SERIES_SWITCH = 1e-3
 
-# Below this point langevin, langevin_prime and legendre_term use their
+# Below this point langevin, x2_langevin_prime and legendre_term use their
 # series (truncation below 2e-15 relative there); above it the exp forms
 # lose at most ~1e-13 relative to cancellation.
 _LANGEVIN_SERIES_SWITCH = 0.1
@@ -143,9 +144,16 @@ def langevin(x: float) -> float:
     return 1.0 - 1.0 / x + _coth_minus_one(x)
 
 
-def _x2_langevin_prime(x: float) -> float:
-    # x^2 L'(x) = 1 - (x / sinh x)^2, increasing from 0 to 1: finite where
-    # x^2 overflows or L'(x) underflows
+def x2_langevin_prime(x: float) -> float:
+    """q(x) = x^2 L'(x) = 1 - (x / sinh x)^2 for x >= 0, q(0) = 0.
+
+    Increasing from x^2/3 near 0 to 1; -q(x) is the derivative of
+    legendre_term in log x.  Finite where x^2 overflows or L'(x)
+    underflows; relative error below 1e-13.
+    """
+    x = float(x)
+    if not math.isfinite(x) or x < 0.0:
+        raise ValueError(f"x2_langevin_prime requires finite x >= 0, got {x!r}")
     x2 = x * x
     if x < _LANGEVIN_SERIES_SWITCH:
         return x2 * (1 / 3 - x2 * (1 / 15 - x2 * (2 / 189 - x2 * (1 / 675 - x2 * (
@@ -154,16 +162,9 @@ def _x2_langevin_prime(x: float) -> float:
     return 1.0 - r * r
 
 
-def langevin_prime(x: float) -> float:
-    """L'(x) = 1/x^2 - 1/sinh^2(x) for x >= 0, L'(0) = 1/3.
-
-    Decreasing, ~1/x^2 for large x; relative error below 1e-13.  Below
-    1e-8 it is 1/3 - x^2/15 = 1/3 in double precision.
-    """
-    x = float(x)
-    if not math.isfinite(x) or x < 0.0:
-        raise ValueError(f"langevin_prime requires finite x >= 0, got {x!r}")
-    return _x2_langevin_prime(x) / x / x if x > 1e-8 else 1.0 / 3.0
+def _one_minus_langevin(x: float) -> float:
+    # 1 - L(x) = 1/x - (coth x - 1): no cancellation where L(x) rounds to 1
+    return 1.0 / x - _coth_minus_one(x) if x > 1.0 else 1.0 - langevin(x)
 
 
 def legendre_term(x: float) -> float:

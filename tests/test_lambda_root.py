@@ -1,7 +1,9 @@
 """The Chernoff-family lambda root: Newton steps in log lambda, their cost and their answers."""
 
 import math
+import random
 
+import mpmath
 import pytest
 
 from stacktol import (
@@ -169,3 +171,43 @@ def test_prob_one_ulp_below_wc():
     chain = StackChain.from_bounds((2.6014965179208285, 3.2520296966886404))
     p = chernov_prob(chain, math.nextafter(t_wc(chain), 0.0))
     assert 0.0 <= p <= 1e-30
+
+
+@pytest.mark.parametrize("t", [1e-300, 1e-120, 1e-20, 0.1])
+def test_prob_is_one_at_small_t(t):
+    # the optimal lambda is at most 2 wc / (wc - t), about 2 here, and K >= 0
+    assert chernov_prob(StackChain.from_bounds((1.0, 2.0)), t) == 1.0
+    assert chernov_prob(StackChain.from_bounds(CHAINS["long"]), t) == 1.0
+
+
+def test_prob_nonincreasing_in_the_last_ulps_below_wc():
+    rng = random.Random(3)
+    for _ in range(200):
+        chain = StackChain.from_bounds([rng.uniform(0.1, 10.0) for _ in range(rng.randint(1, 10))])
+        t, prev = t_wc(chain), 0.0
+        for _ in range(8):
+            t = math.nextafter(t, 0.0)
+            p = chernov_prob(chain, t)
+            assert p >= prev, (chain.weighted_bounds, t)
+            prev = p
+
+
+@pytest.mark.parametrize("w", [(1.0, 2.0), (2.5, 2.5, 2.5, 2.5)])
+@pytest.mark.parametrize("gap", [1e-6, 1e-12, 1e-15])
+def test_prob_near_wc_against_high_precision(w, gap):
+    # wc is exact on these chains, so the reference optimizes the same t;
+    # K' - t cancels there unless it is formed as (wc - t) - (wc - K')
+    chain = StackChain.from_bounds(w)
+    t = t_wc(chain) * (1.0 - gap)
+    with mpmath.workdps(60):
+        mw, mt = [mpmath.mpf(x) for x in w], mpmath.mpf(t)
+        lo, hi = mpmath.mpf(1e-3), mpmath.mpf(1e20)
+        for _ in range(160):
+            lam = mpmath.sqrt(lo * hi)
+            if sum(x * (mpmath.coth(lam * x) - 1 / (lam * x)) for x in mw) < mt:
+                lo = lam
+            else:
+                hi = lam
+        k = sum(mpmath.log(mpmath.sinh(lam * x) / (lam * x)) for x in mw)
+        ref = float(2 * mpmath.exp(k - lam * mt))
+    assert chernov_prob(chain, t) == pytest.approx(ref, rel=1e-13)

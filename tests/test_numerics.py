@@ -14,9 +14,9 @@ from stacktol import (
     h_stable,
     invert_monotone,
     langevin,
-    langevin_prime,
     legendre_term,
     log_sinh_over_x,
+    x2_langevin_prime,
     chernov_prob,
 )
 from oracles import grid_bound_t
@@ -128,7 +128,7 @@ SWEEP = [float(x) for x in np.logspace(-300, 17, 400)]
 
 
 def _sweep_digits(x: float) -> int:
-    # coth x - 1/x and 1/x^2 - 1/sinh^2 x cancel about 2 log10(1/x) digits
+    # coth x - 1/x and 1 - (x / sinh x)^2 cancel about 2 log10(1/x) digits
     return 40 + int(2 * max(0.0, -math.log10(x)))
 
 
@@ -166,29 +166,29 @@ class TestLangevinAndLegendreTerm:
                 f(bad)
 
 
-class TestLangevinPrime:
+class TestX2LangevinPrime:
     def test_against_high_precision_sweep(self):
         for x in SWEEP:
             with mpmath.workdps(_sweep_digits(x)):
                 mx = mpmath.mpf(x)
-                ref = float(1 / mx**2 - 1 / mpmath.sinh(mx) ** 2)
-            assert langevin_prime(x) == pytest.approx(ref, rel=1e-13, abs=0.0)
+                ref = float(1 - (mx / mpmath.sinh(mx)) ** 2)
+            assert x2_langevin_prime(x) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
-    def test_is_the_derivative_of_langevin(self):
+    def test_is_x2_times_the_derivative_of_langevin(self):
         for x in (0.05, 0.1, 0.7, 3.0, 30.0):
             d = 1e-5 * x
             fd = (langevin(x + d) - langevin(x - d)) / (2.0 * d)
-            assert langevin_prime(x) == pytest.approx(fd, rel=1e-8)
+            assert x2_langevin_prime(x) == pytest.approx(x * x * fd, rel=1e-8)
 
     def test_limits(self):
-        assert langevin_prime(0.0) == 1.0 / 3.0
-        assert langevin_prime(1e150) == pytest.approx(1e-300, rel=1e-15)
-        assert langevin_prime(1e200) == 0.0  # 1e-400 underflows
+        assert x2_langevin_prime(0.0) == 0.0
+        assert x2_langevin_prime(1e-150) == pytest.approx(1e-300 / 3.0, rel=1e-15)
+        assert x2_langevin_prime(1e200) == 1.0  # x^2 overflows, L'(x) underflows
 
     @pytest.mark.parametrize("bad", [-1e-300, -2.0, math.nan, math.inf])
     def test_domain_errors(self, bad):
         with pytest.raises(ValueError):
-            langevin_prime(bad)
+            x2_langevin_prime(bad)
 
 
 class TestInvertMonotone:
