@@ -182,7 +182,7 @@ class TestX2LangevinPrime:
 
     def test_limits(self):
         assert x2_langevin_prime(0.0) == 0.0
-        assert x2_langevin_prime(1e-150) == pytest.approx(1e-300 / 3.0, rel=1e-15)
+        assert x2_langevin_prime(1e-150) == pytest.approx(1e-300 / 3.0, rel=1e-15, abs=0.0)
         assert x2_langevin_prime(1e200) == 1.0  # x^2 overflows, L'(x) underflows
 
     @pytest.mark.parametrize("bad", [-1e-300, -2.0, math.nan, math.inf])
