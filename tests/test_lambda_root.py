@@ -173,11 +173,30 @@ def test_prob_one_ulp_below_wc():
     assert 0.0 <= p <= 1e-30
 
 
+@pytest.fixture
+def co_slope_terms(monkeypatch):
+    """Every term of chernov_prob's n - K' evaluations."""
+    calls = []
+    original = bounds._one_minus_langevin
+    monkeypatch.setattr(bounds, "_one_minus_langevin", lambda x: calls.append(x) or original(x))
+    return calls
+
+
 @pytest.mark.parametrize("t", [1e-300, 1e-120, 1e-20, 0.1])
-def test_prob_is_one_at_small_t(t):
+def test_prob_is_one_at_small_t_without_a_solve(co_slope_terms, t):
     # the optimal lambda is at most 2 wc / (wc - t), about 2 here, and K >= 0
     assert chernov_prob(StackChain.from_bounds((1.0, 2.0)), t) == 1.0
     assert chernov_prob(StackChain.from_bounds(CHAINS["long"]), t) == 1.0
+    assert co_slope_terms == []
+
+
+@pytest.mark.parametrize("name", ["single", "pair", "table", "long"])
+def test_few_co_slope_evaluations_per_prob(co_slope_terms, name):
+    chain = StackChain.from_bounds(CHAINS[name])
+    for frac in (0.3, 0.5, 0.9, 0.99, 1.0 - 1e-9, 1.0 - 1e-15):
+        co_slope_terms.clear()
+        chernov_prob(chain, frac * t_wc(chain))
+        assert len(co_slope_terms) / len(CHAINS[name]) <= 20, frac
 
 
 def test_prob_nonincreasing_in_the_last_ulps_below_wc():
