@@ -12,22 +12,20 @@ convention for the rho-free methods):
              uniform inputs; kept for comparison.
 * HOEFFDING  3 * l_rho * T_RSS, the sub-Gaussian bound with parameter
              w_i per input.  Guaranteed, often very conservative.
-* CHERNOV    exact optimized exponential bound, the tightest of the
-             family.
-* LIPSCHITZ  closed-form relaxation of CHERNOV paying lambda*sum|w-wbar|
-             for imbalance.
-* QUADRATIC  relaxation paying a curvature term n*lambda^2*Var(w)*c.
+* CHERNOV    exact optimized exponential bound, the tightest of the family.
+* LIPSCHITZ  CHERNOV of the balanced chain plus a linear imbalance price.
+* QUADRATIC  CHERNOV of the balanced chain plus a quadratic imbalance price.
 * AIRBUS     industrial balance-corrected RSS rule, no rho attached.
 
-Probability-at-t and t-at-rho directions are both provided for the
-Chernoff family.  Each member has a log-MGF K(lam) of which the bound is
-2 exp(inf_lam K(lam) - lam t); the infimum sits where K'(lam) = t
-(Cramer-Chernoff / Legendre duality), so every inversion is one monotone
-root in lam, solved on the chain scaled to mean bound 1.  Each member is
-written once, on that scaled chain, as its slope K' and its gap
-K - lam K'; these drive the inversions, and K = gap + lam K' gives its
-exponent (phi, psi, psi_tilde).  All functions are pure; results are
-frozen records.
+The Chernoff family is one formula.  On the chain scaled to u_i = w_i/wbar
+each member's log-MGF is K(lam) = k sum_v log(sinh(lam v)/(lam v)) + a lam
++ b lam^2, and its bound is 2 exp(inf_lam K(lam) - lam t).  CHERNOV is the
+chain's own K (k = 1, v = u); the relaxations are the K of the balanced
+chain, n bounds of 1 (k = n, v = 1), plus a = sum|u_i - 1| (LIPSCHITZ) or
+b = c sum (u_i - 1)^2 (QUADRATIC).  The infimum sits where K'(lam) = t, so
+every inversion is one monotone root in lam, driven by the slope K' and
+the gap K - lam K'; K = gap + lam K' gives the exponents phi, psi and
+psi_tilde.  All functions are pure; results are frozen records.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
-from .chain import StackChain, _jensen_gap, balance_report, t_rss, t_wc
+from .chain import StackChain, _jensen_gap, _total_and_mean, balance_report, t_rss, t_wc
 from .numerics import (
     _one_minus_langevin, invert_monotone, langevin, legendre_term, x2_langevin_prime,
 )
@@ -179,11 +177,10 @@ def _check_t(t: float) -> float:
     return t
 
 
-# On the chain scaled to u_i = w_i / wbar, each member of the Chernoff family
-# is the slope t(lam) = K'(lam) of its log-MGF K, increasing, and its gap
-# g = K - lam K', decreasing from 0 and concave in log lam, with
-# dg/dlog lam = -lam^2 K''; all are sums of langevin, legendre_term and
-# x2_langevin_prime terms.
+# On the scaled chain, each member's slope t(lam) = K'(lam) is increasing and
+# its gap g = K - lam K' decreases from 0 and is concave in log lam, with
+# dg/dlog lam = -lam^2 K''; all are k times sums over v of langevin (L),
+# legendre_term (m) or x2_langevin_prime (q) terms, plus the price's part.
 _Fn = Callable[[float], float]
 
 
@@ -192,55 +189,38 @@ class _Member(NamedTuple):
     slope: _Fn
     gap: _Fn
     dgap: _Fn  # dg / dlog lam
+    co_slope: _Fn  # k sum_v v (1 - L(lam v)), = K'(inf) - K' where b = 0, without cancellation
     curv: float  # K''(0): g >= -curv lam^2 / 2
     limit: float  # t(inf), in the chain's own units
-    pen: float = 0.0  # g <= -pen lam^2
+    b: float  # g <= -b lam^2
 
 
 def _member(chain: StackChain, method: Method, curvature: float = 0.5) -> _Member:
-    """The Chernoff-family member ``method`` on ``chain``, written here once."""
+    """The Chernoff-family member ``method`` on ``chain``: its (k, v, a, b, limit)."""
     w = chain.weighted_bounds
     n = len(w)
-    wbar = math.fsum(w) / n
+    wc, wbar = _total_and_mean(w)
     u = [wi / wbar for wi in w]
-    wc = t_wc(chain)
-    if method is Method.CHERNOV:
-        # K = sum_i log(sinh(lam u_i) / (lam u_i)), the exact log-MGF
-        return _Member(
-            wbar,
-            lambda lam: math.fsum(ui * langevin(lam * ui) for ui in u),
-            lambda lam: math.fsum(legendre_term(lam * ui) for ui in u),
-            lambda lam: -math.fsum(x2_langevin_prime(lam * ui) for ui in u),
-            math.fsum(ui * ui for ui in u) / 3.0,
-            wc,
-        )
+    k, v, a, b, limit = 1, u, 0.0, 0.0, wc
     if method is Method.LIPSCHITZ:
-        # K = n log(sinh(lam)/lam) + lam sum|u_i - 1|; the penalty is linear
-        # in lam, so it cancels from the gap and t(inf) is finite
-        abs_dev = math.fsum(abs(ui - 1.0) for ui in u)
-        return _Member(
-            wbar,
-            lambda lam: n * langevin(lam) + abs_dev,
-            lambda lam: n * legendre_term(lam),
-            lambda lam: -n * x2_langevin_prime(lam),
-            n / 3.0,
-            wc + wbar * abs_dev,
-        )
-    # QUADRATIC: K = n log(sinh(lam)/lam) + curvature lam^2 sum (u_i - 1)^2
-    if curvature < 1.0 / 6.0:
-        raise ValueError(f"curvature must be >= 1/6 to keep the bound valid, got {curvature}")
-    sq_dev = math.fsum((ui - 1.0) * (ui - 1.0) for ui in u)
-    pen = curvature * sq_dev
-    # 0 on an all-equal chain at any lam, also where lam^2 overflows
-    penalty = (lambda lam: curvature * lam * lam * sq_dev) if sq_dev else (lambda lam: 0.0)
+        # a linear price cancels from the gap, so t(inf) is finite
+        a = math.fsum(abs(ui - 1.0) for ui in u)
+        k, v, limit = n, (1.0,), wc + wbar * a
+    elif method is Method.QUADRATIC:
+        if curvature < 1.0 / 6.0:
+            raise ValueError(f"curvature must be >= 1/6 to keep the bound valid, got {curvature}")
+        k, v, b = n, (1.0,), curvature * math.fsum((ui - 1.0) * (ui - 1.0) for ui in u)
+    # b lam^2, formed as b lam lam where lam^2 alone overflows: 0 at b = 0, never NaN
+    penalty = lambda lam: b * (lam * lam) if lam * lam < math.inf else b * lam * lam
     return _Member(
         wbar,
-        lambda lam: n * langevin(lam) + 2.0 * curvature * lam * sq_dev,
-        lambda lam: n * legendre_term(lam) - penalty(lam),
-        lambda lam: -n * x2_langevin_prime(lam) - 2.0 * penalty(lam),
-        n / 3.0 + 2.0 * pen,
-        wc,
-        pen,
+        lambda lam: k * math.fsum(vi * langevin(lam * vi) for vi in v) + a + 2.0 * b * lam,
+        lambda lam: k * math.fsum(legendre_term(lam * vi) for vi in v) - penalty(lam),
+        lambda lam: -k * math.fsum(x2_langevin_prime(lam * vi) for vi in v) - 2.0 * penalty(lam),
+        lambda lam: k * math.fsum(vi * _one_minus_langevin(lam * vi) for vi in v),
+        k * math.fsum(vi * vi for vi in v) / 3.0 + 2.0 * b,
+        limit,
+        b,
     )
 
 
@@ -310,7 +290,7 @@ def _quantile(m: _Member, rho: float) -> float:
 
     The root of g(lam) = log(rho / 2) lies right of lo, where the Gaussian
     bound -curv lam^2 / 2 meets the target, and left of the Newton step in
-    log lam from lo (g is concave in log lam) and of the root of -pen lam^2.
+    log lam from lo (g is concave in log lam) and of the root of -b lam^2.
     Newton steps from there find it.  Once t stops changing in double
     precision, the member's limit is returned.
     """
@@ -318,7 +298,7 @@ def _quantile(m: _Member, rho: float) -> float:
     lo = math.sqrt(-2.0 * target / m.curv)
     # a step past 700 overshoots _LAM_MAX anyway, and exp(700) is finite
     step = min((target - m.gap(lo)) / m.dgap(lo), 700.0)
-    pen_root = math.sqrt(-target / m.pen) if m.pen else math.inf
+    pen_root = math.sqrt(-target / m.b) if m.b else math.inf
     # 1e-6 wider keeps g(hi) <= target through rounding where hi is nearly the root
     hi = min((1.0 + 1e-6) * min(lo * math.exp(step), pen_root), _LAM_MAX)
     if hi == _LAM_MAX and m.gap(hi) > target:
@@ -342,20 +322,17 @@ def chernov_prob(chain: StackChain, t: float) -> float:
     m = _member(chain, Method.CHERNOV)
     if t >= m.limit:
         return 0.0
-    u = [wi / m.wbar for wi in chain.weighted_bounds]
-    tau, rest = t / m.wbar, (m.limit - t) / m.wbar
+    tau = t / m.wbar
+    # n - tau where the worst case passes the largest double
+    rest = (m.limit - t) / m.wbar if m.limit < math.inf else len(chain) - tau
     # co_slope = n - K' >= n - curv lam puts lo left of the root, and
     # co_slope <= n / lam, from 1 - L(x) <= 1/x, puts hi right of it; both
     # with a factor 2 to spare
-    lo, hi = 0.5 * tau / m.curv, 2.0 * len(u) / rest
+    lo, hi = 0.5 * tau / m.curv, 2.0 * len(chain) / rest
     if hi * tau <= math.log(2.0):  # K >= 0 at the optimal lam <= hi: the bound is >= 1
         return 1.0
-
-    def co_slope(lam: float) -> float:  # n - K'(lam)
-        return math.fsum(ui * _one_minus_langevin(lam * ui) for ui in u)
-
-    lam = invert_monotone(co_slope, rest, (lo, hi), dg=lambda x: m.dgap(x) / x)
-    return min(1.0, 2.0 * math.exp(m.gap(lam) + lam * (rest - co_slope(lam))))
+    lam = invert_monotone(m.co_slope, rest, (lo, hi), dg=lambda x: m.dgap(x) / x)
+    return min(1.0, 2.0 * math.exp(m.gap(lam) + lam * (rest - m.co_slope(lam))))
 
 
 def chernov_t(chain: StackChain, rho: "float | ConfidenceLevel") -> ToleranceResult:

@@ -96,9 +96,19 @@ def build_chain(contributors: Sequence[Contributor] | Iterable[Contributor]) -> 
     return StackChain(tuple(contributors))
 
 
+def _total_and_mean(w: Sequence[float]) -> tuple[float, float]:
+    """fsum(w), inf past the largest double, and the mean bound, always finite."""
+    try:
+        total = math.fsum(w)
+        return total, total / len(w)
+    except OverflowError:  # sum the bounds scaled by 2^-e <= 1/n, which is exact
+        e = len(w).bit_length()
+        return math.inf, math.ldexp(math.fsum(math.ldexp(wi, -e) for wi in w) / len(w), e)
+
+
 def t_wc(chain: StackChain) -> float:
-    """Worst case stack: sum of weighted bounds. Never exceeded."""
-    return math.fsum(chain.weighted_bounds)
+    """Worst case stack: sum of weighted bounds. Never exceeded; inf past the double range."""
+    return _total_and_mean(chain.weighted_bounds)[0]
 
 
 def t_rss(chain: StackChain) -> float:
@@ -128,7 +138,7 @@ def _jensen_gap(chain: StackChain, lam: float) -> float:
     negatives on near-equal chains are clipped so callers can rely on >= 0.
     """
     w = chain.weighted_bounds
-    wbar = math.fsum(w) / len(w)
+    wbar = _total_and_mean(w)[1]
     gap = math.fsum(_h_scaled(lam, wi) for wi in w) - len(w) * _h_scaled(lam, wbar)
     return gap if gap > 0.0 else 0.0
 
@@ -156,11 +166,13 @@ def balance_report(chain: StackChain) -> BalanceReport:
     """Dispersion and dominance diagnostics of the weighted bounds."""
     w = chain.weighted_bounds
     n = len(w)
-    mean = math.fsum(w) / n
+    total, mean = _total_and_mean(w)
     # d * d goes to inf where d ** 2 would raise OverflowError
     variance = math.fsum((wi - mean) * (wi - mean) for wi in w) / n
     abs_dev_sum = math.fsum(abs(wi - mean) for wi in w)
-    d_factor = (max(w) - mean) / math.fsum(w)
+    # where the sum overflows, n * mean stands in for it
+    spread = max(w) - mean
+    d_factor = spread / total if total < math.inf else spread / mean / n
     return BalanceReport(
         mean=mean,
         variance=variance,

@@ -20,6 +20,7 @@ from .study import StudySpec, run_study
 __all__ = ["main"]
 
 DEFAULT_RHO = 0.0027  # two-sided exceedance of the 3-sigma convention
+_METHOD_NAMES = ",".join(m.value for m in _SOLVERS)
 
 def _parse_methods(spec: str) -> list[Method]:
     if spec.strip().lower() == "all":
@@ -33,8 +34,7 @@ def _parse_methods(spec: str) -> list[Method]:
             method = Method(name)
         except ValueError:
             raise ValueError(
-                f"unknown method {token.strip()!r}; choose from "
-                + ",".join(m.value for m in _SOLVERS)
+                f"unknown method {token.strip()!r}; choose from {_METHOD_NAMES}"
             ) from None
         if method not in _SOLVERS:
             raise ValueError("monte carlo estimation is the separate 'mc' subcommand")
@@ -119,8 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, default=DEFAULT_RHO,
                    help=f"two-sided exceedance level (default {DEFAULT_RHO})")
     p.add_argument("--methods", default="all",
-                   help="comma-separated subset of wc,rss,gaussian,hoeffding,"
-                        "chernov,lipschitz,quadratic,airbus (default all)")
+                   help=f"comma-separated subset of {_METHOD_NAMES} (default all)")
     p.add_argument("--format", default="table", choices=["table", "csv", "json"])
     p.set_defaults(run=cmd_analyze)
 

@@ -22,9 +22,13 @@ def exact_abs_tail(weights: Sequence[float], t: float) -> float:
 
     Inclusion-exclusion over subsets: with W = sum(w),
     P(Y >= t) = sum_S (-1)^|S| max(0, W - t - 2 sum_S w)^n / (2^n n! prod w).
-    Exponential in n; intended for n <= 10.
+    Exponential in n; intended for n <= 10.  The weights and t are first
+    divided by the power of two 2^frexp(max w), which rounds nothing, so
+    the product of bounds neither over- nor underflows at any scale.
     """
-    w = [float(x) for x in weights]
+    e = math.frexp(max(float(x) for x in weights))[1]
+    w = [math.ldexp(float(x), -e) for x in weights]
+    t = math.ldexp(float(t), -e)
     n = len(w)
     total = math.fsum(w)
     if t <= 0.0:

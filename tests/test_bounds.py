@@ -215,10 +215,13 @@ class TestRelaxations:
             assert math.isfinite(f(chain, 1e-200, 3e-200))
 
     def test_overflowed_penalty_is_plus_inf(self):
-        # c (lam wbar)^2 overflows while lam wbar K' does not: K is +inf, never -inf
+        # c (lam wbar)^2 sum (u_i - 1)^2 overflows while lam wbar K' does not:
+        # K is +inf, never -inf
         chain = StackChain.from_bounds((0.8, 1.2))
-        assert psi_tilde(chain, 2e154, 0.0) == math.inf
-        assert psi_tilde(chain, 2e154, 1.0) == math.inf
+        assert psi_tilde(chain, 1e160, 0.0) == math.inf
+        assert psi_tilde(chain, 1e160, 1.0) == math.inf
+        # (lam wbar)^2 alone overflows here, the penalty 0.04 (lam wbar)^2 does not
+        assert psi_tilde(chain, 2e154, 0.0) == pytest.approx(0.04 * 2e154 * 2e154, rel=1e-12)
 
     @pytest.mark.parametrize("bounds", [(1.0,), (2.5, 2.5, 2.5, 2.5)])
     @pytest.mark.parametrize("x", [1e156, 1e200, 1e300])
@@ -356,6 +359,29 @@ class TestScaleEquivariance:
             for exponent in (phi, psi, psi_tilde):
                 base = exponent(table_chain, lam, t)
                 assert exponent(scaled, lam / c, c * t) == pytest.approx(base, rel=1e-12)
+
+
+@pytest.mark.parametrize("bounds", [(1e308, 1e308), (1e308, 9e307)])
+class TestWorstCaseOverflow:
+    # the worst case, 2e308 or 1.9e308, passes the largest double
+    def test_analyze_all(self, bounds):
+        by = {r.method: r for r in analyze_all(StackChain.from_bounds(bounds), 0.0027)}
+        assert len(by) == 8
+        assert by[Method.WC].t == math.inf
+        assert math.isfinite(by[Method.RSS].t) and math.isfinite(by[Method.GAUSSIAN].t)
+        # its true t, 1.95e308 or 1.85e308, passes it too
+        assert by[Method.CHERNOV].t == math.inf
+
+    def test_scale_equivariant(self, bounds):
+        chain = StackChain.from_bounds(bounds)
+        unit = StackChain.from_bounds([math.ldexp(w, -1000) for w in bounds])
+        for solver in (chernov_t, lipschitz_t, quadratic_t):
+            t = solver(chain, 0.9).t
+            assert t == pytest.approx(math.ldexp(solver(unit, 0.9).t, 1000), rel=1e-12)
+        for frac in (0.1, 0.5, 0.9, 0.99, 1.0):
+            t = frac * 1.7e308
+            p = chernov_prob(chain, t)
+            assert p == pytest.approx(chernov_prob(unit, math.ldexp(t, -1000)), rel=1e-12)
 
 
 class TestExtremeRho:

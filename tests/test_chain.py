@@ -108,6 +108,17 @@ class TestClassicalStacks:
         assert rs.d_factor == pytest.approx(rb.d_factor, rel=1e-14)
         assert rs.s1 >= 0.0  # s1 is scale-dependent by design
 
+    def test_sum_past_the_largest_double(self):
+        # the worst case overflows; the mean and d_factor stay finite and right
+        big = StackChain.from_bounds((1e308, 9e307))
+        assert t_wc(big) == math.inf
+        rep, ref = balance_report(big), balance_report(StackChain.from_bounds((1.0, 0.9)))
+        assert rep.mean == pytest.approx(1e308 * ref.mean, rel=1e-15)
+        assert rep.abs_dev_sum == pytest.approx(1e308 * ref.abs_dev_sum, rel=1e-14)
+        assert rep.d_factor == pytest.approx(ref.d_factor, rel=1e-14)
+        # half of this sum overflows as well
+        assert balance_report(StackChain.from_bounds((1.7e308,) * 5)).mean == 1.7e308
+
 
 class TestBalanceReport:
     def test_all_equal_chain(self):

@@ -105,11 +105,13 @@ class TestAnalyze:
             assert scaled[method] == pytest.approx(scale * t, rel=1e-9), method
 
     def test_bound_near_double_max_exits_0(self, capsys, tmp_path):
-        p = tmp_path / "big.csv"
-        p.write_text("name,tolerance\nx1,1e308\n", encoding="utf-8")
-        code, out, err = _run(capsys, ["analyze", str(p), "--format", "json"])
-        assert code == 0, err
-        assert len(json.loads(out)) == 8
+        # the second file's worst case, 2e308, passes the largest double
+        for lines in ("x1,1e308\n", "x1,1e308\nx2,1e308\n"):
+            p = tmp_path / "big.csv"
+            p.write_text("name,tolerance\n" + lines, encoding="utf-8")
+            code, out, err = _run(capsys, ["analyze", str(p), "--format", "json"])
+            assert code == 0, err
+            assert len(json.loads(out)) == 8
 
     def test_json_is_strict_where_t_overflows(self, capsys, tmp_path):
         p = tmp_path / "big.csv"

@@ -28,6 +28,13 @@ class TestExactTail:
             exact_abs_tail((1.0, 3.0, 2.0), 1.5), rel=1e-12
         )
 
+    @pytest.mark.parametrize("scale", [2.0**-1000, 1e-200, 1e200, 2.0**1000])
+    def test_extreme_scales(self, scale):
+        # the product of bounds alone would under- or overflow here
+        w = (1.0, 2.0, 0.5)
+        expect = exact_abs_tail(w, 1.7)
+        assert exact_abs_tail([x * scale for x in w], 1.7 * scale) == pytest.approx(expect, rel=1e-12)
+
     def test_against_monte_carlo_n3(self):
         w = (2.5, 1.0, 0.4)
         rng = np.random.default_rng(5)
