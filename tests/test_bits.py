@@ -1,0 +1,112 @@
+"""Pinned bits of the Chernoff-family solves.
+
+Each literal is the ``float.hex`` of a result on ``test_lambda_root``'s
+chains: the t of ``chernov_t``, ``lipschitz_t`` and ``quadratic_t`` at
+curvature 0.5 and 1/6 at each of its rho, and ``chernov_prob`` at half
+and 99 % of the worst case.  A refactor of the solver must leave them all
+unchanged.  A change that moves them on purpose regenerates them with
+``PYTHONPATH=src python tests/test_bits.py`` and says so in CHANGES.md.
+"""
+
+import pytest
+
+from stacktol import StackChain, chernov_prob, chernov_t, lipschitz_t, quadratic_t, t_wc
+from test_lambda_root import CHAINS, RHOS
+
+PROB_FRACTIONS = (0.5, 0.99)
+
+
+def _t_bits(name, rho):
+    chain = StackChain.from_bounds(CHAINS[name])
+    ts = (chernov_t(chain, rho), lipschitz_t(chain, rho), quadratic_t(chain, rho),
+          quadratic_t(chain, rho, 1.0 / 6.0))
+    return tuple(r.t.hex() for r in ts)
+
+
+def _prob_bits(name):
+    chain = StackChain.from_bounds(CHAINS[name])
+    return tuple(chernov_prob(chain, f * t_wc(chain)).hex() for f in PROB_FRACTIONS)
+
+
+# (chernov, lipschitz, quadratic c = 0.5, quadratic c = 1/6)
+T_BITS = {
+    ('single', 0.1): ('0x1.ed2a216e4274cp-1', '0x1.ed2a216e4274cp-1', '0x1.ed2a216e4274cp-1', '0x1.ed2a216e4274cp-1'),
+    ('single', 0.0027): ('0x1.ff7dcf3d16ca4p-1', '0x1.ff7dcf3d16ca4p-1', '0x1.ff7dcf3d16ca4p-1', '0x1.ff7dcf3d16ca4p-1'),
+    ('single', 1e-06): ('0x1.fffff3a7f08ecp-1', '0x1.fffff3a7f08ecp-1', '0x1.fffff3a7f08ecp-1', '0x1.fffff3a7f08ecp-1'),
+    ('single', 1e-12): ('0x1.ffffffffff31ep-1', '0x1.ffffffffff31ep-1', '0x1.ffffffffff31ep-1', '0x1.ffffffffff31ep-1'),
+    ('single', 1e-300): ('0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0'),
+    ('pair', 0.1): ('0x1.446e7e8c943e2p+1', '0x1.c0d2df919004cp+1', '0x1.98f3af7e36eacp+1', '0x1.642ab32bd5752p+1'),
+    ('pair', 0.0027): ('0x1.76367bb0380fep+1', '0x1.f59e7f81e1a66p+1', '0x1.1a18c3b2b8bf2p+2', '0x1.d19999bdc8976p+1'),
+    ('pair', 1e-06): ('0x1.7fcfc803a9a0ap+1', '0x1.ffccdb39dc15ep+1', '0x1.7c5c331513744p+2', '0x1.2659c76d71275p+2'),
+    ('pair', 1e-12): ('0x1.7ffff3a7f08e8p+1', '0x1.fffff2e83ff7cp+1', '0x1.e999dca586e1cp+2', '0x1.6797aa5235fffp+2'),
+    ('pair', 1e-300): ('0x1.8000000000000p+1', '0x1.0000000000000p+2', '0x1.d1a5568ecee4bp+4', '0x1.20ef0aa813013p+4'),
+    ('table', 0.1): ('0x1.2f3b69b05ca3dp+3', '0x1.dc6a26e156332p+3', '0x1.7f8dd1f98252cp+3', '0x1.421a90778f796p+3'),
+    ('table', 0.0027): ('0x1.8dd7bd937e0c3p+3', '0x1.20e626f6e86f4p+4', '0x1.165dedce87e4ep+4', '0x1.c830c7d47cc44p+3'),
+    ('table', 1e-06): ('0x1.cf2788a1da92ap+3', '0x1.464cfa2472560p+4', '0x1.8bf8fe8eecf72p+4', '0x1.35f8046d2f5b6p+4'),
+    ('table', 1e-12): ('0x1.deefe6da998b9p+3', '0x1.4f6354f3f7af8p+4', '0x1.079029052b362p+5', '0x1.88f21346ccd8cp+4'),
+    ('table', 1e-300): ('0x1.e000000000000p+3', '0x1.5000000000000p+4', '0x1.058f906c3b0adp+7', '0x1.46d646ced991dp+6'),
+    ('case', 0.1): ('0x1.84d72f28e519dp+0', '0x1.8c1ee51a41a75p+1', '0x1.327d9f2d0995fp+1', '0x1.b7b99bd5cb9e4p+0'),
+    ('case', 0.0027): ('0x1.00a8b73c109cap+1', '0x1.cf740672bde6ep+1', '0x1.c5f752aeae03ap+1', '0x1.43509d4cdfa50p+1'),
+    ('case', 1e-06): ('0x1.3d7dfc922d293p+1', '0x1.0dfcaf873cb09p+2', '0x1.4e85250b336efp+2', '0x1.d5b5ed96cbd93p+1'),
+    ('case', 1e-12): ('0x1.60eedacfa5320p+1', '0x1.258a195e60d51p+2', '0x1.cf8e63fa5ae2cp+2', '0x1.3ee7e5ce1e022p+2'),
+    ('case', 1e-300): ('0x1.6cccccccccccdp+1', '0x1.2d70a3d70a3d7p+2', '0x1.0837b6dbf6149p+5', '0x1.4335c70e99b93p+4'),
+    ('long', 0.1): ('0x1.ff583e926fa23p+5', '0x1.03aaf81ee4d90p+8', '0x1.1f5e1279f8c97p+6', '0x1.ffe356c79a201p+5'),
+    ('long', 0.0027): ('0x1.7ab4d48727482p+6', '0x1.20748aff2b9c7p+8', '0x1.aa6b0e353f483p+6', '0x1.7b989a6b9bbadp+6'),
+    ('long', 1e-06): ('0x1.16f3c377ec386p+7', '0x1.4a8cbf766a9bbp+8', '0x1.3b570bca35ea0p+7', '0x1.18661c4889f0ep+7'),
+    ('long', 1e-12): ('0x1.81c61b43db295p+7', '0x1.7d1e5cbab61d8p+8', '0x1.b728596d8eb99p+7', '0x1.85b72004788dbp+7'),
+    ('long', 1e-300): ('0x1.24a5ef3c2d273p+9', '0x1.88113b77ac02bp+9', '0x1.df069edc47f33p+9', '0x1.80028b941ffb8p+9'),
+    ('tiny', 0.1): ('0x1.f0ac3617c66e3p-664', '0x1.578d66ea73294p-663', '0x1.39084e09cbf28p-663', '0x1.10a0c872591abp-663'),
+    ('tiny', 0.0027): ('0x1.1e70ff9cf372ep-663', '0x1.7ff6f1a8a4464p-663', '0x1.afdcb82adf14ap-663', '0x1.6464cd9e88f02p-663'),
+    ('tiny', 1e-06): ('0x1.25c9f049e1b56p-663', '0x1.87c1fb760e876p-663', '0x1.232599bae1c61p-662', '0x1.c29f2da1e5f48p-663'),
+    ('tiny', 1e-12): ('0x1.25eecf8cd4f02p-663', '0x1.87e9174f562b6p-663', '0x1.76c3ee64f4ccep-662', '0x1.13400e7fb8345p-662'),
+    ('tiny', 1e-300): ('0x1.25eed8ffb39c1p-663', '0x1.87e92154ef7acp-663', '0x1.646dc9a859fd8p-660', '0x1.ba54387615190p-661'),
+    ('huge', 0.1): ('0x1.a7d8113120d84p+665', '0x1.252d1a6a5a322p+666', '0x1.0b21aa46e2df1p+666', '0x1.d14db17658c0cp+665'),
+    ('huge', 0.0027): ('0x1.e8e1123fe95bfp+665', '0x1.47a9a547ef6dap+666', '0x1.7089702b72fedp+666', '0x1.3022765c2084fp+666'),
+    ('huge', 1e-06): ('0x1.f56b55cd9bae5p+665', '0x1.4e50252874d42p+666', '0x1.f0e901913c613p+666', '0x1.808bb28185768p+666'),
+    ('huge', 1e-12): ('0x1.f5aa441bd3610p+665', '0x1.4e7184f010842p+666', '0x1.3fcff4b205d3fp+667', '0x1.d5c760e834900p+666'),
+    ('huge', 1e-300): ('0x1.f5aa543c31387p+665', '0x1.4e718d7d7625ap+666', '0x1.302a2122e6233p+669', '0x1.7978091c3feb6p+668'),
+    ('near', 0.1): ('0x1.abc460eda08e1p+0', '0x1.abc508b348504p+0', '0x1.abc460ee4319ep+0', '0x1.abc460edd3b97p+0'),
+    ('near', 0.0027): ('0x1.f2294d3f1aa94p+0', '0x1.f229f504c6322p+0', '0x1.f2294d4312b7ap+0', '0x1.f2294d406cd9dp+0'),
+    ('near', 1e-06): ('0x1.ffbc76a72415cp+0', '0x1.ffbd1e6cd0593p+0', '0x1.ffbc7775854bap+0', '0x1.ffbc76ebef6aap+0'),
+    ('near', 1e-12): ('0x1.00004b285341cp+1', '0x1.00009f0b29655p+1', '0x1.0000bed3e61c9p+1', '0x1.000081ff76247p+1'),
+    ('near', 1e-300): ('0x1.000053e2d6239p+1', '0x1.0000a7c5ac472p+1', '0x1.0008bd9d97892p+1', '0x1.00052e4ead7ddp+1'),
+    ('decimal', 0.1): ('0x1.bfc1c170af280p-3', '0x1.bfc1c170af281p-3', '0x1.bfc1c170af280p-3', '0x1.bfc1c170af280p-3'),
+    ('decimal', 0.0027): ('0x1.1a383071a64ecp-2', '0x1.1a383071a64eep-2', '0x1.1a383071a64edp-2', '0x1.1a383071a64edp-2'),
+    ('decimal', 1e-06): ('0x1.3167f21093a53p-2', '0x1.3167f21093a55p-2', '0x1.3167f21093a54p-2', '0x1.3167f21093a54p-2'),
+    ('decimal', 1e-12): ('0x1.332e9b8236ba1p-2', '0x1.332e9b8236ba3p-2', '0x1.332e9b8236ba2p-2', '0x1.332e9b8236ba2p-2'),
+    ('decimal', 1e-300): ('0x1.3333333333334p-2', '0x1.3333333333335p-2', '0x1.333333333334ap-2', '0x1.3333333333345p-2'),
+}
+
+# chernov_prob at PROB_FRACTIONS of the worst case
+PROB_BITS = {
+    'single': ('0x1.0000000000000p+0', '0x1.bd5d00e2e8468p-6'),
+    'pair': ('0x1.e3ac824fbf569p-1', '0x1.b3d302dd283e7p-12'),
+    'table': ('0x1.6ee0ffafd9a23p-2', '0x1.0228b5273e147p-29'),
+    'case': ('0x1.417941e4a72fap-3', '0x1.1608c11e35a75p-57'),
+    'long': ('0x1.f526294953293p-105', '0x0.0p+0'),
+    'tiny': ('0x1.e3ac824fbf569p-1', '0x1.b3d302dd28343p-12'),
+    'huge': ('0x1.e3ac824fbf569p-1', '0x1.b3d302dd2835fp-12'),
+    'near': ('0x1.c43b420a956c3p-1', '0x1.83663b6f69cbcp-12'),
+    'decimal': ('0x1.2c8846f40235dp-1', '0x1.50fab965acdf4p-18'),
+}
+
+
+@pytest.mark.parametrize("name,rho", list(T_BITS))
+def test_t_bits(name, rho):
+    assert _t_bits(name, rho) == T_BITS[name, rho]
+
+
+@pytest.mark.parametrize("name", list(PROB_BITS))
+def test_prob_bits(name):
+    assert _prob_bits(name) == PROB_BITS[name]
+
+
+if __name__ == "__main__":
+    print("T_BITS = {")
+    for name in CHAINS:
+        for rho in RHOS:
+            print(f"    ({name!r}, {rho!r}): {_t_bits(name, rho)!r},")
+    print("}\n\nPROB_BITS = {")
+    for name in CHAINS:
+        print(f"    {name!r}: {_prob_bits(name)!r},")
+    print("}")
