@@ -207,8 +207,8 @@ def _member(chain: StackChain, method: Method, curvature: float = 0.5) -> _Membe
         a = math.fsum(abs(ui - 1.0) for ui in u)
         k, v, limit = n, (1.0,), wc + wbar * a
     elif method is Method.QUADRATIC:
-        if curvature < 1.0 / 6.0:
-            raise ValueError(f"curvature must be >= 1/6 to keep the bound valid, got {curvature}")
+        if not 1.0 / 6.0 <= curvature < math.inf:  # NaN fails this too
+            raise ValueError(f"curvature must be finite and >= 1/6, got {curvature}")
         k, v, b = n, (1.0,), curvature * math.fsum((ui - 1.0) * (ui - 1.0) for ui in u)
     # b lam^2, formed as b lam lam where lam^2 alone overflows: 0 at b = 0, never NaN
     penalty = lambda lam: b * (lam * lam) if lam * lam < math.inf else b * lam * lam
@@ -297,13 +297,14 @@ def _quantile(m: _Member, rho: float) -> float:
     target = math.log(rho) - math.log(2.0)
     lo = math.sqrt(-2.0 * target / m.curv)
     # a step past 700 overshoots _LAM_MAX anyway, and exp(700) is finite
-    step = min((target - m.gap(lo)) / m.dgap(lo), 700.0)
+    g_lo = m.gap(lo)  # the solver's straddle check reuses it
+    step = min((target - g_lo) / m.dgap(lo), 700.0)
     pen_root = math.sqrt(-target / m.b) if m.b else math.inf
     # 1e-6 wider keeps g(hi) <= target through rounding where hi is nearly the root
     hi = min((1.0 + 1e-6) * min(lo * math.exp(step), pen_root), _LAM_MAX)
     if hi == _LAM_MAX and m.gap(hi) > target:
         return m.limit
-    lam = invert_monotone(m.gap, target, (lo, hi), dg=m.dgap)
+    lam = invert_monotone(lambda x: g_lo if x == lo else m.gap(x), target, lo, hi, m.dgap)
     t = m.slope(lam)
     return m.limit if t == m.slope(2.0 * lam) else m.wbar * t * _ROUND_UP
 
@@ -331,7 +332,7 @@ def chernov_prob(chain: StackChain, t: float) -> float:
     lo, hi = 0.5 * tau / m.curv, 2.0 * len(chain) / rest
     if hi * tau <= math.log(2.0):  # K >= 0 at the optimal lam <= hi: the bound is >= 1
         return 1.0
-    lam = invert_monotone(m.co_slope, rest, (lo, hi), dg=lambda x: m.dgap(x) / x)
+    lam = invert_monotone(m.co_slope, rest, lo, hi, lambda x: m.dgap(x) / x)
     return min(1.0, 2.0 * math.exp(m.gap(lam) + lam * (rest - m.co_slope(lam))))
 
 

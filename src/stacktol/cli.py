@@ -14,7 +14,6 @@ from typing import Optional, Sequence
 from .bounds import _SOLVERS, ConfidenceLevel, Method, tolerance
 from .io import CurvePoint, read_chain, write_results
 from .montecarlo import McConfig, mc_prob, mc_quantile
-from .numerics import BracketError
 from .study import StudySpec, run_study
 
 __all__ = ["main"]
@@ -162,7 +161,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         args.run(args)
-    except (BracketError, ArithmeticError) as exc:  # BracketError is a ValueError
+    except ArithmeticError as exc:
         print(f"stacktol: numeric failure: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError) as exc:

@@ -16,6 +16,7 @@ Output formats for results, sweep curves and study rows:
   JSON has no spelling for inf or nan and writes them as null.
 
 All files are UTF-8; CRLF and LF are both accepted on read, LF is written.
+A leading UTF-8 byte-order mark, as spreadsheet exports write, is skipped.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ def _contributor(where: str, name: str, half_width: float, influence: float) -> 
 
 
 def _read_chain_csv(path: Path) -> StackChain:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header: list[str] | None = None
         contributors: list[Contributor] = []
@@ -127,7 +128,7 @@ def _json_number(obj: dict, key: str, where: str, required: bool) -> float | Non
 
 
 def _read_chain_json(path: Path) -> StackChain:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:

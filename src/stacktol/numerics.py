@@ -15,20 +15,18 @@ tolerance bound in this package:
 All are evaluated without overflow or cancellation across the full double
 range actually exercised by the solvers (x from 1e-300 up to ~1e17).
 
-The solver is deliberately tiny: one inverter for nonincreasing functions,
-which bisects, or, given the derivative in log x, takes Newton steps in
-log x with a bisection safeguard.  Everything in this module is pure and
-stateless.
+The solver is deliberately tiny: one inverter for nonincreasing functions
+on a positive bracket, which takes Newton steps in log x with a bisection
+safeguard.  Its three errors are all ArithmeticErrors.  Everything in this
+module is pure and stateless.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 __all__ = [
-    "Bracket",
     "BracketError",
     "ConvergenceError",
     "NonFiniteError",
@@ -49,9 +47,14 @@ _H_SERIES_SWITCH = 1e-3
 # lose at most ~1e-13 relative to cancellation.
 _LANGEVIN_SERIES_SWITCH = 0.1
 
+# invert_monotone stops once a Newton step in log x falls below _REL_TOL, and
+# raises after _MAX_ITER steps.
+_REL_TOL = 1e-9
+_MAX_ITER = 256
 
-class BracketError(ValueError):
-    """Search interval is malformed or does not straddle the target."""
+
+class BracketError(ArithmeticError):
+    """A solver's search interval is malformed or does not straddle its target."""
 
 
 class NonFiniteError(ArithmeticError):
@@ -60,30 +63,6 @@ class NonFiniteError(ArithmeticError):
 
 class ConvergenceError(ArithmeticError):
     """A solver used up its iteration budget before reaching its tolerance."""
-
-
-@dataclass(frozen=True)
-class Bracket:
-    """Closed search interval [lo, hi] for a 1-D solver.
-
-    Requires 0 <= lo < hi with both edges finite.
-    """
-
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise BracketError(f"bracket edges must be finite, got [{self.lo}, {self.hi}]")
-        if not 0.0 <= self.lo < self.hi:
-            raise BracketError(f"bracket must satisfy 0 <= lo < hi, got [{self.lo}, {self.hi}]")
-
-
-def _as_bracket(bracket: Bracket | tuple[float, float]) -> Bracket:
-    if isinstance(bracket, Bracket):
-        return bracket
-    lo, hi = bracket
-    return Bracket(float(lo), float(hi))
 
 
 def _checked(f: Callable[[float], float], x: float) -> float:
@@ -186,31 +165,26 @@ def legendre_term(x: float) -> float:
 def invert_monotone(
     g: Callable[[float], float],
     target: float,
-    bracket: Bracket | tuple[float, float],
-    rel_tol: float = 1e-9,
-    max_iter: int = 256,
-    dg: Callable[[float], float] | None = None,
+    lo: float,
+    hi: float,
+    dg: Callable[[float], float],
 ) -> float:
-    """Root of a nonincreasing g: the x with g(x) = target, from its safe side.
+    """Root of a nonincreasing g on (lo, hi): the x with g(x) = target, from its safe side.
 
-    Requires g(lo) >= target >= g(hi), else raises BracketError.  Without
-    dg it halves the bracket until its width falls below rel_tol relative
-    to the root.  With dg(x) = x g'(x), the derivative in log x, it takes
+    Requires 0 < lo < hi < inf and g(lo) >= target >= g(hi), else raises
+    BracketError.  With dg(x) = x g'(x), the derivative in log x, it takes
     Newton steps in log x from hi.  A step that does not land strictly
     inside the bracket is replaced by halving it in log x, and one too
     small to move x moves it an ulp toward hi, past a g that rounds just
     above the target.  It stops at a point with g <= target reached by a
-    Newton step below rel_tol, or whose own step is a few ulps: Newton has
+    Newton step below 1e-9, or whose own step is a few ulps: Newton has
     converged to rounding there.
 
-    Either way g <= target at the returned x, so a bound inverted through
-    g is never undershot; raises ConvergenceError if max_iter steps do not
-    get there.
+    So g <= target at the returned x, and a bound inverted through g is
+    never undershot; raises ConvergenceError if 256 steps do not get there.
     """
-    b = _as_bracket(bracket)
-    lo, hi = b.lo, b.hi
-    if dg is not None and lo <= 0.0:
-        raise BracketError(f"Newton steps in log x need lo > 0, got {lo}")
+    if not 0.0 < lo < hi < math.inf:  # NaN fails this too
+        raise BracketError(f"bracket must satisfy 0 < lo < hi < inf, got [{lo}, {hi}]")
     g_lo = _checked(g, lo)
     g_hi = _checked(g, hi)
     if not (g_lo >= target >= g_hi):
@@ -218,28 +192,23 @@ def invert_monotone(
             f"bracket does not straddle target: g({lo})={g_lo}, g({hi})={g_hi}, target={target}"
         )
     x, gx, step = hi, g_hi, math.inf  # step: the last Newton step, in log x
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if gx > target:
             lo = x
         else:
             hi = x
-        if dg is None:
-            x = 0.5 * (lo + hi)
-            if hi - lo <= rel_tol * max(abs(x), 1e-300):
-                return hi
-        else:
-            if gx <= target and step <= rel_tol:
-                return x
-            newton = (target - gx) / _checked(dg, x)
-            if gx <= target and abs(newton) <= 4.0 * math.ulp(1.0):
-                return x
-            nxt = x * math.exp(min(newton, 700.0))  # capped so that exp stays finite
-            if nxt == x:  # g rounds just above the target: step past it
-                nxt = math.nextafter(x, hi)
-            x, step = nxt, abs(newton)
+        if gx <= target and step <= _REL_TOL:
+            return x
+        newton = (target - gx) / _checked(dg, x)
+        if gx <= target and abs(newton) <= 4.0 * math.ulp(1.0):
+            return x
+        nxt = x * math.exp(min(newton, 700.0))  # capped so that exp stays finite
+        if nxt == x:  # g rounds just above the target: step past it
+            nxt = math.nextafter(x, hi)
+        x, step = nxt, abs(newton)
+        if not lo < x < hi:
+            x, step = math.sqrt(lo) * math.sqrt(hi), math.inf
             if not lo < x < hi:
-                x, step = math.sqrt(lo) * math.sqrt(hi), math.inf
-                if not lo < x < hi:
-                    return hi
+                return hi
         gx = _checked(g, x)
-    raise ConvergenceError(f"solver stopped at [{lo}, {hi}] after {max_iter} steps")
+    raise ConvergenceError(f"solver stopped at [{lo}, {hi}] after {_MAX_ITER} steps")

@@ -238,6 +238,13 @@ class TestRelaxations:
         with pytest.raises(ValueError):
             psi_tilde(table_chain, 0.5, 3.0, curvature=0.1)
 
+    @pytest.mark.parametrize("curvature", [math.nan, math.inf])
+    def test_non_finite_curvature_rejected(self, table_chain, curvature):
+        with pytest.raises(ValueError, match="finite and >= 1/6"):
+            psi_tilde(table_chain, 0.5, 3.0, curvature=curvature)
+        with pytest.raises(ValueError, match="finite and >= 1/6"):
+            quadratic_t(table_chain, 0.0027, curvature=curvature)
+
 
 class TestChernovProb:
     def test_edges(self, table_chain):
@@ -250,6 +257,11 @@ class TestChernovProb:
         t = 2.0 - 2.0 * math.sqrt(0.05)  # exact 5% two-sided point
         p = chernov_prob(pair, t)
         assert 0.05 < p <= 1.0
+
+    def test_at_the_grid_oracle_quantile(self):
+        # the grid oracle inverts its own search over lambda at rho = 0.05
+        t = grid_bound_t((1.0, 1.0), 0.05, "phi")
+        assert chernov_prob(StackChain.from_bounds((1.0, 1.0)), t) == pytest.approx(0.05, rel=1e-4)
 
     def test_nonincreasing(self, table_chain):
         ts = np.linspace(0.0, 15.0, 60)

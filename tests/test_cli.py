@@ -11,10 +11,14 @@ from pathlib import Path
 import pytest
 
 from stacktol import (
+    BracketError,
     ConfidenceLevel,
+    ConvergenceError,
     McConfig,
     Method,
+    NonFiniteError,
     StackChain,
+    bounds,
     chernov_t,
     gaussian_l,
     hoeffding_t,
@@ -154,6 +158,24 @@ class TestAnalyze:
         p.write_text("name,tolerance\na,±1\n", encoding="utf-8")
         code, _, err = _run(capsys, ["analyze", str(p)])
         assert code == 2 and "bad.csv" in err
+
+
+    def test_byte_order_mark_exits_0(self, capsys, chain_csv, tmp_path):
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + chain_csv.read_bytes())
+        code, out, err = _run(capsys, ["analyze", str(bom)])
+        assert code == 0 and err == ""
+        assert out == _run(capsys, ["analyze", str(chain_csv)])[1]
+
+    @pytest.mark.parametrize("error", [BracketError, ConvergenceError, NonFiniteError])
+    def test_solver_failure_exits_1(self, capsys, chain_csv, monkeypatch, error):
+        def fail(*args):
+            raise error("solver failed")
+
+        monkeypatch.setattr(bounds, "invert_monotone", fail)
+        code, out, err = _run(capsys, ["analyze", str(chain_csv)])
+        assert code == 1 and out == ""
+        assert "numeric failure" in err
 
 
 class TestSweep:

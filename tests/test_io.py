@@ -51,6 +51,13 @@ class TestReadCsv:
         p.write_bytes(b"name,tolerance\r\n\r\na,2\r\nb,1\r\n")
         assert read_chain(p).weighted_bounds == (2.0, 1.0)
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        text = "name,tolerance,influence\na,2,1\nb,2,-0.5\n"
+        bom = tmp_path / "bom.csv"
+        bom.write_text(text, encoding="utf-8-sig")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert read_chain(bom) == read_chain(_write(tmp_path, "c.csv", text))
+
     def test_case_study_chain(self, tmp_path):
         rows = "\n".join(f"{n},{w}" for n, w in zip(CASE_NAMES, CASE_BOUNDS))
         p = _write(tmp_path, "case.csv", "name,tolerance\n" + rows + "\n")
@@ -130,6 +137,14 @@ class TestReadJson:
         ]}
         p = _write(tmp_path, "c.json", json.dumps(doc))
         assert read_chain(p).weighted_bounds == (2.0, 1.0, 1.0)
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        text = json.dumps({"contributors": [{"name": "a", "tolerance": 2},
+                                            {"name": "b", "tolerance": 1, "influence": -1}]})
+        bom = tmp_path / "bom.json"
+        bom.write_text(text, encoding="utf-8-sig")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert read_chain(bom) == read_chain(_write(tmp_path, "c.json", text))
 
     def test_syntax_error_carries_location(self, tmp_path):
         p = _write(tmp_path, "c.json", '{"contributors": [}')

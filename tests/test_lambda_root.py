@@ -8,7 +8,6 @@ import pytest
 
 from stacktol import (
     BracketError,
-    ConvergenceError,
     StackChain,
     bounds,
     chernov_prob,
@@ -135,6 +134,14 @@ def test_few_gap_evaluations_per_solve(gap_terms, name, rho):
         assert len(gap_terms) / terms <= 10, solver.__name__
 
 
+@pytest.mark.parametrize("rho", [0.1, 0.0027, 1e-6, 1e-12])
+def test_no_gap_evaluated_twice(gap_terms, rho):
+    # the gap at the bracket's left end serves the first Newton step and
+    # the solver's straddle check
+    chernov_t(StackChain.from_bounds(CHAINS["table"]), rho)
+    assert len(set(gap_terms)) == len(gap_terms)
+
+
 def test_stalled_newton_step_moves_an_ulp(gap_terms):
     # here g rounds just above the target where the Newton step no longer
     # moves lambda: an ulp steps past it, halving the bracket would not
@@ -146,11 +153,9 @@ def test_stalled_newton_step_moves_an_ulp(gap_terms):
 def test_newton_path_budget_and_bracket_errors():
     g = lambda x: -math.log(x)  # noqa: E731
     dg = lambda x: -1.0  # noqa: E731
-    assert invert_monotone(g, -2.0, (1.0, 100.0), dg=dg) == pytest.approx(math.exp(2.0), rel=1e-15)
-    with pytest.raises(ConvergenceError):
-        invert_monotone(g, -2.0, (1.0, 100.0), dg=dg, max_iter=1)
+    assert invert_monotone(g, -2.0, 1.0, 100.0, dg) == pytest.approx(math.exp(2.0), rel=1e-15)
     with pytest.raises(BracketError):
-        invert_monotone(lambda x: -x, -2.0, (0.0, 100.0), dg=lambda x: -x)
+        invert_monotone(lambda x: -x, -2.0, 0.0, 100.0, lambda x: -x)
 
 
 def test_newton_step_out_of_the_bracket_is_replaced_by_bisection():
@@ -158,7 +163,7 @@ def test_newton_step_out_of_the_bracket_is_replaced_by_bisection():
     # lands far left of the bracket
     g = lambda x: -math.tanh(math.log(x))  # noqa: E731
     dg = lambda x: -1.0 / math.cosh(math.log(x)) ** 2  # noqa: E731
-    root = invert_monotone(g, -0.9, (0.5, math.exp(5.0)), dg=dg)
+    root = invert_monotone(g, -0.9, 0.5, math.exp(5.0), dg)
     assert root == pytest.approx(math.exp(math.atanh(0.9)), rel=1e-12)
 
 

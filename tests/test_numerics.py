@@ -7,19 +7,15 @@ import numpy as np
 import pytest
 
 from stacktol import (
-    Bracket,
     BracketError,
     ConvergenceError,
-    StackChain,
     h_stable,
     invert_monotone,
     langevin,
     legendre_term,
     log_sinh_over_x,
     x2_langevin_prime,
-    chernov_prob,
 )
-from oracles import grid_bound_t
 
 # 50-digit reference evaluations of log((1 - e^-x)/x), frozen
 H_AT_2 = -0.83856063842880436639
@@ -113,17 +109,6 @@ class TestLogSinhOverX:
             log_sinh_over_x(bad)
 
 
-class TestBracket:
-    def test_valid(self):
-        assert Bracket(0.0, 1.0).hi == 1.0
-        assert Bracket(1e-9, 500.0).lo == 1e-9
-
-    @pytest.mark.parametrize("lo,hi", [(-1.0, 1.0), (1.0, 1.0), (2.0, 1.0), (0.0, math.inf), (math.nan, 1.0)])
-    def test_invalid(self, lo, hi):
-        with pytest.raises(BracketError):
-            Bracket(lo, hi)
-
-
 SWEEP = [float(x) for x in np.logspace(-300, 17, 400)]
 
 
@@ -192,23 +177,32 @@ class TestX2LangevinPrime:
 
 
 class TestInvertMonotone:
+    """Newton steps in log x: g = -log x is linear there, exp(-x) is not."""
+
     def test_linear(self):
-        assert invert_monotone(lambda t: 1.0 - t, 0.25, (0.0, 1.0)) == pytest.approx(0.75, abs=1e-9)
+        g = lambda x: -math.log(x)  # noqa: E731
+        root = invert_monotone(g, -2.0, 1.0, 100.0, lambda x: -1.0)
+        assert root == pytest.approx(math.exp(2.0), rel=1e-15)
+        assert g(root) <= -2.0
 
     def test_exponential(self):
-        root = invert_monotone(lambda t: math.exp(-t), 0.5, (0.0, 10.0))
-        assert root == pytest.approx(math.log(2.0), abs=1e-9)
+        g = lambda x: math.exp(-x)  # noqa: E731
+        root = invert_monotone(g, 0.5, 0.01, 10.0, lambda x: -x * math.exp(-x))
+        assert root == pytest.approx(math.log(2.0), rel=1e-15)
+        assert g(root) <= 0.5
+
+    @pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (-1.0, 1.0), (1.0, 1.0), (2.0, 1.0),
+                                       (1.0, math.inf), (0.0, math.inf), (math.nan, 1.0)])
+    def test_invalid_bracket(self, lo, hi):
+        with pytest.raises(BracketError):
+            invert_monotone(lambda x: -x, -0.5, lo, hi, lambda x: -x)
 
     def test_no_straddle(self):
         with pytest.raises(BracketError):
-            invert_monotone(lambda t: 1.0 - t, 5.0, (0.0, 1.0))
-
-    def test_chernov_prob_inversion_matches_grid_oracle(self):
-        pair = StackChain.from_bounds((1.0, 1.0))
-        root = invert_monotone(lambda t: chernov_prob(pair, t), 0.05, (0.0, 2.0))
-        oracle = grid_bound_t((1.0, 1.0), 0.05, "phi")
-        assert root == pytest.approx(oracle, abs=1e-6)
+            invert_monotone(lambda x: -math.log(x), 5.0, 1.0, 100.0, lambda x: -1.0)
 
     def test_exhausted_budget_raises(self):
+        # g rounds just above the target on [1, 2), so x crawls an ulp a step
+        g = lambda x: 1e-300 if x < 2.0 else -1.0  # noqa: E731
         with pytest.raises(ConvergenceError):
-            invert_monotone(lambda t: 1.0 - t, 0.25, (0.0, 1.0), max_iter=3)
+            invert_monotone(g, 0.0, 1.0, 3.0, lambda x: -1.0)
