@@ -202,7 +202,7 @@ class TestInvertMonotone:
             invert_monotone(lambda x: -math.log(x), 5.0, 1.0, 100.0, lambda x: -1.0)
 
     def test_exhausted_budget_raises(self):
-        # g rounds just above the target on [1, 2), so x crawls an ulp a step
+        # g sits just above the target on [1, 2), so x crawls there an ulp a step
         g = lambda x: 1e-300 if x < 2.0 else -1.0  # noqa: E731
         with pytest.raises(ConvergenceError):
             invert_monotone(g, 0.0, 1.0, 3.0, lambda x: -1.0)
