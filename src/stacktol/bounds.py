@@ -67,7 +67,7 @@ _ROUND_UP = 1.0 + 8.0 * sys.float_info.epsilon
 
 
 class Method(str, Enum):
-    """Tolerance-interval methods, in canonical reporting order."""
+    """The analytic tolerance-interval methods, in canonical reporting order."""
 
     WC = "wc"
     RSS = "rss"
@@ -77,7 +77,6 @@ class Method(str, Enum):
     LIPSCHITZ = "lipschitz"
     QUADRATIC = "quadratic"
     AIRBUS = "airbus"
-    MONTE_CARLO = "mc"
 
 
 @dataclass(frozen=True)
@@ -131,13 +130,17 @@ def _result(
     method: Method, chain: StackChain, t: float, rho: Optional[float]
 ) -> ToleranceResult:
     rss = t_rss(chain)
-    f = t / (gaussian_l(rho) * rss) if rho is not None else None
+    # t and T_RSS scaled by one power of two, exactly, so that l_rho * T_RSS
+    # neither underflows on subnormal chains nor overflows near the largest double
+    e = math.frexp(rss)[1]
+    t_s, rss_s = math.ldexp(t, -e), math.ldexp(rss, -e)
+    f = t_s / (gaussian_l(rho) * rss_s) if rho is not None else None
     return ToleranceResult(
         method=method,
         t=t,
         t_clamped=min(t, t_wc(chain)),
         f=f,
-        coverage=t / rss,
+        coverage=t_s / rss_s,
         rho=rho,
     )
 
@@ -384,8 +387,8 @@ def airbus_t(chain: StackChain) -> ToleranceResult:
     return _result(Method.AIRBUS, chain, t, None)
 
 
-# Every analytic method in reporting order, with its solver.  Each entry
-# looks its function up at call time, so a wrapped module attribute is seen.
+# Each method's solver, keyed in Method's order.  Each entry looks its
+# function up at call time, so a wrapped module attribute is seen.
 _SOLVERS: dict[Method, Callable[[StackChain, Optional[float]], ToleranceResult]] = {
     Method.WC: lambda c, r: _result(Method.WC, c, t_wc(c), None),
     Method.RSS: lambda c, r: _result(Method.RSS, c, t_rss(c), None),
@@ -403,8 +406,6 @@ def tolerance(
     chain: StackChain, method: Method, rho: "float | ConfidenceLevel | None" = None
 ) -> ToleranceResult:
     """Dispatch a single analytic method; rho required for the rho-aware ones."""
-    if method is Method.MONTE_CARLO:
-        raise ValueError("Monte Carlo estimates need a sampling config; use the montecarlo module")
     solver = _SOLVERS.get(method)
     if solver is None:
         raise ValueError(f"unknown method {method!r}")
@@ -422,4 +423,4 @@ def analyze_all(chain: StackChain, rho: "float | ConfidenceLevel") -> list[Toler
     AIRBUS.  WC, RSS and AIRBUS do not consume rho and report f = None.
     """
     r = _rho_value(rho)
-    return [tolerance(chain, m, r) for m in _SOLVERS]
+    return [tolerance(chain, m, r) for m in Method]

@@ -1,12 +1,12 @@
 """Chain file parsing and result serialization.
 
-Input formats:
+Input formats, chosen by the file's suffix:
 
-* CSV with header ``name,tolerance,influence`` (the influence column is
+* ``.csv`` with header ``name,tolerance,influence`` (the influence column is
   optional and defaults to 1).  The tolerance column holds the half-width
   magnitude: sign glyphs are rejected there, influence cells may be
   negative.
-* JSON object ``{"contributors": [{"name", "tolerance", "influence"?}]}``.
+* ``.json`` object ``{"contributors": [{"name", "tolerance", "influence"?}]}``.
 
 Output formats for results, sweep curves and study rows:
 
@@ -161,22 +161,19 @@ def _build(contributors: list[Contributor], source: str) -> StackChain:
         raise ChainFileError(f"{source}: {exc}") from None
 
 
-def read_chain(path: "str | Path", fmt: "str | None" = None) -> StackChain:
-    """Load a stack chain from a CSV or JSON file.
+def read_chain(path: "str | Path") -> StackChain:
+    """Load a stack chain from a ``.csv`` or ``.json`` file, by its suffix.
 
-    The format is inferred from the suffix when ``fmt`` is not given.
     Raises ChainFileError with the offending line or field on any parse or
     validation problem; contributor order is preserved.
     """
     p = Path(path)
-    if fmt is None:
-        fmt = p.suffix.lstrip(".").lower()
-    fmt = fmt.lower()
-    if fmt == "csv":
+    suffix = p.suffix.lower()
+    if suffix == ".csv":
         return _read_chain_csv(p)
-    if fmt == "json":
+    if suffix == ".json":
         return _read_chain_json(p)
-    raise ChainFileError(f"{p}: cannot determine format (expected .csv or .json, or pass fmt=)")
+    raise ChainFileError(f"{p}: cannot determine format (expected .csv or .json)")
 
 
 def _record(item: object) -> dict:

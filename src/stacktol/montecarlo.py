@@ -115,17 +115,12 @@ def mc_quantile(
     return McEstimate(value=float(q), stderr=stderr)
 
 
-def mc_prob(
-    chain: StackChain,
-    t: float,
-    cfg: McConfig,
-    workers: int = 1,
-) -> McEstimate:
+def mc_prob(chain: StackChain, t: float, cfg: McConfig) -> McEstimate:
     """Empirical P(|Y| >= t) with binomial standard error sqrt(p(1-p)/N)."""
     import numpy as np
 
     t = _check_t(t)
-    y = np.abs(sample_output(chain, cfg, workers=workers))
+    y = np.abs(sample_output(chain, cfg))
     p = float(np.mean(y >= t))
     stderr = math.sqrt(p * (1.0 - p) / cfg.draws)
     return McEstimate(value=p, stderr=stderr)

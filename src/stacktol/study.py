@@ -5,9 +5,8 @@ A study draws ``n_chains`` chains with half-widths uniform on
 confidence level, records balance diagnostics, and optionally attaches a
 Monte Carlo quantile per chain.  Everything derives from the single study
 seed: chain i uses substream (0, i), its Monte Carlo run substream (1, i),
-so results are reproducible row by row and independent of the worker
-count.  numpy, used only to draw chains and seeds, is imported on first
-use.
+so results are reproducible row by row.  numpy, used only to draw chains
+and seeds, is imported on first use.
 """
 
 from __future__ import annotations
@@ -16,8 +15,8 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from .bounds import _SOLVERS, ConfidenceLevel, Method, gaussian_l, tolerance
-from .chain import Contributor, StackChain, balance_report, t_rss
+from .bounds import ConfidenceLevel, Method, gaussian_l, tolerance
+from .chain import StackChain, balance_report, t_rss
 from .montecarlo import McConfig, mc_quantile
 
 if TYPE_CHECKING:
@@ -67,7 +66,7 @@ class StudySpec:
         ConfidenceLevel(self.rho)
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        ordered = tuple(m for m in _SOLVERS if m in set(self.methods))
+        ordered = tuple(m for m in Method if m in set(self.methods))
         if len(ordered) != len(set(self.methods)):
             raise ValueError("methods must be analytic (Monte Carlo is controlled by mc_cfg)")
         if not ordered:
@@ -99,10 +98,7 @@ def random_chain(n: int, lo: float, hi: float, rng: np.random.Generator) -> Stac
         raise ValueError(f"bounds must satisfy 0 < lo < hi, got [{lo}, {hi}]")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    widths = rng.uniform(lo, hi, n)
-    return StackChain(
-        tuple(Contributor(name=f"x{i + 1}", half_width=float(w)) for i, w in enumerate(widths))
-    )
+    return StackChain.from_bounds(rng.uniform(lo, hi, n))
 
 
 def _chain_rng(seed: int, chain_id: int) -> np.random.Generator:
@@ -145,16 +141,9 @@ def _one_row(spec: StudySpec, chain_id: int) -> StudyRow:
     )
 
 
-def run_study(spec: StudySpec, workers: int = 1) -> list[StudyRow]:
+def run_study(spec: StudySpec) -> list[StudyRow]:
     """Evaluate every chain of the study; rows ordered by chain_id.
 
-    Each row depends only on (spec, chain_id), so the output is identical
-    for any ``workers`` value.
+    Each row depends only on (spec, chain_id).
     """
-    ids = range(spec.n_chains)
-    if workers <= 1:
-        return [_one_row(spec, i) for i in ids]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda i: _one_row(spec, i), ids))
+    return [_one_row(spec, i) for i in range(spec.n_chains)]

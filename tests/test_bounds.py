@@ -29,6 +29,7 @@ from stacktol import (
     t_wc,
     tolerance,
 )
+from stacktol.bounds import _SOLVERS
 from conftest import TABLE_BOUNDS, random_bounds
 from oracles import exact_abs_tail, grid_bound_t
 
@@ -358,8 +359,6 @@ class TestScaleEquivariance:
         scaled = StackChain.from_bounds([c * w for w in table_chain.weighted_bounds])
         rho = 0.0027
         for method in Method:
-            if method is Method.MONTE_CARLO:
-                continue
             base = tolerance(table_chain, method, rho).t
             other = tolerance(scaled, method, rho).t
             assert other == pytest.approx(c * base, rel=1e-6)
@@ -396,6 +395,19 @@ class TestWorstCaseOverflow:
             assert p == pytest.approx(chernov_prob(unit, math.ldexp(t, -1000)), rel=1e-12)
 
 
+class TestResultScaling:
+    # f and coverage divide by l_rho * T_RSS, which underflows on a subnormal chain
+    # and overflows near the largest double unless t and T_RSS are scaled first
+    @pytest.mark.parametrize("rho", [0.9, 0.5, 0.0027])
+    def test_subnormal_chain_is_finite(self, rho):
+        for res in analyze_all(StackChain.from_bounds((5e-324,)), rho):
+            assert math.isfinite(res.t) and math.isfinite(res.coverage), res.method
+            assert res.f is None or math.isfinite(res.f), res.method
+
+    def test_f_positive_near_double_max(self):
+        assert chernov_t(StackChain.from_bounds((1e308,)), 1e-12).f > 0.0
+
+
 class TestExtremeRho:
     @pytest.mark.parametrize("rho", [1e-300, 1e-308])
     @pytest.mark.parametrize("bounds", [(1.0,), (1.0, 2.0)])
@@ -427,8 +439,6 @@ class TestMonotonicity:
         small = StackChain.from_bounds((3.0, 2.0, 1.0))
         big = StackChain.from_bounds((3.5, 2.0, 1.0))
         for method in Method:
-            if method is Method.MONTE_CARLO:
-                continue
             a = tolerance(small, method, 0.01).t
             b = tolerance(big, method, 0.01).t
             assert b >= a * (1 - 1e-9)
@@ -457,6 +467,10 @@ class TestAnalyzeAll:
             Method.CHERNOV, Method.LIPSCHITZ, Method.QUADRATIC, Method.AIRBUS,
         ]
 
+    def test_method_is_the_solver_table(self, table_chain):
+        assert list(_SOLVERS) == list(Method)
+        assert [r.method for r in analyze_all(table_chain, 0.05)] == list(Method)
+
     def test_rho_free_methods(self, table_chain):
         by = {r.method: r for r in analyze_all(table_chain, 0.05)}
         for m in (Method.WC, Method.RSS, Method.AIRBUS):
@@ -484,7 +498,7 @@ class TestAnalyzeAll:
 
     def test_dispatcher_errors(self, table_chain):
         with pytest.raises(ValueError):
-            tolerance(table_chain, Method.MONTE_CARLO, 0.05)
+            tolerance(table_chain, "mc", 0.05)
         with pytest.raises(ValueError):
             tolerance(table_chain, Method.CHERNOV)  # rho required
 

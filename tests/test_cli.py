@@ -117,6 +117,13 @@ class TestAnalyze:
             assert code == 0, err
             assert len(json.loads(out)) == 8
 
+    def test_subnormal_chain_exits_0(self, capsys, tmp_path):
+        p = tmp_path / "tiny.csv"
+        p.write_text("name,tolerance\nx1,5e-324\n", encoding="utf-8")
+        code, out, err = _run(capsys, ["analyze", str(p), "--rho", "0.9"])
+        assert code == 0, err
+        assert out.count("\n") == 9
+
     def test_json_is_strict_where_t_overflows(self, capsys, tmp_path):
         p = tmp_path / "big.csv"
         p.write_text("name,tolerance\nx1,1e308\n", encoding="utf-8")
@@ -152,6 +159,7 @@ class TestAnalyze:
     def test_mc_method_rejected(self, capsys, chain_csv):
         code, _, err = _run(capsys, ["analyze", str(chain_csv), "--methods", "mc"])
         assert code == 2 and "mc" in err
+        assert "'mc' subcommand" in err
 
     def test_malformed_chain_exits_2(self, capsys, tmp_path):
         p = tmp_path / "bad.csv"

@@ -125,7 +125,6 @@ class TestReadCsv:
         p = _write(tmp_path, "c.txt", "name,tolerance\na,2\n")
         with pytest.raises(ChainFileError, match="format"):
             read_chain(p)
-        assert read_chain(p, fmt="csv").weighted_bounds == (2.0,)
 
 
 class TestReadJson:

@@ -35,7 +35,7 @@ class TestStudySpec:
             dict(n_chains=1, rho=0.05, seed=1, bound_lo=5.0, bound_hi=1.0),
             dict(n_chains=1, rho=0.05, seed=1, bound_lo=0.0, bound_hi=1.0),
             dict(n_chains=1, rho=0.05, seed=1, methods=()),
-            dict(n_chains=1, rho=0.05, seed=1, methods=(Method.MONTE_CARLO,)),
+            dict(n_chains=1, rho=0.05, seed=1, methods=("mc",)),
         ],
     )
     def test_validation(self, kwargs):
@@ -76,8 +76,7 @@ class TestRunStudy:
         spec = StudySpec(n_chains=8, rho=0.05, seed=31)
         rows_a = run_study(spec)
         rows_b = run_study(spec)
-        rows_c = run_study(spec, workers=4)
-        assert rows_a == rows_b == rows_c
+        assert rows_a == rows_b
         assert [r.chain_id for r in rows_a] == list(range(8))
 
     def test_f_consistency_and_domination(self):
