@@ -43,7 +43,6 @@ from .numerics import (
 
 __all__ = [
     "Method",
-    "ConfidenceLevel",
     "ToleranceResult",
     "gaussian_l",
     "hoeffding_t",
@@ -79,21 +78,12 @@ class Method(str, Enum):
     AIRBUS = "airbus"
 
 
-@dataclass(frozen=True)
-class ConfidenceLevel:
-    """Two-sided out-of-tolerance probability, strictly inside (0, 1)."""
-
-    rho: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.rho) and 0.0 < self.rho < 1.0):
-            raise ValueError(f"confidence level must lie in (0, 1), got {self.rho!r}")
-
-
-def _rho_value(rho: "float | ConfidenceLevel") -> float:
-    if isinstance(rho, ConfidenceLevel):
-        return rho.rho
-    return ConfidenceLevel(float(rho)).rho
+def _check_rho(rho: float) -> float:
+    """The two-sided out-of-tolerance probability, which must lie strictly inside (0, 1)."""
+    rho = float(rho)
+    if not 0.0 < rho < 1.0:  # NaN fails this too
+        raise ValueError(f"confidence level must lie in (0, 1), got {rho!r}")
+    return rho
 
 
 @dataclass(frozen=True)
@@ -115,25 +105,24 @@ class ToleranceResult:
     rho: Optional[float]
 
 
-def gaussian_l(rho: "float | ConfidenceLevel") -> float:
+def gaussian_l(rho: float) -> float:
     """Gaussian deviation coefficient l_rho = (1/3) sqrt(2 ln(2/rho)).
 
     With inputs modeled as N(0, (w_i/3)^2), P(|Y| >= l_rho * T_RSS) <= rho
     by the sub-Gaussian tail bound.  Strictly decreasing in rho; 2/rho is
     never formed, as it overflows for subnormal rho.
     """
-    r = _rho_value(rho)
+    r = _check_rho(rho)
     return math.sqrt(2.0 * (math.log(2.0) - math.log(r))) / 3.0
 
 
 def _result(
     method: Method, chain: StackChain, t: float, rho: Optional[float]
 ) -> ToleranceResult:
-    rss = t_rss(chain)
     # t and T_RSS scaled by one power of two, exactly, so that l_rho * T_RSS
     # neither underflows on subnormal chains nor overflows near the largest double
-    e = math.frexp(rss)[1]
-    t_s, rss_s = math.ldexp(t, -e), math.ldexp(rss, -e)
+    rss_s, e = math.frexp(t_rss(chain))
+    t_s = math.ldexp(t, -e)
     f = t_s / (gaussian_l(rho) * rss_s) if rho is not None else None
     return ToleranceResult(
         method=method,
@@ -145,17 +134,29 @@ def _result(
     )
 
 
-def hoeffding_t(chain: StackChain, rho: "float | ConfidenceLevel") -> ToleranceResult:
+def _times_pow2(x: float, e: int) -> float:
+    """x * 2^e for x of order 1, with one rounding, and inf past the largest double.
+
+    math.ldexp raises OverflowError there, and 2.0 ** 1024 alone overflows;
+    the first of the two halves is exact.
+    """
+    return x * 2.0 ** (e // 2) * 2.0 ** (e - e // 2)
+
+
+def hoeffding_t(chain: StackChain, rho: float) -> ToleranceResult:
     """Sub-Gaussian half-width t = sqrt(2 ln(2/rho) sum w_i^2) = 3 l_rho T_RSS.
 
     The shape coefficient is exactly 3: the bound treats each uniform
     input as sub-Gaussian with parameter w_i, three times the standard
     deviation the GAUSSIAN model assumes.  f and coverage are given in
-    closed form, so they stay finite where t overflows.
+    closed form, so they stay finite where t overflows.  t is formed on
+    T_RSS scaled like _result's, so it does not round to 0 on subnormal
+    chains.
     """
-    r = _rho_value(rho)
+    r = _check_rho(rho)
     l_rho = gaussian_l(r)
-    t = 3.0 * (l_rho * t_rss(chain))
+    rss_s, e = math.frexp(t_rss(chain))
+    t = _times_pow2(3.0 * (l_rho * rss_s), e)
     return ToleranceResult(
         method=Method.HOEFFDING,
         t=t,
@@ -339,39 +340,37 @@ def chernov_prob(chain: StackChain, t: float) -> float:
     return min(1.0, 2.0 * math.exp(m.gap(lam) + lam * (rest - m.co_slope(lam))))
 
 
-def chernov_t(chain: StackChain, rho: "float | ConfidenceLevel") -> ToleranceResult:
+def chernov_t(chain: StackChain, rho: float) -> ToleranceResult:
     """Half-width from inverting the optimized exponential bound at rho.
 
     Below the worst case unless rho is so small that t rounds to it; the
     tightest guaranteed method in this family.
     """
-    r = _rho_value(rho)
+    r = _check_rho(rho)
     m = _member(chain, Method.CHERNOV)
     # wbar * slope can round an ulp past wc near the limit
     return _result(Method.CHERNOV, chain, min(_quantile(m, r), m.limit), r)
 
 
-def lipschitz_t(chain: StackChain, rho: "float | ConfidenceLevel") -> ToleranceResult:
+def lipschitz_t(chain: StackChain, rho: float) -> ToleranceResult:
     """Half-width from inverting the imbalance-linear relaxation (psi) at rho.
 
     t tends to wc + sum|w_i - wbar| as rho goes to 0.  May exceed the worst
     case on unbalanced chains; both raw and clamped values are reported.
     """
-    r = _rho_value(rho)
+    r = _check_rho(rho)
     t = _quantile(_member(chain, Method.LIPSCHITZ), r)
     return _result(Method.LIPSCHITZ, chain, t, r)
 
 
-def quadratic_t(
-    chain: StackChain, rho: "float | ConfidenceLevel", curvature: float = 0.5
-) -> ToleranceResult:
+def quadratic_t(chain: StackChain, rho: float, curvature: float = 0.5) -> ToleranceResult:
     """Half-width from inverting the variance-quadratic relaxation (psi_tilde) at rho.
 
     t grows without bound as rho goes to 0 unless all bounds are equal,
     where it is CHERNOV with limit wc.  Tighter than LIPSCHITZ when the
     imbalance is small.
     """
-    r = _rho_value(rho)
+    r = _check_rho(rho)
     t = _quantile(_member(chain, Method.QUADRATIC, curvature), r)
     return _result(Method.QUADRATIC, chain, t, r)
 
@@ -402,25 +401,24 @@ _SOLVERS: dict[Method, Callable[[StackChain, Optional[float]], ToleranceResult]]
 _RHO_FREE = frozenset({Method.WC, Method.RSS, Method.AIRBUS})
 
 
-def tolerance(
-    chain: StackChain, method: Method, rho: "float | ConfidenceLevel | None" = None
-) -> ToleranceResult:
-    """Dispatch a single analytic method; rho required for the rho-aware ones."""
-    solver = _SOLVERS.get(method)
-    if solver is None:
-        raise ValueError(f"unknown method {method!r}")
+def tolerance(chain: StackChain, method: Method, rho: Optional[float] = None) -> ToleranceResult:
+    """Dispatch one analytic method, given as a Method or its name; rho-aware ones need rho."""
+    try:
+        method = Method(method)
+    except ValueError:
+        raise ValueError(f"unknown method {method!r}") from None
     if method in _RHO_FREE:
-        return solver(chain, None)
+        return _SOLVERS[method](chain, None)
     if rho is None:
         raise ValueError(f"method {method.value} requires a confidence level")
-    return solver(chain, _rho_value(rho))
+    return _SOLVERS[method](chain, _check_rho(rho))
 
 
-def analyze_all(chain: StackChain, rho: "float | ConfidenceLevel") -> list[ToleranceResult]:
+def analyze_all(chain: StackChain, rho: float) -> list[ToleranceResult]:
     """All eight analytic methods at one confidence level, fixed order.
 
     Order: WC, RSS, GAUSSIAN, HOEFFDING, CHERNOV, LIPSCHITZ, QUADRATIC,
     AIRBUS.  WC, RSS and AIRBUS do not consume rho and report f = None.
     """
-    r = _rho_value(rho)
+    r = _check_rho(rho)
     return [tolerance(chain, m, r) for m in Method]

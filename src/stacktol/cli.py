@@ -11,7 +11,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .bounds import ConfidenceLevel, Method, tolerance
+from .bounds import Method, _check_rho, tolerance
 from .io import CurvePoint, read_chain, write_results
 from .montecarlo import McConfig, mc_prob, mc_quantile
 from .study import StudySpec, run_study
@@ -47,13 +47,13 @@ def cmd_analyze(args: argparse.Namespace) -> None:
     """Evaluate the requested methods on one chain and print the table."""
     methods = _parse_methods(args.methods)
     chain = read_chain(args.chain_file)
-    ConfidenceLevel(args.rho)
+    _check_rho(args.rho)
     write_results([tolerance(chain, m, args.rho) for m in methods], args.format, sys.stdout)
 
 
 def _rho_grid(rho_min: float, rho_max: float, points: int, linear: bool) -> list[float]:
-    ConfidenceLevel(rho_min)
-    ConfidenceLevel(rho_max)
+    _check_rho(rho_min)
+    _check_rho(rho_max)
     if not rho_min < rho_max:
         raise ValueError(f"need rho_min < rho_max, got {rho_min} >= {rho_max}")
     if points < 2:

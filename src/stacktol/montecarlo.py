@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
-from .bounds import ConfidenceLevel, _check_t, _rho_value
+from .bounds import _check_rho, _check_t
 from .chain import StackChain
 
 if TYPE_CHECKING:
@@ -90,12 +90,7 @@ def sample_output(chain: StackChain, cfg: McConfig, workers: int = 1) -> np.ndar
     return np.concatenate(parts)
 
 
-def mc_quantile(
-    chain: StackChain,
-    rho: "float | ConfidenceLevel",
-    cfg: McConfig,
-    workers: int = 1,
-) -> McEstimate:
+def mc_quantile(chain: StackChain, rho: float, cfg: McConfig, workers: int = 1) -> McEstimate:
     """Empirical (1-rho)-quantile of |Y| with its standard error.
 
     The quantile uses linear interpolation between order statistics.  The
@@ -106,7 +101,7 @@ def mc_quantile(
     """
     import numpy as np
 
-    r = _rho_value(rho)
+    r = _check_rho(rho)
     y = np.abs(sample_output(chain, cfg, workers=workers))
     delta = min(r, 1.0 - r) / 2.0
     # one partition serves all three order statistics

@@ -1,9 +1,10 @@
 """Batch studies over randomly generated stack chains.
 
 A study draws ``n_chains`` chains with half-widths uniform on
-[bound_lo, bound_hi], evaluates the requested tolerance methods at one
-confidence level, records balance diagnostics, and optionally attaches a
-Monte Carlo quantile per chain.  Everything derives from the single study
+[bound_lo, bound_hi], evaluates the concentration-bound methods
+(hoeffding, chernov, lipschitz, quadratic) at one confidence level,
+records balance diagnostics, and optionally attaches a Monte Carlo
+quantile per chain.  Everything derives from the single study
 seed: chain i uses substream (0, i), its Monte Carlo run substream (1, i),
 so results are reproducible row by row.  numpy, used only to draw chains
 and seeds, is imported on first use.
@@ -15,8 +16,8 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from .bounds import ConfidenceLevel, Method, gaussian_l, tolerance
-from .chain import StackChain, balance_report, t_rss
+from .bounds import Method, _check_rho, tolerance
+from .chain import StackChain, balance_report
 from .montecarlo import McConfig, mc_quantile
 
 if TYPE_CHECKING:
@@ -24,21 +25,16 @@ if TYPE_CHECKING:
 
 __all__ = ["StudySpec", "StudyRow", "random_chain", "run_study"]
 
-_DEFAULT_METHODS = (
-    Method.HOEFFDING,
-    Method.CHERNOV,
-    Method.LIPSCHITZ,
-    Method.QUADRATIC,
-)
+_METHODS = (Method.HOEFFDING, Method.CHERNOV, Method.LIPSCHITZ, Method.QUADRATIC)
+
 
 @dataclass(frozen=True, kw_only=True)
 class StudySpec:
     """Parameters of one batch study.
 
-    ``methods`` may contain any analytic method; the Monte Carlo column is
-    controlled separately by ``mc_cfg`` (None disables it).  When
-    ``mc_cfg`` is set, its seed is the base entropy from which per-chain
-    sampling seeds are derived.
+    ``mc_cfg`` None disables the Monte Carlo column.  When it is set, its
+    seed is the base entropy from which per-chain sampling seeds are
+    derived.
     """
 
     n_inputs: int = 5
@@ -47,7 +43,6 @@ class StudySpec:
     n_chains: int
     rho: float
     seed: int
-    methods: tuple[Method, ...] = _DEFAULT_METHODS
     mc_cfg: Optional[McConfig] = None
 
     def __post_init__(self) -> None:
@@ -63,25 +58,18 @@ class StudySpec:
             )
         if self.n_chains < 1:
             raise ValueError(f"n_chains must be >= 1, got {self.n_chains}")
-        ConfidenceLevel(self.rho)
+        _check_rho(self.rho)
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        ordered = tuple(m for m in Method if m in set(self.methods))
-        if len(ordered) != len(set(self.methods)):
-            raise ValueError("methods must be analytic (Monte Carlo is controlled by mc_cfg)")
-        if not ordered:
-            raise ValueError("methods must be nonempty")
-        object.__setattr__(self, "methods", ordered)
 
 
 @dataclass(frozen=True)
 class StudyRow:
     """One chain's diagnostics and per-method results.
 
-    ``ts`` and ``fs`` map each requested method to its half-width t and
-    shape coefficient f = t / (l_rho * T_RSS); f uses the study's rho for
-    every method so rows are comparable across methods.  ``mc_t`` is None
-    when the study ran without Monte Carlo.
+    ``ts`` and ``fs`` map hoeffding, chernov, lipschitz and quadratic, in
+    ``Method`` order, to the t and f of their ``ToleranceResult`` at the
+    study's rho.  ``mc_t`` is None when the study ran without Monte Carlo.
     """
 
     chain_id: int
@@ -120,13 +108,7 @@ def _one_row(spec: StudySpec, chain_id: int) -> StudyRow:
         spec.n_inputs, spec.bound_lo, spec.bound_hi, _chain_rng(spec.seed, chain_id)
     )
     rep = balance_report(chain)
-    scale = gaussian_l(spec.rho) * t_rss(chain)
-    ts: dict[Method, float] = {}
-    fs: dict[Method, float] = {}
-    for m in spec.methods:
-        res = tolerance(chain, m, spec.rho)
-        ts[m] = res.t
-        fs[m] = res.t / scale
+    results = [tolerance(chain, m, spec.rho) for m in _METHODS]
     mc_t = None
     if spec.mc_cfg is not None:
         cfg = McConfig(draws=spec.mc_cfg.draws, seed=_mc_seed(spec.mc_cfg.seed, chain_id))
@@ -135,8 +117,8 @@ def _one_row(spec: StudySpec, chain_id: int) -> StudyRow:
         chain_id=chain_id,
         s1=rep.s1,
         d_factor=rep.d_factor,
-        ts=ts,
-        fs=fs,
+        ts={r.method: r.t for r in results},
+        fs={r.method: r.f for r in results},
         mc_t=mc_t,
     )
 

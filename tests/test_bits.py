@@ -3,14 +3,20 @@
 Each literal is the ``float.hex`` of a result on ``test_lambda_root``'s
 chains: the t of ``chernov_t``, ``lipschitz_t`` and ``quadratic_t`` at
 curvature 0.5 and 1/6 at each of its rho, and ``chernov_prob`` at half
-and 99 % of the worst case.  A refactor of the solver must leave them all
-unchanged.  A change that moves them on purpose regenerates them with
+and 99 % of the worst case.  ``ANALYZE_SHA`` pins every field of all
+eight ``analyze_all`` results at each (chain, rho) by the first 16 hex
+digits of a sha256 over their ``float.hex``.  A refactor of the solver
+must leave them all unchanged.  A change that moves them on purpose regenerates them with
 ``PYTHONPATH=src python tests/test_bits.py`` and says so in CHANGES.md.
 """
 
+import hashlib
+
 import pytest
 
-from stacktol import StackChain, chernov_prob, chernov_t, lipschitz_t, quadratic_t, t_wc
+from stacktol import (
+    StackChain, analyze_all, chernov_prob, chernov_t, lipschitz_t, quadratic_t, t_wc,
+)
 from test_lambda_root import CHAINS, RHOS
 
 PROB_FRACTIONS = (0.5, 0.99)
@@ -26,6 +32,15 @@ def _t_bits(name, rho):
 def _prob_bits(name):
     chain = StackChain.from_bounds(CHAINS[name])
     return tuple(chernov_prob(chain, f * t_wc(chain)).hex() for f in PROB_FRACTIONS)
+
+
+def _analyze_sha(name, rho):
+    h = hashlib.sha256()
+    for r in analyze_all(StackChain.from_bounds(CHAINS[name]), rho):
+        fields = (r.t, r.t_clamped, r.f, r.coverage, r.rho)
+        line = " ".join([r.method.value, *("None" if x is None else x.hex() for x in fields)])
+        h.update((line + "\n").encode())
+    return h.hexdigest()[:16]
 
 
 # (chernov, lipschitz, quadratic c = 0.5, quadratic c = 1/6)
@@ -90,6 +105,55 @@ PROB_BITS = {
     'decimal': ('0x1.2c8846f40235dp-1', '0x1.50fab965acdf4p-18'),
 }
 
+# every analyze_all field, hashed
+ANALYZE_SHA = {
+    ('single', 0.1): '0d2be63b6f3cfd80',
+    ('single', 0.0027): 'cf978115d3d3b327',
+    ('single', 1e-06): 'fc0b2706a92abd9b',
+    ('single', 1e-12): '258f0d39f83a21d0',
+    ('single', 1e-300): '989a8e8af1c8b6f6',
+    ('pair', 0.1): 'ceb19c0713d31694',
+    ('pair', 0.0027): '082b372bb28775e0',
+    ('pair', 1e-06): '27e8d29d59b25f81',
+    ('pair', 1e-12): 'd5f292bfd405d624',
+    ('pair', 1e-300): '0fb2cdc6683ddf5d',
+    ('table', 0.1): '788bf35d6446528b',
+    ('table', 0.0027): 'eb1689fb57883672',
+    ('table', 1e-06): 'f37a23f3593c98fa',
+    ('table', 1e-12): '27b46b1cbcab6401',
+    ('table', 1e-300): '2abf92592339fadd',
+    ('case', 0.1): '52cc62c1097d3e84',
+    ('case', 0.0027): '45dc17cf8f9e5817',
+    ('case', 1e-06): 'fa2ce23140c02665',
+    ('case', 1e-12): '35df057a2e70c717',
+    ('case', 1e-300): '5169bc90989204f8',
+    ('long', 0.1): 'd2fdf8e75ce77817',
+    ('long', 0.0027): 'e82103befe55a2e5',
+    ('long', 1e-06): 'e01ffc2475de1513',
+    ('long', 1e-12): 'c7c33eb37753b77e',
+    ('long', 1e-300): '4cf109b7af9a61c7',
+    ('tiny', 0.1): '68fb04ef55b375ca',
+    ('tiny', 0.0027): '48fff3400964b187',
+    ('tiny', 1e-06): '968c10234c0c22f2',
+    ('tiny', 1e-12): '853d002a10e46ede',
+    ('tiny', 1e-300): 'bc670817fa16e76b',
+    ('huge', 0.1): '39c0cc890106f440',
+    ('huge', 0.0027): '9338c6e10c1d1f64',
+    ('huge', 1e-06): 'be809e91a4581ac9',
+    ('huge', 1e-12): '82ef95b0072b6473',
+    ('huge', 1e-300): '130d1465d20c709b',
+    ('near', 0.1): '903b33a3ee7b1a05',
+    ('near', 0.0027): '3f64c9a5d2ced06e',
+    ('near', 1e-06): '50c7e73c0a598999',
+    ('near', 1e-12): 'e273138aa9fa4fd4',
+    ('near', 1e-300): '99eb3ebc83733387',
+    ('decimal', 0.1): '806e8942b8d86c3e',
+    ('decimal', 0.0027): 'e73afcf69513cd63',
+    ('decimal', 1e-06): '2c8e84ba22b037db',
+    ('decimal', 1e-12): '1767d472ebcfc3c3',
+    ('decimal', 1e-300): '9bb5eb45a0747dd6',
+}
+
 
 @pytest.mark.parametrize("name,rho", list(T_BITS))
 def test_t_bits(name, rho):
@@ -101,6 +165,11 @@ def test_prob_bits(name):
     assert _prob_bits(name) == PROB_BITS[name]
 
 
+@pytest.mark.parametrize("name,rho", list(ANALYZE_SHA))
+def test_analyze_sha(name, rho):
+    assert _analyze_sha(name, rho) == ANALYZE_SHA[name, rho]
+
+
 if __name__ == "__main__":
     print("T_BITS = {")
     for name in CHAINS:
@@ -109,4 +178,8 @@ if __name__ == "__main__":
     print("}\n\nPROB_BITS = {")
     for name in CHAINS:
         print(f"    {name!r}: {_prob_bits(name)!r},")
+    print("}\n\nANALYZE_SHA = {")
+    for name in CHAINS:
+        for rho in RHOS:
+            print(f"    ({name!r}, {rho!r}): {_analyze_sha(name, rho)!r},")
     print("}")

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from stacktol import (
-    ConfidenceLevel,
     McConfig,
     Method,
     StackChain,
@@ -48,22 +47,21 @@ CASE_RSS = 1.2259282197584000472
 
 
 class TestConfidenceLevel:
+    # rho is a plain float; every public function checks it the same way
     def test_valid(self):
-        assert ConfidenceLevel(0.5).rho == 0.5
+        assert hoeffding_t(StackChain.from_bounds((1.0,)), 0.5).rho == 0.5
+        assert gaussian_l(0.5) > 0.0
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.5, math.nan])
     def test_invalid(self, bad):
-        with pytest.raises(ValueError):
-            ConfidenceLevel(bad)
+        with pytest.raises(ValueError, match="confidence level must lie in"):
+            gaussian_l(bad)
 
 
 class TestGaussianL:
     def test_frozen_values(self):
         assert gaussian_l(0.0027) == pytest.approx(L_0027, rel=1e-13)
         assert gaussian_l(0.05) == pytest.approx(L_005, rel=1e-13)
-
-    def test_accepts_confidence_level(self):
-        assert gaussian_l(ConfidenceLevel(0.05)) == gaussian_l(0.05)
 
     def test_limit_toward_one(self):
         # l is still positive as rho -> 1: (1/3) sqrt(2 ln 2)
@@ -101,6 +99,14 @@ class TestHoeffding:
         assert res.t_clamped == 1e308
         assert res.f == 3.0
         assert res.coverage == 3.0 * gaussian_l(0.0027)
+
+    @pytest.mark.parametrize("rho", [0.9, 0.5, 0.0027])
+    def test_subnormal_chain_is_covered(self, rho):
+        # l_rho * 5e-324 alone rounds to 0 at rho = 0.9
+        w = (5e-324,)
+        res = hoeffding_t(StackChain.from_bounds(w), rho)
+        assert res.t > 0.0
+        assert exact_abs_tail(w, res.t) <= rho
 
 
 class TestPhi:
@@ -493,14 +499,15 @@ class TestAnalyzeAll:
 
     def test_dispatcher_matches(self, table_chain):
         for res in analyze_all(table_chain, 0.01):
-            again = tolerance(table_chain, res.method, 0.01)
-            assert again == res
+            assert tolerance(table_chain, res.method, 0.01) == res
+            assert tolerance(table_chain, res.method.value, 0.01) == res
 
     def test_dispatcher_errors(self, table_chain):
         with pytest.raises(ValueError):
             tolerance(table_chain, "mc", 0.05)
-        with pytest.raises(ValueError):
-            tolerance(table_chain, Method.CHERNOV)  # rho required
+        for method in (Method.CHERNOV, "chernov"):
+            with pytest.raises(ValueError, match="requires a confidence level"):
+                tolerance(table_chain, method)
 
     def test_rho_free_dispatch_ignores_rho(self, table_chain):
         assert tolerance(table_chain, Method.WC).t == 15.0

@@ -12,7 +12,6 @@ import pytest
 
 from stacktol import (
     BracketError,
-    ConfidenceLevel,
     ConvergenceError,
     McConfig,
     Method,

@@ -1,6 +1,8 @@
-"""Each demo script runs to completion against the package in src/."""
+"""Each demo script and each ```python block of the README runs to completion
+against the package in src/."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,13 +11,29 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+
+
+def _run(args, cwd):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(script, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(script)], cwd=tmp_path, env=env,
-        capture_output=True, text=True, timeout=120,
-    )
+    proc = _run([str(script)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_has_python():
+    assert README_BLOCKS
+
+
+@pytest.mark.parametrize(
+    "code", README_BLOCKS, ids=[f"block{i}" for i in range(len(README_BLOCKS))]
+)
+def test_readme_block_runs(code, tmp_path):
+    proc = _run(["-c", code], tmp_path)
     assert proc.returncode == 0, proc.stderr

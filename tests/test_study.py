@@ -11,7 +11,10 @@ from stacktol import (
     random_chain,
     run_study,
     t_rss,
+    tolerance,
 )
+
+METHODS = [Method.HOEFFDING, Method.CHERNOV, Method.LIPSCHITZ, Method.QUADRATIC]
 
 
 def _rng(seed=0):
@@ -23,7 +26,8 @@ class TestStudySpec:
         spec = StudySpec(n_chains=10, rho=0.05, seed=1)
         assert (spec.n_inputs, spec.bound_lo, spec.bound_hi) == (5, 1.0, 5.0)
         assert spec.mc_cfg is None
-        assert Method.CHERNOV in spec.methods
+        for row in run_study(spec):
+            assert Method.CHERNOV in row.ts
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -34,20 +38,17 @@ class TestStudySpec:
             dict(n_chains=1, rho=0.05, seed=1, n_inputs=0),
             dict(n_chains=1, rho=0.05, seed=1, bound_lo=5.0, bound_hi=1.0),
             dict(n_chains=1, rho=0.05, seed=1, bound_lo=0.0, bound_hi=1.0),
-            dict(n_chains=1, rho=0.05, seed=1, methods=()),
-            dict(n_chains=1, rho=0.05, seed=1, methods=("mc",)),
+            dict(n_chains=1, rho=1.0, seed=1),
+            dict(n_chains=1, rho=float("nan"), seed=1),
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             StudySpec(**kwargs)
 
-    def test_methods_normalized_to_canonical_order(self):
-        spec = StudySpec(
-            n_chains=1, rho=0.05, seed=1,
-            methods=(Method.QUADRATIC, Method.CHERNOV, Method.WC),
-        )
-        assert spec.methods == (Method.WC, Method.CHERNOV, Method.QUADRATIC)
+    def test_rows_list_the_four_bounds_in_method_order(self):
+        (row,) = run_study(StudySpec(n_chains=1, rho=0.05, seed=1))
+        assert list(row.ts) == list(row.fs) == METHODS
 
 
 class TestRandomChain:
@@ -84,12 +85,21 @@ class TestRunStudy:
         for row in run_study(spec):
             chain = random_chain(5, 1.0, 5.0, _rng_for(spec.seed, row.chain_id))
             scale = gaussian_l(0.05) * t_rss(chain)
-            for m in spec.methods:
+            for m in row.ts:
                 assert row.fs[m] == pytest.approx(row.ts[m] / scale, rel=1e-12)
             assert row.fs[Method.HOEFFDING] == pytest.approx(3.0, rel=1e-12)
             assert row.fs[Method.CHERNOV] <= row.fs[Method.LIPSCHITZ] * (1 + 1e-7)
             assert row.fs[Method.CHERNOV] <= row.fs[Method.QUADRATIC] * (1 + 1e-7)
             assert row.mc_t is None
+
+    def test_row_is_its_tolerance_results(self):
+        # recomputing f as t / (l_rho * T_RSS) gives 3.0000000000000004 for hoeffding on chain 0
+        spec = StudySpec(n_chains=5, rho=0.0027, seed=3)
+        for row in run_study(spec):
+            chain = random_chain(5, 1.0, 5.0, _rng_for(spec.seed, row.chain_id))
+            for m in METHODS:
+                assert row.fs[m].hex() == tolerance(chain, m, spec.rho).f.hex(), (row.chain_id, m)
+            assert row.fs[Method.HOEFFDING] == 3.0
 
     def test_mc_column(self):
         spec = StudySpec(
