@@ -134,15 +134,6 @@ def _result(
     )
 
 
-def _times_pow2(x: float, e: int) -> float:
-    """x * 2^e for x of order 1, with one rounding, and inf past the largest double.
-
-    math.ldexp raises OverflowError there, and 2.0 ** 1024 alone overflows;
-    the first of the two halves is exact.
-    """
-    return x * 2.0 ** (e // 2) * 2.0 ** (e - e // 2)
-
-
 def hoeffding_t(chain: StackChain, rho: float) -> ToleranceResult:
     """Sub-Gaussian half-width t = sqrt(2 ln(2/rho) sum w_i^2) = 3 l_rho T_RSS.
 
@@ -156,7 +147,9 @@ def hoeffding_t(chain: StackChain, rho: float) -> ToleranceResult:
     r = _check_rho(rho)
     l_rho = gaussian_l(r)
     rss_s, e = math.frexp(t_rss(chain))
-    t = _times_pow2(3.0 * (l_rho * rss_s), e)
+    # scaled back by 2^e in two halves: the first is exact, the second rounds
+    # once or gives inf, where math.ldexp and 2.0 ** 1024 raise OverflowError
+    t = 3.0 * (l_rho * rss_s) * 2.0 ** (e // 2) * 2.0 ** (e - e // 2)
     return ToleranceResult(
         method=Method.HOEFFDING,
         t=t,
