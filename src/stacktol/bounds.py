@@ -18,28 +18,29 @@ convention for the rho-free methods):
 * AIRBUS     industrial balance-corrected RSS rule, no rho attached.
 
 The Chernoff family is one formula.  On the chain scaled to u_i = w_i/wbar
-each member's log-MGF is K(lam) = k sum_v log(sinh(lam v)/(lam v)) + a lam
-+ b lam^2, and its bound is 2 exp(inf_lam K(lam) - lam t).  CHERNOV is the
-chain's own K (k = 1, v = u); the relaxations are the K of the balanced
-chain, n bounds of 1 (k = n, v = 1), plus a = sum|u_i - 1| (LIPSCHITZ) or
-b = c sum (u_i - 1)^2 (QUADRATIC).  The infimum sits where K'(lam) = t, so
-every inversion is one monotone root in lam, driven by the slope K' and
-the gap K - lam K'; K = gap + lam K' gives the exponents phi, psi and
-psi_tilde.  All functions are pure; results are frozen records.
+each member's log-MGF is K(lam) = sum_(v, c) c log(sinh(lam v)/(lam v))
++ a lam + b lam^2 over distinct bounds v with their counts c, and its bound
+is 2 exp(inf_lam K(lam) - lam t).  CHERNOV is the chain's own K (the u_i
+grouped by value); the relaxations are the K of the balanced chain, n
+bounds of 1 ((v, c) = (1, n)), plus a = sum|u_i - 1| (LIPSCHITZ) or
+b = curvature sum (u_i - 1)^2 (QUADRATIC).  The infimum sits where
+K'(lam) = t, so every inversion is one monotone root in lam, driven by
+the slope K' and the gap K - lam K'; K = gap + lam K' gives the exponents
+phi, psi and psi_tilde.  All functions are pure; results are frozen
+records.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
 from .chain import StackChain, _jensen_gap, _total_and_mean, balance_report, t_rss, t_wc
-from .numerics import (
-    _one_minus_langevin, invert_monotone, langevin, legendre_term, x2_langevin_prime,
-)
+from .numerics import _legendre_sums, _one_minus_langevin, invert_monotone, langevin
 
 __all__ = [
     "Method",
@@ -176,7 +177,7 @@ def _check_t(t: float) -> float:
 
 # On the scaled chain, each member's slope t(lam) = K'(lam) is increasing and
 # its gap g = K - lam K' decreases from 0 and is concave in log lam, with
-# dg/dlog lam = -lam^2 K''; all are k times sums over v of langevin (L),
+# dg/dlog lam = -lam^2 K''; all are sums over (v, c) of c times langevin (L),
 # legendre_term (m) or x2_langevin_prime (q) terms, plus the price's part.
 _Fn = Callable[[float], float]
 
@@ -184,38 +185,42 @@ _Fn = Callable[[float], float]
 class _Member(NamedTuple):
     wbar: float
     slope: _Fn
-    gap: _Fn
-    dgap: _Fn  # dg / dlog lam
-    co_slope: _Fn  # k sum_v v (1 - L(lam v)), = K'(inf) - K' where b = 0, without cancellation
+    gap: Callable[[float], tuple[float, float]]  # (g, dg / dlog lam), in one pass
+    co_slope: _Fn  # sum_(v, c) c v (1 - L(lam v)), = K'(inf) - K' where b = 0, without cancellation
     curv: float  # K''(0): g >= -curv lam^2 / 2
     limit: float  # t(inf), in the chain's own units
     b: float  # g <= -b lam^2
 
 
 def _member(chain: StackChain, method: Method, curvature: float = 0.5) -> _Member:
-    """The Chernoff-family member ``method`` on ``chain``: its (k, v, a, b, limit)."""
+    """The Chernoff-family member ``method`` on ``chain``: its ((v, c) groups, a, b, limit)."""
     w = chain.weighted_bounds
     n = len(w)
     wc, wbar = _total_and_mean(w)
     u = [wi / wbar for wi in w]
-    k, v, a, b, limit = 1, u, 0.0, 0.0, wc
+    # equal bounds in one group, in first-occurrence order; fsum is exact, so order is moot
+    groups, a, b, limit = tuple(Counter(u).items()), 0.0, 0.0, wc
     if method is Method.LIPSCHITZ:
         # a linear price cancels from the gap, so t(inf) is finite
         a = math.fsum(abs(ui - 1.0) for ui in u)
-        k, v, limit = n, (1.0,), wc + wbar * a
+        groups, limit = ((1.0, n),), wc + wbar * a
     elif method is Method.QUADRATIC:
         if not 1.0 / 6.0 <= curvature < math.inf:  # NaN fails this too
             raise ValueError(f"curvature must be finite and >= 1/6, got {curvature}")
-        k, v, b = n, (1.0,), curvature * math.fsum((ui - 1.0) * (ui - 1.0) for ui in u)
-    # b lam^2, formed as b lam lam where lam^2 alone overflows: 0 at b = 0, never NaN
-    penalty = lambda lam: b * (lam * lam) if lam * lam < math.inf else b * lam * lam
+        groups, b = ((1.0, n),), curvature * math.fsum((ui - 1.0) * (ui - 1.0) for ui in u)
+
+    def gap(lam: float) -> tuple[float, float]:
+        # b lam^2, formed as b lam lam where lam^2 alone overflows: 0 at b = 0, never NaN
+        penalty = b * (lam * lam) if lam * lam < math.inf else b * lam * lam
+        m, q = _legendre_sums(lam, groups)
+        return m - penalty, -q - 2.0 * penalty
+
     return _Member(
         wbar,
-        lambda lam: k * math.fsum(vi * langevin(lam * vi) for vi in v) + a + 2.0 * b * lam,
-        lambda lam: k * math.fsum(legendre_term(lam * vi) for vi in v) - penalty(lam),
-        lambda lam: -k * math.fsum(x2_langevin_prime(lam * vi) for vi in v) - 2.0 * penalty(lam),
-        lambda lam: k * math.fsum(vi * _one_minus_langevin(lam * vi) for vi in v),
-        k * math.fsum(vi * vi for vi in v) / 3.0 + 2.0 * b,
+        lambda lam: math.fsum(c * (v * langevin(lam * v)) for v, c in groups) + a + 2.0 * b * lam,
+        gap,
+        lambda lam: math.fsum(c * (v * _one_minus_langevin(lam * v)) for v, c in groups),
+        math.fsum(c * (v * v) for v, c in groups) / 3.0 + 2.0 * b,
         limit,
         b,
     )
@@ -227,7 +232,7 @@ def _exponent(chain: StackChain, method: Method, lam: float, t: float,
     t = _check_t(t)
     m = _member(chain, method, curvature)
     x = lam * m.wbar
-    gap, tangent = m.gap(x), x * m.slope(x)
+    gap, tangent = m.gap(x)[0], x * m.slope(x)
     # K = gap + x K' cancels at most one bit: K' is concave from K'(0) >= 0,
     # so K >= x K' / 2.  Where psi_tilde's penalty overflows, gap = -inf, K = +inf.
     k = math.inf if gap == -math.inf else gap + tangent
@@ -294,14 +299,14 @@ def _quantile(m: _Member, rho: float) -> float:
     target = math.log(rho) - math.log(2.0)
     lo = math.sqrt(-2.0 * target / m.curv)
     # a step past 700 overshoots _LAM_MAX anyway, and exp(700) is finite
-    g_lo = m.gap(lo)  # the solver's straddle check reuses it
-    step = min((target - g_lo) / m.dgap(lo), 700.0)
+    at_lo = m.gap(lo)  # the solver's straddle check reuses it
+    step = min((target - at_lo[0]) / at_lo[1], 700.0)
     pen_root = math.sqrt(-target / m.b) if m.b else math.inf
     # 1e-6 wider keeps g(hi) <= target through rounding where hi is nearly the root
     hi = min((1.0 + 1e-6) * min(lo * math.exp(step), pen_root), _LAM_MAX)
-    if hi == _LAM_MAX and m.gap(hi) > target:
+    if hi == _LAM_MAX and m.gap(hi)[0] > target:
         return m.limit
-    lam = invert_monotone(lambda x: g_lo if x == lo else m.gap(x), target, lo, hi, m.dgap)
+    lam = invert_monotone(lambda x: at_lo if x == lo else m.gap(x), target, lo, hi)
     t = m.slope(lam)
     return m.limit if t == m.slope(2.0 * lam) else m.wbar * t * _ROUND_UP
 
@@ -329,8 +334,8 @@ def chernov_prob(chain: StackChain, t: float) -> float:
     lo, hi = 0.5 * tau / m.curv, 2.0 * len(chain) / rest
     if hi * tau <= math.log(2.0):  # K >= 0 at the optimal lam <= hi: the bound is >= 1
         return 1.0
-    lam = invert_monotone(m.co_slope, rest, lo, hi, lambda x: m.dgap(x) / x)
-    return min(1.0, 2.0 * math.exp(m.gap(lam) + lam * (rest - m.co_slope(lam))))
+    lam = invert_monotone(lambda x: (m.co_slope(x), m.gap(x)[1] / x), rest, lo, hi)
+    return min(1.0, 2.0 * math.exp(m.gap(lam)[0] + lam * (rest - m.co_slope(lam))))
 
 
 def chernov_t(chain: StackChain, rho: float) -> ToleranceResult:

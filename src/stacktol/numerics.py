@@ -14,6 +14,11 @@ tolerance bound in this package:
 
 All are evaluated without overflow or cancellation across the full double
 range actually exercised by the solvers (x from 1e-300 up to ~1e17).
+The Chernoff-family gap needs m = legendre_term and q = x2_langevin_prime
+at lam * v for every distinct bound v, weighted by its count c: one
+kernel, ``_legendre_sums``, forms both sums in one loop, sharing
+expm1(-2x) between m and q, and the two public functions are its
+one-term view.
 
 The solver is deliberately tiny: one inverter for nonincreasing functions
 on a positive bracket, which takes Newton steps in log x with a bisection
@@ -24,7 +29,7 @@ module is pure and stateless.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Iterable
 
 __all__ = [
     "BracketError",
@@ -65,11 +70,11 @@ class ConvergenceError(ArithmeticError):
     """A solver used up its iteration budget before reaching its tolerance."""
 
 
-def _checked(f: Callable[[float], float], x: float) -> float:
-    y = f(x)
-    if not math.isfinite(y):
-        raise NonFiniteError(f"objective returned {y!r} at x={x!r}")
-    return y
+def _checked(f: Callable[[float], tuple[float, float]], x: float) -> tuple[float, float]:
+    y, dy = f(x)
+    if not (math.isfinite(y) and math.isfinite(dy)):
+        raise NonFiniteError(f"objective returned {(y, dy)!r} at x={x!r}")
+    return y, dy
 
 
 def h_stable(x: float) -> float:
@@ -123,6 +128,35 @@ def langevin(x: float) -> float:
     return 1.0 - 1.0 / x + _coth_minus_one(x)
 
 
+_ONE_TERM = ((1.0, 1),)
+
+
+def _legendre_sums(lam: float, groups: Iterable[tuple[float, int]]) -> tuple[float, float]:
+    """(sum c m(lam v), sum c q(lam v)) over (v, c) pairs, for lam v >= 0.
+
+    m is legendre_term and q is x2_langevin_prime.  Each term is formed
+    by the series below the switch, and above it from d = 1 - exp(-2x)
+    as 1 + h(2x) - x (coth(x) - 1) and 1 - (x / sinh x)^2, with
+    h(2x) = log(d / 2x).  Unchecked: the callers check their arguments.
+    """
+    ms, qs = [], []
+    for v, c in groups:
+        x = lam * v
+        if x < _LANGEVIN_SERIES_SWITCH:
+            x2 = x * x  # x (x c), not x2 c: one rounding where m is subnormal
+            m = -x * (x * (1 / 6 - x2 * (1 / 60 - x2 * (1 / 567 - x2 * (1 / 5400 - x2 / 51975)))))
+            q = x2 * (1 / 3 - x2 * (1 / 15 - x2 * (2 / 189 - x2 * (1 / 675 - x2 * (
+                2 / 10395 - x2 * 1382 / 58046625)))))
+        else:
+            d = -math.expm1(-2.0 * x)
+            m = 1.0 + math.log(d / (2.0 * x)) - x * (2.0 * math.exp(-2.0 * x) / d)
+            r = 2.0 * x * math.exp(-x) / d
+            q = 1.0 - r * r
+        ms.append(c * m)
+        qs.append(c * q)
+    return math.fsum(ms), math.fsum(qs)
+
+
 def x2_langevin_prime(x: float) -> float:
     """q(x) = x^2 L'(x) = 1 - (x / sinh x)^2 for x >= 0, q(0) = 0.
 
@@ -133,12 +167,7 @@ def x2_langevin_prime(x: float) -> float:
     x = float(x)
     if not math.isfinite(x) or x < 0.0:
         raise ValueError(f"x2_langevin_prime requires finite x >= 0, got {x!r}")
-    x2 = x * x
-    if x < _LANGEVIN_SERIES_SWITCH:
-        return x2 * (1 / 3 - x2 * (1 / 15 - x2 * (2 / 189 - x2 * (1 / 675 - x2 * (
-            2 / 10395 - x2 * 1382 / 58046625)))))
-    r = 2.0 * x * math.exp(-x) / -math.expm1(-2.0 * x)
-    return 1.0 - r * r
+    return _legendre_sums(x, _ONE_TERM)[1]
 
 
 def _one_minus_langevin(x: float) -> float:
@@ -156,42 +185,39 @@ def legendre_term(x: float) -> float:
     x = float(x)
     if not math.isfinite(x) or x < 0.0:
         raise ValueError(f"legendre_term requires finite x >= 0, got {x!r}")
-    if x < _LANGEVIN_SERIES_SWITCH:
-        x2 = x * x  # x (x c), not x2 c: one rounding where the value is subnormal
-        return -x * (x * (1 / 6 - x2 * (1 / 60 - x2 * (1 / 567 - x2 * (1 / 5400 - x2 / 51975)))))
-    return 1.0 + h_stable(2.0 * x) - x * _coth_minus_one(x)
+    return _legendre_sums(x, _ONE_TERM)[0]
 
 
 def invert_monotone(
-    g: Callable[[float], float],
+    f: Callable[[float], tuple[float, float]],
     target: float,
     lo: float,
     hi: float,
-    dg: Callable[[float], float],
 ) -> float:
     """Root of a nonincreasing g on (lo, hi): the x with g(x) = target, from its safe side.
 
-    Requires 0 < lo < hi < inf and g(lo) >= target >= g(hi), else raises
-    BracketError.  With dg(x) = x g'(x), the derivative in log x, it takes
-    Newton steps in log x from hi.  A step that does not land strictly
-    inside the bracket is replaced by halving it in log x, and one too
-    small to move x moves it an ulp toward hi, past a g that rounds just
-    above the target.  It stops at a point with g <= target reached by a
-    Newton step below 1e-9, or whose own step is a few ulps: Newton has
-    converged to rounding there.
+    f(x) returns the pair (g(x), x g'(x)), g and its derivative in log x;
+    raises NonFiniteError if either value is not finite.  Requires
+    0 < lo < hi < inf and g(lo) >= target >= g(hi), else raises
+    BracketError.  It takes Newton steps in log x from hi.  A step that
+    does not land strictly inside the bracket is replaced by halving it in
+    log x, and one too small to move x moves it an ulp toward hi, past a g
+    that rounds just above the target.  It stops at a point with
+    g <= target reached by a Newton step below 1e-9, or whose own step is a
+    few ulps: Newton has converged to rounding there.
 
     So g <= target at the returned x, and a bound inverted through g is
     never undershot; raises ConvergenceError if 256 steps do not get there.
     """
     if not 0.0 < lo < hi < math.inf:  # NaN fails this too
         raise BracketError(f"bracket must satisfy 0 < lo < hi < inf, got [{lo}, {hi}]")
-    g_lo = _checked(g, lo)
-    g_hi = _checked(g, hi)
+    g_lo = _checked(f, lo)[0]
+    g_hi, dg_hi = _checked(f, hi)
     if not (g_lo >= target >= g_hi):
         raise BracketError(
             f"bracket does not straddle target: g({lo})={g_lo}, g({hi})={g_hi}, target={target}"
         )
-    x, gx, step = hi, g_hi, math.inf  # step: the last Newton step, in log x
+    x, gx, dgx, step = hi, g_hi, dg_hi, math.inf  # step: the last Newton step, in log x
     for _ in range(_MAX_ITER):
         if gx > target:
             lo = x
@@ -199,7 +225,7 @@ def invert_monotone(
             hi = x
         if gx <= target and step <= _REL_TOL:
             return x
-        newton = (target - gx) / _checked(dg, x)
+        newton = (target - gx) / dgx
         if gx <= target and abs(newton) <= 4.0 * math.ulp(1.0):
             return x
         nxt = x * math.exp(min(newton, 700.0))  # capped so that exp stays finite
@@ -210,5 +236,5 @@ def invert_monotone(
             x, step = math.sqrt(lo) * math.sqrt(hi), math.inf
             if not lo < x < hi:
                 return hi
-        gx = _checked(g, x)
+        gx, dgx = _checked(f, x)
     raise ConvergenceError(f"solver stopped at [{lo}, {hi}] after {_MAX_ITER} steps")

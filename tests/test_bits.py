@@ -5,7 +5,8 @@ chains: the t of ``chernov_t``, ``lipschitz_t`` and ``quadratic_t`` at
 curvature 0.5 and 1/6 at each of its rho, and ``chernov_prob`` at half
 and 99 % of the worst case.  ``ANALYZE_SHA`` pins every field of all
 eight ``analyze_all`` results at each (chain, rho) by the first 16 hex
-digits of a sha256 over their ``float.hex``.  A refactor of the solver
+digits of a sha256 over their ``float.hex``, on those chains and on two
+``CATALOGUE`` chains that repeat bounds with mixed multiplicities.  A refactor of the solver
 must leave them all unchanged.  A change that moves them on purpose regenerates them with
 ``PYTHONPATH=src python tests/test_bits.py`` and says so in CHANGES.md.
 """
@@ -17,7 +18,7 @@ import pytest
 from stacktol import (
     StackChain, analyze_all, chernov_prob, chernov_t, lipschitz_t, quadratic_t, t_wc,
 )
-from test_lambda_root import CHAINS, RHOS
+from test_lambda_root import CATALOGUE, CHAINS, RHOS
 
 PROB_FRACTIONS = (0.5, 0.99)
 
@@ -36,7 +37,7 @@ def _prob_bits(name):
 
 def _analyze_sha(name, rho):
     h = hashlib.sha256()
-    for r in analyze_all(StackChain.from_bounds(CHAINS[name]), rho):
+    for r in analyze_all(StackChain.from_bounds({**CHAINS, **CATALOGUE}[name]), rho):
         fields = (r.t, r.t_clamped, r.f, r.coverage, r.rho)
         line = " ".join([r.method.value, *("None" if x is None else x.hex() for x in fields)])
         h.update((line + "\n").encode())
@@ -152,6 +153,16 @@ ANALYZE_SHA = {
     ('decimal', 1e-06): '2c8e84ba22b037db',
     ('decimal', 1e-12): '1767d472ebcfc3c3',
     ('decimal', 1e-300): '9bb5eb45a0747dd6',
+    ('catalogue', 0.1): 'f68db1ee4dac5f07',
+    ('catalogue', 0.0027): '96025ece63238c7d',
+    ('catalogue', 1e-06): 'ab306e607f4954ca',
+    ('catalogue', 1e-12): '142add91d338de45',
+    ('catalogue', 1e-300): 'aa283ce295b0708d',
+    ('catalogue_long', 0.1): '12cf2e5712bc1a0f',
+    ('catalogue_long', 0.0027): '08f09a42a7d10383',
+    ('catalogue_long', 1e-06): '628c05dde9a35411',
+    ('catalogue_long', 1e-12): 'd09e7299c88529cf',
+    ('catalogue_long', 1e-300): 'cc8839fe9a827755',
 }
 
 
@@ -179,7 +190,7 @@ if __name__ == "__main__":
     for name in CHAINS:
         print(f"    {name!r}: {_prob_bits(name)!r},")
     print("}\n\nANALYZE_SHA = {")
-    for name in CHAINS:
+    for name in [*CHAINS, *CATALOGUE]:
         for rho in RHOS:
             print(f"    ({name!r}, {rho!r}): {_analyze_sha(name, rho)!r},")
     print("}")

@@ -9,6 +9,7 @@ import pytest
 from stacktol import (
     BracketError,
     ConvergenceError,
+    NonFiniteError,
     h_stable,
     invert_monotone,
     langevin,
@@ -181,13 +182,13 @@ class TestInvertMonotone:
 
     def test_linear(self):
         g = lambda x: -math.log(x)  # noqa: E731
-        root = invert_monotone(g, -2.0, 1.0, 100.0, lambda x: -1.0)
+        root = invert_monotone(lambda x: (g(x), -1.0), -2.0, 1.0, 100.0)
         assert root == pytest.approx(math.exp(2.0), rel=1e-15)
         assert g(root) <= -2.0
 
     def test_exponential(self):
         g = lambda x: math.exp(-x)  # noqa: E731
-        root = invert_monotone(g, 0.5, 0.01, 10.0, lambda x: -x * math.exp(-x))
+        root = invert_monotone(lambda x: (g(x), -x * math.exp(-x)), 0.5, 0.01, 10.0)
         assert root == pytest.approx(math.log(2.0), rel=1e-15)
         assert g(root) <= 0.5
 
@@ -195,14 +196,20 @@ class TestInvertMonotone:
                                        (1.0, math.inf), (0.0, math.inf), (math.nan, 1.0)])
     def test_invalid_bracket(self, lo, hi):
         with pytest.raises(BracketError):
-            invert_monotone(lambda x: -x, -0.5, lo, hi, lambda x: -x)
+            invert_monotone(lambda x: (-x, -x), -0.5, lo, hi)
 
     def test_no_straddle(self):
         with pytest.raises(BracketError):
-            invert_monotone(lambda x: -math.log(x), 5.0, 1.0, 100.0, lambda x: -1.0)
+            invert_monotone(lambda x: (-math.log(x), -1.0), 5.0, 1.0, 100.0)
 
     def test_exhausted_budget_raises(self):
         # g sits just above the target on [1, 2), so x crawls there an ulp a step
         g = lambda x: 1e-300 if x < 2.0 else -1.0  # noqa: E731
         with pytest.raises(ConvergenceError):
-            invert_monotone(g, 0.0, 1.0, 3.0, lambda x: -1.0)
+            invert_monotone(lambda x: (g(x), -1.0), 0.0, 1.0, 3.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_derivative_raises(self, bad):
+        # a finite g with a NaN or infinite x g' is refused, not stepped on
+        with pytest.raises(NonFiniteError):
+            invert_monotone(lambda x: (-math.log(x), bad), -2.0, 1.0, 100.0)
