@@ -39,8 +39,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
-from .chain import StackChain, _jensen_gap, _total_and_mean, balance_report, t_rss, t_wc
-from .numerics import _legendre_sums, _one_minus_langevin, invert_monotone, langevin
+from .chain import StackChain, _d_factor, _jensen_gap, _total_and_mean, t_rss, t_wc
+from .numerics import _langevin_sums, _legendre_sums, invert_monotone
 
 __all__ = [
     "Method",
@@ -188,7 +188,7 @@ class _Member(NamedTuple):
     gap: Callable[[float], tuple[float, float]]  # (g, dg / dlog lam), in one pass
     co_slope: _Fn  # sum_(v, c) c v (1 - L(lam v)), = K'(inf) - K' where b = 0, without cancellation
     curv: float  # K''(0): g >= -curv lam^2 / 2
-    limit: float  # t(inf), in the chain's own units
+    limit: float  # t(inf), in the chain's own units (inf where b > 0): t is clamped to it
     b: float  # g <= -b lam^2
 
 
@@ -208,6 +208,7 @@ def _member(chain: StackChain, method: Method, curvature: float = 0.5) -> _Membe
         if not 1.0 / 6.0 <= curvature < math.inf:  # NaN fails this too
             raise ValueError(f"curvature must be finite and >= 1/6, got {curvature}")
         groups, b = ((1.0, n),), curvature * math.fsum((ui - 1.0) * (ui - 1.0) for ui in u)
+        limit = math.inf if b else wc
 
     def gap(lam: float) -> tuple[float, float]:
         # b lam^2, formed as b lam lam where lam^2 alone overflows: 0 at b = 0, never NaN
@@ -217,9 +218,9 @@ def _member(chain: StackChain, method: Method, curvature: float = 0.5) -> _Membe
 
     return _Member(
         wbar,
-        lambda lam: math.fsum(c * (v * langevin(lam * v)) for v, c in groups) + a + 2.0 * b * lam,
+        lambda lam: _langevin_sums(lam, groups)[0] + a + 2.0 * b * lam,
         gap,
-        lambda lam: math.fsum(c * (v * _one_minus_langevin(lam * v)) for v, c in groups),
+        lambda lam: _langevin_sums(lam, groups)[1],
         math.fsum(c * (v * v) for v, c in groups) / 3.0 + 2.0 * b,
         limit,
         b,
@@ -293,8 +294,8 @@ def _quantile(m: _Member, rho: float) -> float:
     The root of g(lam) = log(rho / 2) lies right of lo, where the Gaussian
     bound -curv lam^2 / 2 meets the target, and left of the Newton step in
     log lam from lo (g is concave in log lam) and of the root of -b lam^2.
-    Newton steps from there find it.  Once t stops changing in double
-    precision, the member's limit is returned.
+    Newton steps from there find it.  t is clamped to the member's limit
+    t(inf), so it never falls as rho falls.
     """
     target = math.log(rho) - math.log(2.0)
     lo = math.sqrt(-2.0 * target / m.curv)
@@ -307,8 +308,7 @@ def _quantile(m: _Member, rho: float) -> float:
     if hi == _LAM_MAX and m.gap(hi)[0] > target:
         return m.limit
     lam = invert_monotone(lambda x: at_lo if x == lo else m.gap(x), target, lo, hi)
-    t = m.slope(lam)
-    return m.limit if t == m.slope(2.0 * lam) else m.wbar * t * _ROUND_UP
+    return min(m.wbar * m.slope(lam) * _ROUND_UP, m.limit)
 
 
 def chernov_prob(chain: StackChain, t: float) -> float:
@@ -345,9 +345,7 @@ def chernov_t(chain: StackChain, rho: float) -> ToleranceResult:
     tightest guaranteed method in this family.
     """
     r = _check_rho(rho)
-    m = _member(chain, Method.CHERNOV)
-    # wbar * slope can round an ulp past wc near the limit
-    return _result(Method.CHERNOV, chain, min(_quantile(m, r), m.limit), r)
+    return _result(Method.CHERNOV, chain, _quantile(_member(chain, Method.CHERNOV), r), r)
 
 
 def lipschitz_t(chain: StackChain, rho: float) -> ToleranceResult:
@@ -379,8 +377,7 @@ def airbus_t(chain: StackChain) -> ToleranceResult:
     D is the dominance factor from the balance report.  The constants
     embed the rule's own quantile calibration, so no rho is attached.
     """
-    d = balance_report(chain).d_factor
-    t = 1.6 * (-0.56 * d + 1.04) * t_rss(chain)
+    t = 1.6 * (-0.56 * _d_factor(chain.weighted_bounds) + 1.04) * t_rss(chain)
     return _result(Method.AIRBUS, chain, t, None)
 
 

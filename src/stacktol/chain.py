@@ -106,6 +106,13 @@ def _total_and_mean(w: Sequence[float]) -> tuple[float, float]:
         return math.inf, math.ldexp(math.fsum(math.ldexp(wi, -e) for wi in w) / len(w), e)
 
 
+def _d_factor(w: Sequence[float]) -> float:
+    """(max w_i - wbar) / sum w_i, with n wbar standing in for the sum where it overflows."""
+    total, mean = _total_and_mean(w)
+    spread = max(w) - mean
+    return spread / total if total < math.inf else spread / mean / len(w)
+
+
 def t_wc(chain: StackChain) -> float:
     """Worst case stack: sum of weighted bounds. Never exceeded; inf past the double range."""
     return _total_and_mean(chain.weighted_bounds)[0]
@@ -165,18 +172,14 @@ class BalanceReport:
 def balance_report(chain: StackChain) -> BalanceReport:
     """Dispersion and dominance diagnostics of the weighted bounds."""
     w = chain.weighted_bounds
-    n = len(w)
-    total, mean = _total_and_mean(w)
+    mean = _total_and_mean(w)[1]
     # d * d goes to inf where d ** 2 would raise OverflowError
-    variance = math.fsum((wi - mean) * (wi - mean) for wi in w) / n
+    variance = math.fsum((wi - mean) * (wi - mean) for wi in w) / len(w)
     abs_dev_sum = math.fsum(abs(wi - mean) for wi in w)
-    # where the sum overflows, n * mean stands in for it
-    spread = max(w) - mean
-    d_factor = spread / total if total < math.inf else spread / mean / n
     return BalanceReport(
         mean=mean,
         variance=variance,
         abs_dev_sum=abs_dev_sum,
         s1=_jensen_gap(chain, 1.0),
-        d_factor=d_factor,
+        d_factor=_d_factor(w),
     )

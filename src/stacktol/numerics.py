@@ -12,13 +12,11 @@ tolerance bound in this package:
   derivative, rising from 0 to 1.
 * ``legendre_term(x) = log(sinh(x) / x) - x * langevin(x)``, falling from 0.
 
-All are evaluated without overflow or cancellation across the full double
-range actually exercised by the solvers (x from 1e-300 up to ~1e17).
-The Chernoff-family gap needs m = legendre_term and q = x2_langevin_prime
-at lam * v for every distinct bound v, weighted by its count c: one
-kernel, ``_legendre_sums``, forms both sums in one loop, sharing
-expm1(-2x) between m and q, and the two public functions are its
-one-term view.
+All are evaluated without overflow or cancellation for every finite x in
+their domain.  Each sum over a Chernoff-family member's distinct bounds v,
+with counts c, at lam * v is one kernel's loop: ``_legendre_sums`` forms the
+gap's c m and c q (sharing expm1(-2x)), ``_langevin_sums`` the slope's c v L
+and c v (1 - L).  Each public function of x is its kernel's one-term view.
 
 The solver is deliberately tiny: one inverter for nonincreasing functions
 on a positive bracket, which takes Newton steps in log x with a bisection
@@ -108,11 +106,6 @@ def log_sinh_over_x(x: float) -> float:
     return legendre_term(x) + x * langevin(x)
 
 
-def _coth_minus_one(x: float) -> float:
-    # coth(x) - 1 = 2 e^-2x / (1 - e^-2x), with no overflow for large x
-    return 2.0 * math.exp(-2.0 * x) / -math.expm1(-2.0 * x)
-
-
 def langevin(x: float) -> float:
     """Langevin function L(x) = coth(x) - 1/x for x >= 0, L(0) = 0.
 
@@ -122,13 +115,30 @@ def langevin(x: float) -> float:
     x = float(x)
     if not math.isfinite(x) or x < 0.0:
         raise ValueError(f"langevin requires finite x >= 0, got {x!r}")
-    if x < _LANGEVIN_SERIES_SWITCH:
-        x2 = x * x
-        return x * (1 / 3 - x2 * (1 / 45 - x2 * (2 / 945 - x2 * (1 / 4725 - x2 * 2 / 93555))))
-    return 1.0 - 1.0 / x + _coth_minus_one(x)
+    return _langevin_sums(x, _ONE_TERM)[0]
 
 
 _ONE_TERM = ((1.0, 1),)
+
+
+def _langevin_sums(lam: float, groups: Iterable[tuple[float, int]]) -> tuple[float, float]:
+    """(sum c v L(lam v), sum c v (1 - L(lam v))) over (v, c) pairs, for lam v >= 0.
+
+    L is langevin, 1 - 1/x + (coth x - 1) above the series switch; above 1,
+    1 - L is 1/x - (coth x - 1), which does not cancel where L rounds to 1.
+    """
+    ls, cos = [], []
+    for v, c in groups:
+        x = lam * v
+        if x < _LANGEVIN_SERIES_SWITCH:
+            x2 = x * x
+            lx = x * (1 / 3 - x2 * (1 / 45 - x2 * (2 / 945 - x2 * (1 / 4725 - x2 * 2 / 93555))))
+        else:
+            cm1 = 2.0 * math.exp(-2.0 * x) / -math.expm1(-2.0 * x)
+            lx = 1.0 - 1.0 / x + cm1
+        ls.append(c * (v * lx))
+        cos.append(c * (v * (1.0 / x - cm1 if x > 1.0 else 1.0 - lx)))
+    return math.fsum(ls), math.fsum(cos)
 
 
 def _legendre_sums(lam: float, groups: Iterable[tuple[float, int]]) -> tuple[float, float]:
@@ -137,7 +147,8 @@ def _legendre_sums(lam: float, groups: Iterable[tuple[float, int]]) -> tuple[flo
     m is legendre_term and q is x2_langevin_prime.  Each term is formed
     by the series below the switch, and above it from d = 1 - exp(-2x)
     as 1 + h(2x) - x (coth(x) - 1) and 1 - (x / sinh x)^2, with
-    h(2x) = log(d / 2x).  Unchecked: the callers check their arguments.
+    h(2x) = log(d / 2 / x), finite where 2x overflows (d / 2 is exact, so it
+    rounds d / 2x once).  Unchecked: the callers check their arguments.
     """
     ms, qs = [], []
     for v, c in groups:
@@ -149,8 +160,8 @@ def _legendre_sums(lam: float, groups: Iterable[tuple[float, int]]) -> tuple[flo
                 2 / 10395 - x2 * 1382 / 58046625)))))
         else:
             d = -math.expm1(-2.0 * x)
-            m = 1.0 + math.log(d / (2.0 * x)) - x * (2.0 * math.exp(-2.0 * x) / d)
-            r = 2.0 * x * math.exp(-x) / d
+            m = 1.0 + math.log(d / 2.0 / x) - x * (2.0 * math.exp(-2.0 * x) / d)
+            r = 2.0 * (x * math.exp(-x)) / d
             q = 1.0 - r * r
         ms.append(c * m)
         qs.append(c * q)
@@ -168,11 +179,6 @@ def x2_langevin_prime(x: float) -> float:
     if not math.isfinite(x) or x < 0.0:
         raise ValueError(f"x2_langevin_prime requires finite x >= 0, got {x!r}")
     return _legendre_sums(x, _ONE_TERM)[1]
-
-
-def _one_minus_langevin(x: float) -> float:
-    # 1 - L(x) = 1/x - (coth x - 1): no cancellation where L(x) rounds to 1
-    return 1.0 / x - _coth_minus_one(x) if x > 1.0 else 1.0 - langevin(x)
 
 
 def legendre_term(x: float) -> float:

@@ -9,16 +9,23 @@ digits of a sha256 over their ``float.hex``, on those chains and on two
 ``CATALOGUE`` chains that repeat bounds with mixed multiplicities.  A refactor of the solver
 must leave them all unchanged.  A change that moves them on purpose regenerates them with
 ``PYTHONPATH=src python tests/test_bits.py`` and says so in CHANGES.md.
+
+``PYTHONPATH=src python tests/test_bits.py --dump FILE`` writes a broader record for a
+before-and-after comparison of two trees with ``cmp``: the ``float.hex`` of every
+``analyze_all`` field, of ``quadratic_t`` at curvature 1/6 and of ``chernov_prob`` at
+``DUMP_FRACTIONS`` of the worst case, on ``dump_chains()`` at each of ``DUMP_RHOS``.
 """
 
+import argparse
 import hashlib
+import random
 
 import pytest
 
 from stacktol import (
     StackChain, analyze_all, chernov_prob, chernov_t, lipschitz_t, quadratic_t, t_wc,
 )
-from test_lambda_root import CATALOGUE, CHAINS, RHOS
+from test_lambda_root import CATALOGUE, CHAINS, RHOS, catalogue_chains, ulp_balanced_chains
 
 PROB_FRACTIONS = (0.5, 0.99)
 
@@ -181,7 +188,54 @@ def test_analyze_sha(name, rho):
     assert _analyze_sha(name, rho) == ANALYZE_SHA[name, rho]
 
 
+DUMP_RHOS = (0.9, *RHOS, 5e-324)
+DUMP_FRACTIONS = (0.1, 0.5, 0.9, 0.99, 1.0 - 1e-12)
+
+
+def dump_chains():
+    """(label, bounds) of the dump's fixed chains."""
+    rng = random.Random(11)
+    seeded = [tuple(rng.uniform(0.1, 10.0) * 10.0 ** e for _ in range(rng.randint(1, 30)))
+              for e in range(-300, 301, 25) for _ in range(8)]
+    return [*CHAINS.items(), *CATALOGUE.items(),
+            *((f"catalogue{i}", w) for i, w in enumerate(catalogue_chains(60))),
+            *((f"seeded{i}", w) for i, w in enumerate(seeded)),
+            *((f"ulp{i}", w) for i, w in enumerate(ulp_balanced_chains(1000))),
+            ("subnormal", (5e-324,)), ("max", (1e308,)), ("max2", (1e308, 1e308))]
+
+
+def _hex(x):
+    return "None" if x is None else x.hex()
+
+
+def _hex_or_error(f):
+    try:
+        return _hex(f())
+    except (ArithmeticError, ValueError) as e:  # an error is a result to compare too
+        return type(e).__name__
+
+
+def dump(path):
+    with open(path, "w") as out:
+        for label, w in dump_chains():
+            chain = StackChain.from_bounds(w)
+            for rho in DUMP_RHOS:
+                for r in analyze_all(chain, rho):
+                    fields = (r.t, r.t_clamped, r.f, r.coverage)
+                    out.write(f"{label} {rho!r} {r.method.value} {' '.join(map(_hex, fields))}\n")
+                out.write(f"{label} {rho!r} quadratic/6 "
+                          f"{_hex_or_error(lambda: quadratic_t(chain, rho, 1.0 / 6.0).t)}\n")
+            for f in DUMP_FRACTIONS:
+                out.write(f"{label} prob {f!r} "
+                          f"{_hex_or_error(lambda: chernov_prob(chain, f * t_wc(chain)))}\n")
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Print the pins, or dump a broader record.")
+    parser.add_argument("--dump", metavar="FILE", help="write the dump to FILE instead")
+    if (path := parser.parse_args().dump) is not None:
+        dump(path)
+        raise SystemExit
     print("T_BITS = {")
     for name in CHAINS:
         for rho in RHOS:

@@ -57,6 +57,20 @@ def catalogue_chains(count, seed=13):
         out.append(tuple(rng.choice(values) for _ in range(rng.randint(2, 10))))
     return out
 
+
+def ulp_balanced_chains(count, seed=17):
+    """``count`` chains of n equal bounds, one of them moved by 1, 2 or 4 ulps."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n, base = rng.choice((1, 2, 3, 5, 10, 200)), rng.uniform(0.1, 10.0)
+        moved, toward = base, rng.choice((0.0, math.inf))
+        for _ in range(rng.choice((1, 2, 4))):
+            moved = math.nextafter(moved, toward)
+        out.append((moved,) + (base,) * (n - 1))
+    return out
+
+
 # (chernov, lipschitz, quadratic) t from the bisection in lambda that this
 # solver replaced; bisection stopped at the upper edge of a bracket 1e-9 wide.
 # On ("pair", 0.0027) the gap rounds just above the target at the last
@@ -214,15 +228,18 @@ def test_equal_bounds_are_one_group(gap_terms):
     assert gap_terms and {groups for _, groups in gap_terms} == {1}
 
 
-def test_analyze_all_calls_h_stable_only_for_the_balance_report(monkeypatch):
-    # the solves no longer call h_stable; balance_report's Jensen gap takes
-    # n + 1 calls, reached through chain's own binding
+def test_analyze_all_calls_h_stable_never(monkeypatch):
+    # airbus needs only the dominance factor, so no Jensen gap is formed;
+    # balance_report's takes n + 1 calls, reached through chain's own binding
     calls = []
     original = numerics.h_stable
     counted = lambda x: calls.append(x) or original(x)  # noqa: E731
     monkeypatch.setattr(numerics, "h_stable", counted)
     monkeypatch.setattr(chain_module, "h_stable", counted)
-    analyze_all(StackChain.from_bounds(CHAINS["long"]), 0.0027)
+    chain = StackChain.from_bounds(CHAINS["long"])
+    analyze_all(chain, 0.0027)
+    assert len(calls) == 0
+    chain_module.balance_report(chain)
     assert len(calls) == 201
 
 
@@ -253,29 +270,61 @@ def test_prob_one_ulp_below_wc():
 
 
 @pytest.fixture
-def co_slope_terms(monkeypatch):
-    """Every term of chernov_prob's n - K' evaluations."""
+def slope_terms(monkeypatch):
+    """(lambda, group count) of every slope or n - K' evaluation: one Langevin kernel call each."""
     calls = []
-    original = bounds._one_minus_langevin
-    monkeypatch.setattr(bounds, "_one_minus_langevin", lambda x: calls.append(x) or original(x))
+    original = bounds._langevin_sums
+
+    def counted(lam, groups):
+        calls.append((lam, len(groups)))
+        return original(lam, groups)
+    monkeypatch.setattr(bounds, "_langevin_sums", counted)
     return calls
 
 
 @pytest.mark.parametrize("t", [1e-300, 1e-120, 1e-20, 0.1])
-def test_prob_is_one_at_small_t_without_a_solve(co_slope_terms, t):
+def test_prob_is_one_at_small_t_without_a_solve(slope_terms, t):
     # the optimal lambda is at most 2 wc / (wc - t), about 2 here, and K >= 0
     assert chernov_prob(StackChain.from_bounds((1.0, 2.0)), t) == 1.0
     assert chernov_prob(StackChain.from_bounds(CHAINS["long"]), t) == 1.0
-    assert co_slope_terms == []
+    assert slope_terms == []
 
 
 @pytest.mark.parametrize("name", ["single", "pair", "table", "long"])
-def test_few_co_slope_evaluations_per_prob(co_slope_terms, name):
+def test_few_co_slope_evaluations_per_prob(slope_terms, name):
     chain = StackChain.from_bounds(CHAINS[name])
     for frac in (0.3, 0.5, 0.9, 0.99, 1.0 - 1e-9, 1.0 - 1e-15):
-        co_slope_terms.clear()
+        slope_terms.clear()
         chernov_prob(chain, frac * t_wc(chain))
-        assert len(co_slope_terms) / len(CHAINS[name]) <= 20, frac
+        assert 1 <= len(slope_terms) <= 20, frac
+
+
+def test_chernov_t_takes_one_slope_evaluation(slope_terms):
+    # the slope is evaluated once, at the root, over all the chain's groups
+    chernov_t(StackChain.from_bounds(CHAINS["long"]), 0.0027)
+    assert [groups for _, groups in slope_terms] == [200]
+
+
+# from near the double range's floor of rho down to its last subnormal
+LIMIT_RHOS = (1e-20, 1e-50, 1e-100, 1e-150, 1e-200, 1e-250, 1e-300, 1e-320, 5e-324)
+
+
+def test_t_rises_to_the_limit_as_rho_falls():
+    # on chains balanced to a few ulps t saturates: clamping it to t(inf)
+    # keeps it nondecreasing as rho falls, where a rounded-up slope would not
+    solves = (
+        (chernov_t, bounds.Method.CHERNOV),
+        (lipschitz_t, bounds.Method.LIPSCHITZ),
+        (quadratic_t, None),
+        (lambda c, r: quadratic_t(c, r, 1.0 / 6.0), None),
+    )
+    for w in ulp_balanced_chains(240):
+        chain = StackChain.from_bounds(w)
+        for solve, method in solves:
+            ts = [solve(chain, rho).t for rho in LIMIT_RHOS]
+            assert ts == sorted(ts), (w, ts)
+            if method is not None:
+                assert ts[-1] <= bounds._member(chain, method).limit, (w, method)
 
 
 def test_prob_nonincreasing_in_the_last_ulps_below_wc():

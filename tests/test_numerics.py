@@ -1,6 +1,7 @@
 """Special functions and the 1-D solver: stability, calculus properties, solver contracts."""
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -175,6 +176,15 @@ class TestX2LangevinPrime:
     def test_domain_errors(self, bad):
         with pytest.raises(ValueError):
             x2_langevin_prime(bad)
+
+
+@pytest.mark.parametrize("x", [2.0 ** 1022, 2.0 ** 1023, 1e308, sys.float_info.max])
+def test_finite_up_to_the_largest_double(x):
+    # 2x overflows from 2^1023 on, and no term needs it
+    ref = 1.0 - math.log(2.0) - math.log(x)
+    assert legendre_term(x) == pytest.approx(ref, rel=1e-15, abs=0.0)
+    assert x2_langevin_prime(x) == 1.0 and langevin(x) == 1.0
+    assert math.isfinite(log_sinh_over_x(x))
 
 
 class TestInvertMonotone:
