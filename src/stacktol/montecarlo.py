@@ -1,10 +1,13 @@
 """Seeded Monte Carlo estimates for the uniform-sum output distribution.
 
-Sampling is organized in fixed-size chunks with one independent RNG
-substream per (contributor, chunk) pair, derived from the configured
-seed.  Chunk boundaries do not depend on the worker count, so serial and
-parallel runs produce bit-identical samples, and therefore bit-identical
-quantiles and probabilities.
+Sampling fills one float64 buffer of ``draws`` values, organized in
+fixed-size chunks with one independent RNG substream per (contributor,
+chunk) pair, derived from the configured seed.  Chunk boundaries do not
+depend on the worker count, so serial and parallel runs produce
+bit-identical samples, and therefore bit-identical quantiles and
+probabilities.  ``mc_quantile`` and ``mc_prob`` take |Y| in that buffer in
+place, and the quantile selects only the tail order statistics it
+interpolates between: the draws below the lowest of them are never sorted.
 
 numpy is needed only here and in ``study``; it is imported on first use,
 so the analytic path never loads it.
@@ -57,15 +60,17 @@ class McEstimate(NamedTuple):
     stderr: float
 
 
-def _chunk_sum(chain: StackChain, seed: int, chunk_index: int, size: int) -> np.ndarray:
+def _fill_chunk(chain: StackChain, seed: int, chunk_index: int, out: np.ndarray) -> None:
+    """Write one chunk of Y into ``out``: the first contributor, then each next one added."""
     import numpy as np
 
-    y = np.zeros(size)
     for i, w in enumerate(chain.weighted_bounds):
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(i, chunk_index))
-        rng = np.random.Generator(np.random.PCG64(ss))
-        y += rng.uniform(-w, w, size)
-    return y
+        u = np.random.Generator(np.random.PCG64(ss)).uniform(-w, w, out.size)
+        if i == 0:
+            out[:] = u
+        else:
+            out += u
 
 
 def sample_output(chain: StackChain, cfg: McConfig, workers: int = 1) -> np.ndarray:
@@ -75,19 +80,45 @@ def sample_output(chain: StackChain, cfg: McConfig, workers: int = 1) -> np.ndar
     """
     import numpy as np
 
-    sizes = [
-        min(_CHUNK, cfg.draws - start) for start in range(0, cfg.draws, _CHUNK)
-    ]
-    if workers <= 1 or len(sizes) == 1:
-        parts = [_chunk_sum(chain, cfg.seed, k, m) for k, m in enumerate(sizes)]
+    y = np.empty(cfg.draws)
+    chunks = list(enumerate(y[start:start + _CHUNK] for start in range(0, cfg.draws, _CHUNK)))
+    if workers <= 1 or len(chunks) == 1:
+        for k, out in chunks:
+            _fill_chunk(chain, cfg.seed, k, out)
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(lambda km: _chunk_sum(chain, cfg.seed, km[0], km[1]), enumerate(sizes))
-            )
-    return np.concatenate(parts)
+            list(pool.map(lambda ko: _fill_chunk(chain, cfg.seed, *ko), chunks))
+    return y
+
+
+def _quantiles(y: np.ndarray, qs: tuple[float, ...]) -> list[float]:
+    """``np.quantile(y, qs, method="linear")`` bit for bit, for qs in [0, 1]; reorders ``y``.
+
+    Each q reads the order statistics at k = floor((n-1) q) and at k + 1
+    clipped to n - 1.  One selection at the lowest such k puts every larger
+    order statistic in the tail above it, and one selection over that tail
+    places the rest, so the draws below it are passed over once.  The values
+    interpolate with numpy's rule: a + (b-a) g, or b - (b-a) (1-g) where
+    g >= 0.5.
+    """
+    n = len(y)
+    picks = []
+    for q in qs:
+        v = (n - 1) * q
+        k = math.floor(v)
+        picks.append((v, k, min(k + 1, n - 1)))
+    ks = sorted({i for _, k, k1 in picks for i in (k, k1)})
+    y.partition(ks[0])
+    if len(ks) > 1:
+        y[ks[0]:].partition([k - ks[0] for k in ks[1:]])
+    out = []
+    for v, k, k1 in picks:
+        a, b, g = float(y[k]), float(y[k1]), v - k
+        d = b - a
+        out.append(b - d * (1.0 - g) if g >= 0.5 else a + d * g)
+    return out
 
 
 def mc_quantile(chain: StackChain, rho: float, cfg: McConfig, workers: int = 1) -> McEstimate:
@@ -102,12 +133,14 @@ def mc_quantile(chain: StackChain, rho: float, cfg: McConfig, workers: int = 1) 
     import numpy as np
 
     r = _check_rho(rho)
-    y = np.abs(sample_output(chain, cfg, workers=workers))
+    y = sample_output(chain, cfg, workers=workers)
+    np.abs(y, out=y)
     delta = min(r, 1.0 - r) / 2.0
-    # one partition serves all three order statistics
-    lo, q, hi = np.quantile(y, [1.0 - r - delta, 1.0 - r, 1.0 - r + delta], method="linear")
-    stderr = math.sqrt(r * (1.0 - r) / cfg.draws) * float(hi - lo) / (2.0 * delta)
-    return McEstimate(value=float(q), stderr=stderr)
+    # the three quantiles lie in the top 1.5 r of the draws ((1 + r) / 2
+    # where r > 1/2), the only part that is selected twice
+    lo, q, hi = _quantiles(y, (1.0 - r - delta, 1.0 - r, 1.0 - r + delta))
+    stderr = math.sqrt(r * (1.0 - r) / cfg.draws) * (hi - lo) / (2.0 * delta)
+    return McEstimate(value=q, stderr=stderr)
 
 
 def mc_prob(chain: StackChain, t: float, cfg: McConfig) -> McEstimate:
@@ -115,7 +148,8 @@ def mc_prob(chain: StackChain, t: float, cfg: McConfig) -> McEstimate:
     import numpy as np
 
     t = _check_t(t)
-    y = np.abs(sample_output(chain, cfg))
+    y = sample_output(chain, cfg)
+    np.abs(y, out=y)
     p = float(np.mean(y >= t))
     stderr = math.sqrt(p * (1.0 - p) / cfg.draws)
     return McEstimate(value=p, stderr=stderr)

@@ -6,28 +6,39 @@ curvature 0.5 and 1/6 at each of its rho, and ``chernov_prob`` at half
 and 99 % of the worst case.  ``ANALYZE_SHA`` pins every field of all
 eight ``analyze_all`` results at each (chain, rho) by the first 16 hex
 digits of a sha256 over their ``float.hex``, on those chains and on two
-``CATALOGUE`` chains that repeat bounds with mixed multiplicities.  A refactor of the solver
+``CATALOGUE`` chains that repeat bounds with mixed multiplicities.  ``SAMPLE_SHA`` pins
+the bytes of one seeded ``sample_output`` at ``MC_DRAWS`` draws, not a multiple of the
+chunk length, at one and two workers, and ``MC_QUANTILE_BITS`` the value and stderr of
+``mc_quantile`` on the same draws.  A refactor of the solver or of the sampler
 must leave them all unchanged.  A change that moves them on purpose regenerates them with
 ``PYTHONPATH=src python tests/test_bits.py`` and says so in CHANGES.md.
 
 ``PYTHONPATH=src python tests/test_bits.py --dump FILE`` writes a broader record for a
 before-and-after comparison of two trees with ``cmp``: the ``float.hex`` of every
 ``analyze_all`` field, of ``quadratic_t`` at curvature 1/6 and of ``chernov_prob`` at
-``DUMP_FRACTIONS`` of the worst case, on ``dump_chains()`` at each of ``DUMP_RHOS``.
+``DUMP_FRACTIONS`` of the worst case, on ``dump_chains()`` at each of ``DUMP_RHOS``; then the
+``float.hex`` of ``mc_quantile`` (value and stderr) at each of ``MC_DUMP_RHOS`` and of
+``mc_prob`` at ``MC_DUMP_FRACTIONS`` of the worst case, on ``MC_DUMP_CHAINS`` at each of
+``MC_DUMP_SEEDS`` and ``MC_DUMP_DRAWS``.
 """
 
 import argparse
 import hashlib
 import random
+import warnings
 
 import pytest
 
 from stacktol import (
-    StackChain, analyze_all, chernov_prob, chernov_t, lipschitz_t, quadratic_t, t_wc,
+    McConfig, StackChain, analyze_all, chernov_prob, chernov_t, lipschitz_t, mc_prob,
+    mc_quantile, quadratic_t, sample_output, t_wc,
 )
 from test_lambda_root import CATALOGUE, CHAINS, RHOS, catalogue_chains, ulp_balanced_chains
 
 PROB_FRACTIONS = (0.5, 0.99)
+MC_CHAIN = "case"
+MC_DRAWS = 123_457
+MC_SEED = 99
 
 
 def _t_bits(name, rho):
@@ -49,6 +60,18 @@ def _analyze_sha(name, rho):
         line = " ".join([r.method.value, *("None" if x is None else x.hex() for x in fields)])
         h.update((line + "\n").encode())
     return h.hexdigest()[:16]
+
+
+def _sample_sha(workers):
+    y = sample_output(StackChain.from_bounds(CHAINS[MC_CHAIN]),
+                      McConfig(draws=MC_DRAWS, seed=MC_SEED), workers=workers)
+    return hashlib.sha256(y.tobytes()).hexdigest()
+
+
+def _mc_quantile_bits(rho):
+    est = mc_quantile(StackChain.from_bounds(CHAINS[MC_CHAIN]), rho,
+                      McConfig(draws=MC_DRAWS, seed=MC_SEED))
+    return est.value.hex(), est.stderr.hex()
 
 
 # (chernov, lipschitz, quadratic c = 0.5, quadratic c = 1/6)
@@ -172,6 +195,18 @@ ANALYZE_SHA = {
     ('catalogue_long', 1e-300): 'cc8839fe9a827755',
 }
 
+# sample_output(CHAINS[MC_CHAIN], McConfig(draws=MC_DRAWS, seed=MC_SEED)), by workers
+SAMPLE_SHA = {
+    1: '2b6a336c12c32eb26eabf0ca0394667532cdff1ee016170b68cb89d9b9f428b6',
+    2: '2b6a336c12c32eb26eabf0ca0394667532cdff1ee016170b68cb89d9b9f428b6',
+}
+
+# (value, stderr) of mc_quantile on the same draws, by rho
+MC_QUANTILE_BITS = {
+    0.5: ('0x1.0bcb6e266b7d5p-1', '0x1.bce0363d72a2cp-10'),
+    1e-12: ('0x1.2bf35b475dd48p+1', '0x1.437adce642b53p-16'),
+}
+
 
 @pytest.mark.parametrize("name,rho", list(T_BITS))
 def test_t_bits(name, rho):
@@ -188,8 +223,23 @@ def test_analyze_sha(name, rho):
     assert _analyze_sha(name, rho) == ANALYZE_SHA[name, rho]
 
 
+@pytest.mark.parametrize("workers", list(SAMPLE_SHA))
+def test_sample_sha(workers):
+    assert _sample_sha(workers) == SAMPLE_SHA[workers]
+
+
+@pytest.mark.parametrize("rho", list(MC_QUANTILE_BITS))
+def test_mc_quantile_bits(rho):
+    assert _mc_quantile_bits(rho) == MC_QUANTILE_BITS[rho]
+
+
 DUMP_RHOS = (0.9, *RHOS, 5e-324)
 DUMP_FRACTIONS = (0.1, 0.5, 0.9, 0.99, 1.0 - 1e-12)
+MC_DUMP_CHAINS = ("single", "pair", "table", "case", "tiny", "huge", "near", "decimal")
+MC_DUMP_RHOS = (0.9, 0.5, 0.3, 0.1, 0.05, 0.0027, 1e-4, 1e-6, 1e-9, 1e-12)
+MC_DUMP_FRACTIONS = (0.25, 0.5, 0.9)
+MC_DUMP_SEEDS = (1, 99, 2**64 - 1)
+MC_DUMP_DRAWS = (1000, 12_345, 50_000, 200_000)
 
 
 def dump_chains():
@@ -228,6 +278,21 @@ def dump(path):
             for f in DUMP_FRACTIONS:
                 out.write(f"{label} prob {f!r} "
                           f"{_hex_or_error(lambda: chernov_prob(chain, f * t_wc(chain)))}\n")
+        for name in MC_DUMP_CHAINS:
+            chain = StackChain.from_bounds(CHAINS[name])
+            for seed in MC_DUMP_SEEDS:
+                for draws in MC_DUMP_DRAWS:
+                    with warnings.catch_warnings():  # the low-draws warning
+                        warnings.simplefilter("ignore")
+                        cfg = McConfig(draws=draws, seed=seed)
+                    for rho in MC_DUMP_RHOS:
+                        est = mc_quantile(chain, rho, cfg)
+                        out.write(f"{name} mc {seed} {draws} {rho!r} "
+                                  f"{est.value.hex()} {est.stderr.hex()}\n")
+                    for f in MC_DUMP_FRACTIONS:
+                        est = mc_prob(chain, f * t_wc(chain), cfg)
+                        out.write(f"{name} mc {seed} {draws} prob {f!r} "
+                                  f"{est.value.hex()} {est.stderr.hex()}\n")
 
 
 if __name__ == "__main__":
@@ -247,4 +312,10 @@ if __name__ == "__main__":
     for name in [*CHAINS, *CATALOGUE]:
         for rho in RHOS:
             print(f"    ({name!r}, {rho!r}): {_analyze_sha(name, rho)!r},")
+    print("}\n\nSAMPLE_SHA = {")
+    for workers in (1, 2):
+        print(f"    {workers}: {_sample_sha(workers)!r},")
+    print("}\n\nMC_QUANTILE_BITS = {")
+    for rho in (0.5, 1e-12):
+        print(f"    {rho!r}: {_mc_quantile_bits(rho)!r},")
     print("}")

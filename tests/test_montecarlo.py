@@ -13,6 +13,7 @@ from stacktol import (
     sample_output,
     t_rss,
 )
+from stacktol.montecarlo import _quantiles
 
 CFG = McConfig(draws=200_000, seed=99)
 
@@ -100,6 +101,23 @@ class TestQuantile:
         assert mc_quantile(chain, 0.01, CFG) == mc_quantile(chain, 0.01, CFG)
         assert mc_quantile(chain, 0.01, CFG) == mc_quantile(chain, 0.01, CFG, workers=3)
 
+    def test_caller_sees_nothing_changed(self):
+        # mc_quantile and mc_prob reorder their own sample buffer in place:
+        # repeated calls, a third worker count and the caller's own sample
+        # must not see it
+        chain = StackChain.from_bounds((1.5, 1.0, 0.25))
+        cfg = McConfig(draws=123_457, seed=5)
+        sample = sample_output(chain, cfg)
+        kept = sample.copy()
+        first = mc_quantile(chain, 0.0027, cfg)
+        assert mc_quantile(chain, 0.0027, cfg) == first
+        assert mc_quantile(chain, 0.0027, cfg, workers=3) == first
+        assert mc_prob(chain, first.value, cfg) == mc_prob(chain, first.value, cfg)
+        assert (sample == kept).all()
+        assert (sample_output(chain, cfg) == kept).all()
+        assert chain == StackChain.from_bounds((1.5, 1.0, 0.25))
+        assert cfg == McConfig(draws=123_457, seed=5)
+
     def test_seeded_values_pinned(self):
         # literal outputs of one seeded run; any change to sampling or to
         # the quantile arithmetic shows here
@@ -107,6 +125,63 @@ class TestQuantile:
         est = mc_quantile(chain, 0.0027, CFG)
         assert est == (3.0970069635119613, 0.005800480558404893)
         assert mc_prob(chain, 3.0, CFG) == (0.005125, 0.0001596673788693232)
+
+
+QUANTILE_RHOS = (0.9, 0.5, 0.3, 0.05, 0.0027, 1e-6, 1e-12)
+
+
+def _three_quantiles(rho):
+    # the probabilities mc_quantile asks for
+    delta = min(rho, 1.0 - rho) / 2.0
+    return (1.0 - rho - delta, 1.0 - rho, 1.0 - rho + delta)
+
+
+def _oracle_hex(y, qs):
+    return [float(x).hex() for x in np.quantile(y, qs, method="linear")]
+
+
+def _quantiles_hex(y, qs):
+    return [x.hex() for x in _quantiles(y.copy(), qs)]
+
+
+class TestTailQuantiles:
+    """``_quantiles`` against ``np.quantile(method="linear")``, compared by float.hex."""
+
+    @pytest.fixture(params=[1000, 1001, 12_345, 200_000])
+    def samples(self, request):
+        draws = request.param
+        rng = np.random.default_rng(draws)
+        y = np.abs(rng.uniform(-1.0, 1.0, (3, draws)).sum(axis=0))
+        # neighbours far apart, where a + (b-a) g and b - (b-a) (1-g) round apart
+        spread = np.exp(rng.uniform(-30.0, 30.0, draws))
+        return {"sample": y, "ties": np.round(y, 3), "constant": np.full(draws, 0.7),
+                "spread": spread}
+
+    @pytest.mark.parametrize("rho", QUANTILE_RHOS)
+    def test_bit_identical(self, samples, rho):
+        for y in samples.values():
+            qs = _three_quantiles(rho)
+            assert _quantiles_hex(y, qs) == _oracle_hex(y, qs)
+
+    def test_clip_to_the_last_order_statistic(self, samples):
+        # (n-1) q >= n-1 (only q = 1 gets there) reads the largest draw on
+        # both sides; the double below 1 interpolates up to it
+        for y in samples.values():
+            qs = (1.0, math.nextafter(1.0, 0.0), 1.0 - 1e-12, 0.0)
+            assert (len(y) - 1) * qs[0] >= len(y) - 1 > (len(y) - 1) * qs[1]
+            assert _quantiles_hex(y, qs) == _oracle_hex(y, qs)
+            assert _quantiles(y.copy(), qs)[0] == y.max()
+
+    def test_bit_identical_on_a_grid(self, samples):
+        qs = tuple(float(q) for q in np.linspace(0.0, 1.0, 1001))
+        for y in samples.values():
+            assert _quantiles_hex(y, qs) == _oracle_hex(y, qs)
+
+    def test_reorders_only(self, samples):
+        y = samples["sample"]
+        z = y.copy()
+        _quantiles(z, _three_quantiles(0.0027))
+        assert (np.sort(z) == np.sort(y)).all()
 
 
 class TestProb:
