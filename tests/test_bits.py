@@ -39,6 +39,8 @@ PROB_FRACTIONS = (0.5, 0.99)
 MC_CHAIN = "case"
 MC_DRAWS = 123_457
 MC_SEED = 99
+MC_WORKERS = (1, 2)
+MC_RHOS = (0.5, 1e-12)
 
 
 def _t_bits(name, rho):
@@ -313,9 +315,9 @@ if __name__ == "__main__":
         for rho in RHOS:
             print(f"    ({name!r}, {rho!r}): {_analyze_sha(name, rho)!r},")
     print("}\n\nSAMPLE_SHA = {")
-    for workers in (1, 2):
+    for workers in MC_WORKERS:
         print(f"    {workers}: {_sample_sha(workers)!r},")
     print("}\n\nMC_QUANTILE_BITS = {")
-    for rho in (0.5, 1e-12):
+    for rho in MC_RHOS:
         print(f"    {rho!r}: {_mc_quantile_bits(rho)!r},")
     print("}")

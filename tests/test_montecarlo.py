@@ -103,8 +103,8 @@ class TestQuantile:
 
     def test_caller_sees_nothing_changed(self):
         # mc_quantile and mc_prob reorder their own sample buffer in place:
-        # repeated calls, a third worker count and the caller's own sample
-        # must not see it
+        # a repeated call, a call at three workers and the caller's own
+        # sample must not see it
         chain = StackChain.from_bounds((1.5, 1.0, 0.25))
         cfg = McConfig(draws=123_457, seed=5)
         sample = sample_output(chain, cfg)
