@@ -34,12 +34,11 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
-from .chain import StackChain, _d_factor, _jensen_gap, _total_and_mean, t_rss, t_wc
+from .chain import StackChain, _jensen_gap, t_rss, t_wc
 from .numerics import _langevin_sums, _legendre_sums, invert_monotone
 
 __all__ = [
@@ -122,13 +121,13 @@ def _result(
 ) -> ToleranceResult:
     # t and T_RSS scaled by one power of two, exactly, so that l_rho * T_RSS
     # neither underflows on subnormal chains nor overflows near the largest double
-    rss_s, e = math.frexp(t_rss(chain))
+    rss_s, e = math.frexp(chain._sums.rss)
     t_s = math.ldexp(t, -e)
     f = t_s / (gaussian_l(rho) * rss_s) if rho is not None else None
     return ToleranceResult(
         method=method,
         t=t,
-        t_clamped=min(t, t_wc(chain)),
+        t_clamped=min(t, chain._sums.wc),
         f=f,
         coverage=t_s / rss_s,
         rho=rho,
@@ -147,14 +146,14 @@ def hoeffding_t(chain: StackChain, rho: float) -> ToleranceResult:
     """
     r = _check_rho(rho)
     l_rho = gaussian_l(r)
-    rss_s, e = math.frexp(t_rss(chain))
+    rss_s, e = math.frexp(chain._sums.rss)
     # scaled back by 2^e in two halves: the first is exact, the second rounds
     # once or gives inf, where math.ldexp and 2.0 ** 1024 raise OverflowError
     t = 3.0 * (l_rho * rss_s) * 2.0 ** (e // 2) * 2.0 ** (e - e // 2)
     return ToleranceResult(
         method=Method.HOEFFDING,
         t=t,
-        t_clamped=min(t, t_wc(chain)),
+        t_clamped=min(t, chain._sums.wc),
         f=3.0,
         coverage=3.0 * l_rho,
         rho=r,
@@ -194,21 +193,16 @@ class _Member(NamedTuple):
 
 def _member(chain: StackChain, method: Method, curvature: float = 0.5) -> _Member:
     """The Chernoff-family member ``method`` on ``chain``: its ((v, c) groups, a, b, limit)."""
-    w = chain.weighted_bounds
-    n = len(w)
-    wc, wbar = _total_and_mean(w)
-    u = [wi / wbar for wi in w]
-    # equal bounds in one group, in first-occurrence order; fsum is exact, so order is moot
-    groups, a, b, limit = tuple(Counter(u).items()), 0.0, 0.0, wc
+    s, n = chain._sums, len(chain)
+    groups, curv, a, b, limit = s.groups, s.curv, 0.0, 0.0, s.wc
     if method is Method.LIPSCHITZ:
         # a linear price cancels from the gap, so t(inf) is finite
-        a = math.fsum(abs(ui - 1.0) for ui in u)
-        groups, limit = ((1.0, n),), wc + wbar * a
+        groups, curv, a, limit = ((1.0, n),), n / 3.0, s.abs_dev, s.wc + s.wbar * s.abs_dev
     elif method is Method.QUADRATIC:
         if not 1.0 / 6.0 <= curvature < math.inf:  # NaN fails this too
             raise ValueError(f"curvature must be finite and >= 1/6, got {curvature}")
-        groups, b = ((1.0, n),), curvature * math.fsum((ui - 1.0) * (ui - 1.0) for ui in u)
-        limit = math.inf if b else wc
+        groups, curv, b = ((1.0, n),), n / 3.0, curvature * s.sq_dev
+        limit = math.inf if b else s.wc
 
     def gap(lam: float) -> tuple[float, float]:
         # b lam^2, formed as b lam lam where lam^2 alone overflows: 0 at b = 0, never NaN
@@ -217,11 +211,11 @@ def _member(chain: StackChain, method: Method, curvature: float = 0.5) -> _Membe
         return m - penalty, -q - 2.0 * penalty
 
     return _Member(
-        wbar,
+        s.wbar,
         lambda lam: _langevin_sums(lam, groups)[0] + a + 2.0 * b * lam,
         gap,
         lambda lam: _langevin_sums(lam, groups)[1],
-        math.fsum(c * (v * v) for v, c in groups) / 3.0 + 2.0 * b,
+        curv + 2.0 * b,
         limit,
         b,
     )
@@ -377,7 +371,7 @@ def airbus_t(chain: StackChain) -> ToleranceResult:
     D is the dominance factor from the balance report.  The constants
     embed the rule's own quantile calibration, so no rho is attached.
     """
-    t = 1.6 * (-0.56 * _d_factor(chain.weighted_bounds) + 1.04) * t_rss(chain)
+    t = 1.6 * (-0.56 * chain._sums.d + 1.04) * chain._sums.rss
     return _result(Method.AIRBUS, chain, t, None)
 
 
@@ -416,4 +410,4 @@ def analyze_all(chain: StackChain, rho: float) -> list[ToleranceResult]:
     AIRBUS.  WC, RSS and AIRBUS do not consume rho and report f = None.
     """
     r = _check_rho(rho)
-    return [tolerance(chain, m, r) for m in Method]
+    return [solve(chain, r) for solve in _SOLVERS.values()]

@@ -7,7 +7,12 @@ A stack chain is the linearized model of an assembly characteristic
 where T_i is the half-width tolerance of contributor i and a_i its
 influence coefficient.  Everything downstream only ever needs the
 weighted bounds w_i = |a_i| * T_i, so those are precomputed once and the
-chain object is immutable.
+chain object is immutable.  So are the sums every method reads, formed
+once when the chain is built: the worst case wc = sum w_i, the mean bound
+wbar, T_RSS, the bounds scaled to mean 1 (u_i = w_i / wbar) grouped by
+value, sum u_i^2, sum |u_i - 1|, sum (u_i - 1)^2 and the dominance D.
+A contributor whose weighted bound is 0.0, from a zero influence or from
+a product |a_i| * T_i that underflows, is dropped at build time.
 
 Balance diagnostics quantify how far the chain is from the equal-
 contributor ideal; perfectly balanced chains have s1 = 0 and d_factor = 0,
@@ -17,8 +22,9 @@ and every relaxed bound collapses to the exact Chernoff one there.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .numerics import h_stable
 
@@ -60,24 +66,61 @@ class Contributor:
         return abs(self.influence) * self.half_width
 
 
+class _Sums(NamedTuple):
+    """The sums of a chain's bounds w_i that every method reads, u_i = w_i / wbar."""
+
+    wc: float  # sum w_i, inf past the largest double
+    wbar: float  # the mean bound, always finite
+    rss: float  # T_RSS
+    groups: tuple[tuple[float, int], ...]  # the u_i as (value, count), in first-occurrence order
+    curv: float  # sum u_i^2 / 3
+    abs_dev: float  # sum |u_i - 1|
+    sq_dev: float  # sum (u_i - 1)^2
+    d: float  # D = (max w_i - wbar) / wc, with n wbar standing in for wc where it overflows
+
+
 @dataclass(frozen=True)
 class StackChain:
     """Immutable chain of contributors with nonzero weighted bounds.
 
-    Contributors whose influence is exactly zero are dropped at build time:
-    they cannot move the output and would only poison the log-based bounds
-    with w_i = 0 terms.
+    Contributors whose weighted bound is 0.0, from a zero influence or an
+    underflowed product, are dropped at build time: they cannot move the
+    output and would only poison the log-based bounds with w_i = 0 terms.
+    The sums of the kept bounds that the methods read (wc, wbar, T_RSS,
+    the scaled bounds' groups, their dispersion sums and D) are formed
+    then too, once, in a private field outside equality, hash and repr.
     """
 
     contributors: tuple[Contributor, ...]
     weighted_bounds: tuple[float, ...] = field(init=False)
+    _sums: _Sums = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        kept = tuple(c for c in self.contributors if c.influence != 0.0)
+        kept = tuple(c for c in self.contributors if c.weighted_bound != 0.0)
         if not kept:
-            raise ValueError("chain needs at least one contributor with nonzero influence")
+            raise ValueError(
+                "chain needs a contributor whose weighted bound |influence| * half_width is nonzero"
+            )
+        w = tuple(c.weighted_bound for c in kept)
+        n = len(w)
+        try:
+            wc = math.fsum(w)
+            wbar = wc / n
+        except OverflowError:  # sum the bounds scaled by 2^-e <= 1/n, which is exact
+            e = n.bit_length()
+            wc, wbar = math.inf, math.ldexp(math.fsum(math.ldexp(wi, -e) for wi in w) / n, e)
+        u = [wi / wbar for wi in w]
+        groups = tuple(Counter(u).items())  # fsum is exact, so the groups' order is moot
+        spread = max(w) - wbar
         object.__setattr__(self, "contributors", kept)
-        object.__setattr__(self, "weighted_bounds", tuple(c.weighted_bound for c in kept))
+        object.__setattr__(self, "weighted_bounds", w)
+        object.__setattr__(self, "_sums", _Sums(
+            wc, wbar, math.hypot(*w), groups,
+            math.fsum(c * (v * v) for v, c in groups) / 3.0,
+            math.fsum(abs(ui - 1.0) for ui in u),
+            math.fsum((ui - 1.0) * (ui - 1.0) for ui in u),
+            spread / wc if wc < math.inf else spread / wbar / n,
+        ))
 
     @classmethod
     def from_bounds(cls, bounds: Iterable[float]) -> "StackChain":
@@ -96,31 +139,14 @@ def build_chain(contributors: Sequence[Contributor] | Iterable[Contributor]) -> 
     return StackChain(tuple(contributors))
 
 
-def _total_and_mean(w: Sequence[float]) -> tuple[float, float]:
-    """fsum(w), inf past the largest double, and the mean bound, always finite."""
-    try:
-        total = math.fsum(w)
-        return total, total / len(w)
-    except OverflowError:  # sum the bounds scaled by 2^-e <= 1/n, which is exact
-        e = len(w).bit_length()
-        return math.inf, math.ldexp(math.fsum(math.ldexp(wi, -e) for wi in w) / len(w), e)
-
-
-def _d_factor(w: Sequence[float]) -> float:
-    """(max w_i - wbar) / sum w_i, with n wbar standing in for the sum where it overflows."""
-    total, mean = _total_and_mean(w)
-    spread = max(w) - mean
-    return spread / total if total < math.inf else spread / mean / len(w)
-
-
 def t_wc(chain: StackChain) -> float:
     """Worst case stack: sum of weighted bounds. Never exceeded; inf past the double range."""
-    return _total_and_mean(chain.weighted_bounds)[0]
+    return chain._sums.wc
 
 
 def t_rss(chain: StackChain) -> float:
     """Root sum of squares of the weighted bounds, free of over- and underflow."""
-    return math.hypot(*chain.weighted_bounds)
+    return chain._sums.rss
 
 
 def _h_scaled(lam: float, w: float) -> float:
@@ -144,8 +170,7 @@ def _jensen_gap(chain: StackChain, lam: float) -> float:
     Mean of a convex function >= function of the mean; the few-ulp
     negatives on near-equal chains are clipped so callers can rely on >= 0.
     """
-    w = chain.weighted_bounds
-    wbar = _total_and_mean(w)[1]
+    w, wbar = chain.weighted_bounds, chain._sums.wbar
     gap = math.fsum(_h_scaled(lam, wi) for wi in w) - len(w) * _h_scaled(lam, wbar)
     return gap if gap > 0.0 else 0.0
 
@@ -171,8 +196,7 @@ class BalanceReport:
 
 def balance_report(chain: StackChain) -> BalanceReport:
     """Dispersion and dominance diagnostics of the weighted bounds."""
-    w = chain.weighted_bounds
-    mean = _total_and_mean(w)[1]
+    w, mean = chain.weighted_bounds, chain._sums.wbar
     # d * d goes to inf where d ** 2 would raise OverflowError
     variance = math.fsum((wi - mean) * (wi - mean) for wi in w) / len(w)
     abs_dev_sum = math.fsum(abs(wi - mean) for wi in w)
@@ -181,5 +205,5 @@ def balance_report(chain: StackChain) -> BalanceReport:
         variance=variance,
         abs_dev_sum=abs_dev_sum,
         s1=_jensen_gap(chain, 1.0),
-        d_factor=_d_factor(w),
+        d_factor=chain._sums.d,
     )

@@ -58,11 +58,12 @@ def _rho_grid(rho_min: float, rho_max: float, points: int, linear: bool) -> list
         raise ValueError(f"need rho_min < rho_max, got {rho_min} >= {rho_max}")
     if points < 2:
         raise ValueError(f"need at least 2 points, got {points}")
+    # the last point is rho_max itself: computed, it can round past it
     if linear:
         step = (rho_max - rho_min) / (points - 1)
-        return [rho_min + k * step for k in range(points)]
+        return [*(rho_min + k * step for k in range(points - 1)), rho_max]
     ratio = rho_max / rho_min
-    return [rho_min * ratio ** (k / (points - 1)) for k in range(points)]
+    return [*(rho_min * ratio ** (k / (points - 1)) for k in range(points - 1)), rho_max]
 
 
 def cmd_sweep(args: argparse.Namespace) -> None:

@@ -122,9 +122,13 @@ def _json_number(obj: dict, key: str, where: str, required: bool) -> float | Non
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ChainFileError(f"{where}: field {key!r} must be a number, got {value!r}")
-    if not math.isfinite(float(value)):
+    try:
+        number = float(value)
+    except OverflowError:  # an integer past the largest double
+        number = math.inf
+    if not math.isfinite(number):
         raise ChainFileError(f"{where}: field {key!r} must be finite, got {value!r}")
-    return float(value)
+    return number
 
 
 def _read_chain_json(path: Path) -> StackChain:

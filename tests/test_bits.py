@@ -6,7 +6,9 @@ curvature 0.5 and 1/6 at each of its rho, and ``chernov_prob`` at half
 and 99 % of the worst case.  ``ANALYZE_SHA`` pins every field of all
 eight ``analyze_all`` results at each (chain, rho) by the first 16 hex
 digits of a sha256 over their ``float.hex``, on those chains and on two
-``CATALOGUE`` chains that repeat bounds with mixed multiplicities.  ``SAMPLE_SHA`` pins
+``CATALOGUE`` chains that repeat bounds with mixed multiplicities.  ``BALANCE_SHA`` pins
+``t_wc``, ``t_rss`` and every ``balance_report`` field on each of those chains the same
+way.  ``SAMPLE_SHA`` pins
 the bytes of one seeded ``sample_output`` at ``MC_DRAWS`` draws, not a multiple of the
 chunk length, at one and two workers, and ``MC_QUANTILE_BITS`` the value and stderr of
 ``mc_quantile`` on the same draws.  A refactor of the solver or of the sampler
@@ -16,7 +18,10 @@ must leave them all unchanged.  A change that moves them on purpose regenerates 
 ``PYTHONPATH=src python tests/test_bits.py --dump FILE`` writes a broader record for a
 before-and-after comparison of two trees with ``cmp``: the ``float.hex`` of every
 ``analyze_all`` field, of ``quadratic_t`` at curvature 1/6 and of ``chernov_prob`` at
-``DUMP_FRACTIONS`` of the worst case, on ``dump_chains()`` at each of ``DUMP_RHOS``; then the
+``DUMP_FRACTIONS`` of the worst case, on ``dump_chains()`` at each of ``DUMP_RHOS``; with, on
+each of those chains, ``t_wc``, ``t_rss``, every ``balance_report`` field, ``s_lambda`` at
+each lam wbar of ``DUMP_LAMBDAS`` and ``phi``, ``psi`` and ``psi_tilde`` there at each of
+``PROB_FRACTIONS`` of the worst case; then the
 ``float.hex`` of ``mc_quantile`` (value and stderr) at each of ``MC_DUMP_RHOS`` and of
 ``mc_prob`` at ``MC_DUMP_FRACTIONS`` of the worst case, on ``MC_DUMP_CHAINS`` at each of
 ``MC_DUMP_SEEDS`` and ``MC_DUMP_DRAWS``.
@@ -30,8 +35,8 @@ import warnings
 import pytest
 
 from stacktol import (
-    McConfig, StackChain, analyze_all, chernov_prob, chernov_t, lipschitz_t, mc_prob,
-    mc_quantile, quadratic_t, sample_output, t_wc,
+    McConfig, StackChain, analyze_all, balance_report, chernov_prob, chernov_t, lipschitz_t,
+    mc_prob, mc_quantile, phi, psi, psi_tilde, quadratic_t, s_lambda, sample_output, t_rss, t_wc,
 )
 from test_lambda_root import CATALOGUE, CHAINS, RHOS, catalogue_chains, ulp_balanced_chains
 
@@ -62,6 +67,18 @@ def _analyze_sha(name, rho):
         line = " ".join([r.method.value, *("None" if x is None else x.hex() for x in fields)])
         h.update((line + "\n").encode())
     return h.hexdigest()[:16]
+
+
+def _balance_fields(chain):
+    rep = balance_report(chain)
+    return (t_wc(chain), t_rss(chain), rep.mean, rep.variance, rep.abs_dev_sum, rep.s1,
+            rep.d_factor)
+
+
+def _balance_sha(name):
+    chain = StackChain.from_bounds({**CHAINS, **CATALOGUE}[name])
+    line = " ".join(x.hex() for x in _balance_fields(chain))
+    return hashlib.sha256(line.encode()).hexdigest()[:16]
 
 
 def _sample_sha(workers):
@@ -197,6 +214,21 @@ ANALYZE_SHA = {
     ('catalogue_long', 1e-300): 'cc8839fe9a827755',
 }
 
+# t_wc, t_rss and every balance_report field, hashed
+BALANCE_SHA = {
+    'single': 'e6ff9f4822c19c93',
+    'pair': 'f643084bbe16292a',
+    'table': 'a73b79c4bc79e1fe',
+    'case': '4cf7d4b7b6803aec',
+    'long': '6fcb8ea2b81cdcdf',
+    'tiny': 'd05482481014fa0e',
+    'huge': '20dfca465f3194d8',
+    'near': '433da69bc60e312e',
+    'decimal': '0f6fdd1ebbbb9e6f',
+    'catalogue': 'e0adef2bc59ccaa2',
+    'catalogue_long': '0d121408cf31afda',
+}
+
 # sample_output(CHAINS[MC_CHAIN], McConfig(draws=MC_DRAWS, seed=MC_SEED)), by workers
 SAMPLE_SHA = {
     1: '2b6a336c12c32eb26eabf0ca0394667532cdff1ee016170b68cb89d9b9f428b6',
@@ -225,6 +257,11 @@ def test_analyze_sha(name, rho):
     assert _analyze_sha(name, rho) == ANALYZE_SHA[name, rho]
 
 
+@pytest.mark.parametrize("name", list(BALANCE_SHA))
+def test_balance_sha(name):
+    assert _balance_sha(name) == BALANCE_SHA[name]
+
+
 @pytest.mark.parametrize("workers", list(SAMPLE_SHA))
 def test_sample_sha(workers):
     assert _sample_sha(workers) == SAMPLE_SHA[workers]
@@ -237,6 +274,7 @@ def test_mc_quantile_bits(rho):
 
 DUMP_RHOS = (0.9, *RHOS, 5e-324)
 DUMP_FRACTIONS = (0.1, 0.5, 0.9, 0.99, 1.0 - 1e-12)
+DUMP_LAMBDAS = (0.01, 1.0, 100.0)
 MC_DUMP_CHAINS = ("single", "pair", "table", "case", "tiny", "huge", "near", "decimal")
 MC_DUMP_RHOS = (0.9, 0.5, 0.3, 0.1, 0.05, 0.0027, 1e-4, 1e-6, 1e-9, 1e-12)
 MC_DUMP_FRACTIONS = (0.25, 0.5, 0.9)
@@ -280,6 +318,15 @@ def dump(path):
             for f in DUMP_FRACTIONS:
                 out.write(f"{label} prob {f!r} "
                           f"{_hex_or_error(lambda: chernov_prob(chain, f * t_wc(chain)))}\n")
+            out.write(f"{label} balance {' '.join(map(_hex, _balance_fields(chain)))}\n")
+            wbar, wc = balance_report(chain).mean, t_wc(chain)
+            for x in DUMP_LAMBDAS:
+                lam = x / wbar
+                out.write(f"{label} s_lambda {x!r} {_hex_or_error(lambda: s_lambda(chain, lam))}\n")
+                for f in PROB_FRACTIONS:
+                    for fn in (phi, psi, psi_tilde):
+                        out.write(f"{label} {fn.__name__} {x!r} {f!r} "
+                                  f"{_hex_or_error(lambda: fn(chain, lam, f * wc))}\n")
         for name in MC_DUMP_CHAINS:
             chain = StackChain.from_bounds(CHAINS[name])
             for seed in MC_DUMP_SEEDS:
@@ -314,6 +361,9 @@ if __name__ == "__main__":
     for name in [*CHAINS, *CATALOGUE]:
         for rho in RHOS:
             print(f"    ({name!r}, {rho!r}): {_analyze_sha(name, rho)!r},")
+    print("}\n\nBALANCE_SHA = {")
+    for name in [*CHAINS, *CATALOGUE]:
+        print(f"    {name!r}: {_balance_sha(name)!r},")
     print("}\n\nSAMPLE_SHA = {")
     for workers in MC_WORKERS:
         print(f"    {workers}: {_sample_sha(workers)!r},")

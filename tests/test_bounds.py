@@ -28,6 +28,7 @@ from stacktol import (
     t_wc,
     tolerance,
 )
+import stacktol.cli
 from stacktol.bounds import _SOLVERS
 from conftest import TABLE_BOUNDS, random_bounds
 from oracles import exact_abs_tail, grid_bound_t
@@ -512,3 +513,23 @@ class TestAnalyzeAll:
     def test_rho_free_dispatch_ignores_rho(self, table_chain):
         assert tolerance(table_chain, Method.WC).t == 15.0
         assert tolerance(table_chain, Method.RSS, 0.05).rho is None
+
+    def test_chain_sums_are_formed_when_built(self, case_chain, capsys, monkeypatch):
+        # T_RSS is the one sum formed by math.hypot: once the chain is built, no
+        # method, balance report or sweep may form it again
+        monkeypatch.setattr(stacktol.cli, "read_chain", lambda path: case_chain)
+
+        def run():
+            stacktol.cli.main(["sweep", "chain.csv", "--rho-min", "1e-9", "--rho-max", "0.5",
+                               "--points", "4"])
+            return repr((analyze_all(case_chain, 0.0027), balance_report(case_chain),
+                         [tolerance(case_chain, m, 1e-6) for m in Method],
+                         capsys.readouterr()))
+
+        expected = run()
+
+        def fail(*args):
+            raise AssertionError("a sum of the chain was formed again")
+
+        monkeypatch.setattr(math, "hypot", fail)
+        assert run() == expected

@@ -56,6 +56,16 @@ class TestStackChain:
         with pytest.raises(ValueError):
             build_chain([Contributor("a", 2.0, 0.0)])
 
+    def test_underflowed_weighted_bound_dropped(self):
+        # |influence| * half_width rounds to 0.0: as inert as a zero influence
+        ch = build_chain([Contributor("a", 1e-200, 1e-200), Contributor("b", 1.0, 1.0)])
+        assert ch.weighted_bounds == (1.0,)
+        assert [c.name for c in ch.contributors] == ["b"]
+
+    def test_all_underflowed_rejected(self):
+        with pytest.raises(ValueError, match="weighted bound"):
+            build_chain([Contributor("a", 1e-200, 1e-200), Contributor("b", 1e-300, -1e-100)])
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             build_chain([])

@@ -152,8 +152,9 @@ class TestAnalyze:
         assert code == 2 and err != ""
 
     def test_unknown_method_exits_2(self, capsys, chain_csv):
-        code, _, err = _run(capsys, ["analyze", str(chain_csv), "--methods", "bogus"])
-        assert code == 2 and "bogus" in err
+        for spec, message in (("bogus", "bogus"), (",", "no methods selected")):
+            code, _, err = _run(capsys, ["analyze", str(chain_csv), "--methods", spec])
+            assert code == 2 and message in err
 
     def test_mc_method_rejected(self, capsys, chain_csv):
         code, _, err = _run(capsys, ["analyze", str(chain_csv), "--methods", "mc"])
@@ -166,6 +167,21 @@ class TestAnalyze:
         code, _, err = _run(capsys, ["analyze", str(p)])
         assert code == 2 and "bad.csv" in err
 
+
+    def test_underflowed_chain_exits_2(self, capsys, tmp_path):
+        # every weighted bound 1e-200 * 1e-200 rounds to 0.0
+        p = tmp_path / "under.csv"
+        p.write_text("name,tolerance,influence\na,1e-200,1e-200\n", encoding="utf-8")
+        for argv in (["analyze", str(p)], ["mc", str(p), "--rho", "0.05", "--seed", "1"]):
+            code, out, err = _run(capsys, argv)
+            assert code == 2 and out == "" and "weighted bound" in err
+
+    def test_huge_json_integer_exits_2(self, capsys, tmp_path):
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps({"contributors": [{"name": "a", "tolerance": 10**400}]}),
+                     encoding="utf-8")
+        code, out, err = _run(capsys, ["analyze", str(p)])
+        assert code == 2 and out == "" and "must be finite" in err
 
     def test_byte_order_mark_exits_0(self, capsys, chain_csv, tmp_path):
         bom = tmp_path / "bom.csv"
@@ -212,6 +228,17 @@ class TestSweep:
         assert code == 0
         rhos = [float(r["rho"]) for r in csv.DictReader(out.splitlines())]
         assert rhos == pytest.approx([0.01, 0.02, 0.03, 0.04, 0.05])
+
+    @pytest.mark.parametrize("rho_min, rho_max, spacing", [
+        ("0.3", "0.9999999999999999", ["--linear"]),  # computed, the last point is 1.0
+        ("0.01", "0.7", []),  # computed, the last point is 0.7000000000000001
+    ])
+    def test_grid_ends_at_rho_max(self, capsys, chain_csv, rho_min, rho_max, spacing):
+        code, out, err = _run(capsys, ["sweep", str(chain_csv), "--rho-min", rho_min,
+                                       "--rho-max", rho_max, "--points", "3", *spacing])
+        assert code == 0, err
+        rows = list(csv.DictReader(out.splitlines()))
+        assert rows[0]["rho"] == rho_min and rows[-1]["rho"] == rho_max
 
     def test_chernov_below_relaxations_pointwise(self, capsys, chain_csv):
         code, out, _ = _run(

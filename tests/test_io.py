@@ -70,11 +70,16 @@ class TestReadCsv:
         assert [c.name for c in read_chain(p).contributors] == ["z", "a", "m"]
 
     @pytest.mark.parametrize(
-        "cell", ["±1", "-1", "+1", "−1", "1-2", "abc", ""]
+        "cell", ["±1", "-1", "+1", "−1", "1-2", "abc", "", "inf", "nan", "1e400"]
     )
     def test_bad_tolerance_cells(self, tmp_path, cell):
         p = _write(tmp_path, "c.csv", f"name,tolerance\na,{cell}\n")
         with pytest.raises(ChainFileError):
+            read_chain(p)
+
+    def test_blank_name_names_location(self, tmp_path):
+        p = _write(tmp_path, "c.csv", "name,tolerance\ngood,1\n   ,2\n")
+        with pytest.raises(ChainFileError, match=r"c\.csv:3: field 'name'"):
             read_chain(p)
 
     def test_zero_tolerance_names_location(self, tmp_path):
@@ -162,6 +167,10 @@ class TestReadJson:
             {"tolerance": 1},
             {"name": "a", "tolerance": 1, "influence": "x"},
             "not an object",
+            {"name": "a", "tolerance": 10**400},  # an integer past the largest double
+            {"name": "a", "tolerance": math.inf},  # written as Infinity
+            {"name": "a", "tolerance": 1, "influence": math.nan},  # written as NaN
+            {"name": "a", "tolerance": 1, "influence": 0},  # no contributor left
         ],
     )
     def test_bad_contributors(self, tmp_path, item):
