@@ -137,6 +137,8 @@ def _read_chain_json(path: Path) -> StackChain:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ChainFileError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+        except ValueError as exc:  # an integer past the digit limit, or bytes not UTF-8
+            raise ChainFileError(f"{path}: {exc}") from None
     if not isinstance(doc, dict) or "contributors" not in doc:
         raise ChainFileError(f"{path}: top level must be an object with a 'contributors' list")
     items = doc["contributors"]

@@ -1,13 +1,14 @@
 """Seeded Monte Carlo estimates for the uniform-sum output distribution.
 
-Sampling fills one float64 buffer of ``draws`` values, organized in
-fixed-size chunks with one independent RNG substream per (contributor,
-chunk) pair, derived from the configured seed.  Chunk boundaries do not
-depend on the worker count, so serial and parallel runs produce
-bit-identical samples, and therefore bit-identical quantiles and
-probabilities.  ``mc_quantile`` and ``mc_prob`` take |Y| in that buffer in
-place, and the quantile selects only the tail order statistics it
-interpolates between: the draws below the lowest of them are never sorted.
+The draws come in fixed-size chunks with one independent RNG substream
+per (contributor, chunk) pair, derived from the configured seed.  Chunk
+boundaries do not depend on the worker count, so serial and parallel runs
+produce bit-identical samples, and therefore bit-identical quantiles and
+probabilities.  ``sample_output`` fills one float64 buffer of ``draws``
+values.  ``mc_quantile`` and ``mc_prob`` hold no such buffer: they take |Y|
+chunk by chunk.  ``mc_prob`` counts the hits in each chunk; ``mc_quantile``
+keeps only the draws from the lowest order statistic it reads upwards, in
+one buffer per worker, and selects among those.
 
 numpy is needed only here and in ``study``; it is imported on first use,
 so the analytic path never loads it.
@@ -73,6 +74,21 @@ def _fill_chunk(chain: StackChain, seed: int, chunk_index: int, out: np.ndarray)
             out += u
 
 
+def _map(fn, items, workers: int) -> list:
+    """``[fn(x) for x in items]``, on up to ``workers`` threads; loads the pool only to use it."""
+    if workers <= 1 or len(items) <= 1:
+        return [fn(x) for x in items]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
+        return list(pool.map(fn, items))
+
+
+def _chunks(draws: int) -> list[tuple[int, int]]:
+    """(index, length) of each chunk of a run of ``draws``."""
+    return [(k, min(_CHUNK, draws - start)) for k, start in enumerate(range(0, draws, _CHUNK))]
+
+
 def sample_output(chain: StackChain, cfg: McConfig, workers: int = 1) -> np.ndarray:
     """Draw cfg.draws outputs Y = sum_i U_i, U_i uniform on [-w_i, w_i].
 
@@ -81,41 +97,61 @@ def sample_output(chain: StackChain, cfg: McConfig, workers: int = 1) -> np.ndar
     import numpy as np
 
     y = np.empty(cfg.draws)
-    chunks = list(enumerate(y[start:start + _CHUNK] for start in range(0, cfg.draws, _CHUNK)))
-    if workers <= 1 or len(chunks) == 1:
-        for k, out in chunks:
-            _fill_chunk(chain, cfg.seed, k, out)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda ko: _fill_chunk(chain, cfg.seed, *ko), chunks))
+    slices = [y[start:start + _CHUNK] for start in range(0, cfg.draws, _CHUNK)]
+    _map(lambda k: _fill_chunk(chain, cfg.seed, k, slices[k]), range(len(slices)), workers)
     return y
 
 
-def _quantiles(y: np.ndarray, qs: tuple[float, ...]) -> list[float]:
-    """``np.quantile(y, qs, method="linear")`` bit for bit, for qs in [0, 1]; reorders ``y``.
+def _tail(chain: StackChain, seed: int, share: list[tuple[int, int]], keep: int) -> np.ndarray:
+    """The largest ``keep`` or more of |Y| over the chunks of ``share``, in no order.
 
-    Each q reads the order statistics at k = floor((n-1) q) and at k + 1
-    clipped to n - 1.  One selection at the lowest such k puts every larger
-    order statistic in the tail above it, and one selection over that tail
-    places the rest, so the draws below it are passed over once.  The values
-    interpolate with numpy's rule: a + (b-a) g, or b - (b-a) (1-g) where
-    g >= 0.5.
+    Each chunk is drawn after the values kept so far.  When the next one
+    would not fit, a selection moves the ``keep`` largest to the front and
+    the rest is overwritten.  With room for ``2 keep + _CHUNK`` values, at
+    least max(keep, _CHUNK) are drawn between two selections over at most
+    that room, so the selections stay linear in the draws whatever ``keep``.
     """
-    n = len(y)
+    import numpy as np
+
+    buf = np.empty(min(sum(n for _, n in share), 2 * keep + _CHUNK))
+    m = 0
+    for k, n in share:
+        if m + n > len(buf):
+            buf[:m].partition(m - keep)
+            buf[:keep] = buf[m - keep:m]
+            m = keep
+        out = buf[m:m + n]
+        _fill_chunk(chain, seed, k, out)
+        np.abs(out, out=out)
+        m += n
+    return buf[:m]
+
+
+def _quantiles(tail: np.ndarray, n: int, qs: tuple[float, ...]) -> list[float]:
+    """``np.quantile(y, qs, method="linear")`` bit for bit, for qs in [0, 1]; reorders ``tail``.
+
+    ``tail`` holds the largest ``len(tail)`` of the ``n`` values of ``y``,
+    enough to reach the lowest order statistic read.  Each q reads the order
+    statistics at k = floor((n-1) q) and at k + 1 clipped to n - 1, which
+    sit at k - (n - len(tail)) in the sorted tail.  One selection at the
+    lowest such k puts every larger order statistic above it, and one
+    selection over the rest places them, so the values below it are passed
+    over once.  The values interpolate with numpy's rule: a + (b-a) g, or
+    b - (b-a) (1-g) where g >= 0.5.
+    """
+    skip = n - len(tail)
     picks = []
     for q in qs:
         v = (n - 1) * q
         k = math.floor(v)
         picks.append((v, k, min(k + 1, n - 1)))
-    ks = sorted({i for _, k, k1 in picks for i in (k, k1)})
-    y.partition(ks[0])
+    ks = sorted({i - skip for _, k, k1 in picks for i in (k, k1)})
+    tail.partition(ks[0])
     if len(ks) > 1:
-        y[ks[0]:].partition([k - ks[0] for k in ks[1:]])
+        tail[ks[0]:].partition([k - ks[0] for k in ks[1:]])
     out = []
     for v, k, k1 in picks:
-        a, b, g = float(y[k]), float(y[k1]), v - k
+        a, b, g = float(tail[k - skip]), float(tail[k1 - skip]), v - k
         d = b - a
         out.append(b - d * (1.0 - g) if g >= 0.5 else a + d * g)
     return out
@@ -133,13 +169,17 @@ def mc_quantile(chain: StackChain, rho: float, cfg: McConfig, workers: int = 1) 
     import numpy as np
 
     r = _check_rho(rho)
-    y = sample_output(chain, cfg, workers=workers)
-    np.abs(y, out=y)
+    n = cfg.draws
     delta = min(r, 1.0 - r) / 2.0
-    # the three quantiles lie in the top 1.5 r of the draws ((1 + r) / 2
-    # where r > 1/2), the only part that is selected twice
-    lo, q, hi = _quantiles(y, (1.0 - r - delta, 1.0 - r, 1.0 - r + delta))
-    stderr = math.sqrt(r * (1.0 - r) / cfg.draws) * (hi - lo) / (2.0 * delta)
+    qs = (1.0 - r - delta, 1.0 - r, 1.0 - r + delta)
+    # only the draws from the lowest order statistic read upwards are kept:
+    # the top 1.5 r of them ((1 + r) / 2 where r > 1/2)
+    keep = n - math.floor((n - 1) * qs[0])
+    chunks = _chunks(n)
+    w = max(1, min(workers, len(chunks)))
+    tails = _map(lambda i: _tail(chain, cfg.seed, chunks[i::w], keep), range(w), w)
+    lo, q, hi = _quantiles(tails[0] if len(tails) == 1 else np.concatenate(tails), n, qs)
+    stderr = math.sqrt(r * (1.0 - r) / n) * (hi - lo) / (2.0 * delta)
     return McEstimate(value=q, stderr=stderr)
 
 
@@ -148,8 +188,13 @@ def mc_prob(chain: StackChain, t: float, cfg: McConfig) -> McEstimate:
     import numpy as np
 
     t = _check_t(t)
-    y = sample_output(chain, cfg)
-    np.abs(y, out=y)
-    p = float(np.mean(y >= t))
+    buf = np.empty(min(cfg.draws, _CHUNK))
+    hits = 0
+    for k, n in _chunks(cfg.draws):
+        y = buf[:n]
+        _fill_chunk(chain, cfg.seed, k, y)
+        np.abs(y, out=y)
+        hits += int(np.count_nonzero(y >= t))
+    p = hits / cfg.draws
     stderr = math.sqrt(p * (1.0 - p) / cfg.draws)
     return McEstimate(value=p, stderr=stderr)

@@ -6,19 +6,24 @@ A study draws ``n_chains`` chains with half-widths uniform on
 records balance diagnostics, and optionally attaches a Monte Carlo
 quantile per chain.  Everything derives from the single study
 seed: chain i uses substream (0, i), its Monte Carlo run substream (1, i),
-so results are reproducible row by row.  numpy, used only to draw chains
-and seeds, is imported on first use.
+so results are reproducible row by row.  With Monte Carlo, the rows run in
+a thread pool as wide as the cores the process may use: the sampling
+releases the interpreter lock, and each row depends only on its chain_id,
+so the rows are the same on any number of cores.  Rows without it run in
+turn, since the analytic path holds the lock.  numpy, used only to draw
+chains and seeds, is imported on first use.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from .bounds import Method, _check_rho, tolerance
 from .chain import StackChain, balance_report
-from .montecarlo import McConfig, mc_quantile
+from .montecarlo import McConfig, _map, mc_quantile
 
 if TYPE_CHECKING:
     import numpy as np
@@ -123,9 +128,20 @@ def _one_row(spec: StudySpec, chain_id: int) -> StudyRow:
     )
 
 
+def _cores() -> int:
+    """The number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def run_study(spec: StudySpec) -> list[StudyRow]:
     """Evaluate every chain of the study; rows ordered by chain_id.
 
     Each row depends only on (spec, chain_id).
     """
-    return [_one_row(spec, i) for i in range(spec.n_chains)]
+    ids = range(spec.n_chains)
+    if spec.mc_cfg is None:
+        return [_one_row(spec, i) for i in ids]
+    return _map(lambda i: _one_row(spec, i), ids, _cores())

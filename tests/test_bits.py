@@ -24,7 +24,10 @@ each lam wbar of ``DUMP_LAMBDAS`` and ``phi``, ``psi`` and ``psi_tilde`` there a
 ``PROB_FRACTIONS`` of the worst case; then the
 ``float.hex`` of ``mc_quantile`` (value and stderr) at each of ``MC_DUMP_RHOS`` and of
 ``mc_prob`` at ``MC_DUMP_FRACTIONS`` of the worst case, on ``MC_DUMP_CHAINS`` at each of
-``MC_DUMP_SEEDS`` and ``MC_DUMP_DRAWS``.
+``MC_DUMP_SEEDS`` and ``MC_DUMP_DRAWS``; last the ``float.hex`` of every field of the
+``run_study`` rows at each of ``STUDY_DUMP_SEEDS`` and ``STUDY_DUMP_RHOS``, over
+``STUDY_DUMP_CHAINS`` chains without Monte Carlo and ``STUDY_DUMP_MC_CHAINS`` chains with
+``STUDY_DUMP_DRAWS`` draws.
 """
 
 import argparse
@@ -35,8 +38,9 @@ import warnings
 import pytest
 
 from stacktol import (
-    McConfig, StackChain, analyze_all, balance_report, chernov_prob, chernov_t, lipschitz_t,
-    mc_prob, mc_quantile, phi, psi, psi_tilde, quadratic_t, s_lambda, sample_output, t_rss, t_wc,
+    McConfig, StackChain, StudySpec, analyze_all, balance_report, chernov_prob, chernov_t,
+    lipschitz_t, mc_prob, mc_quantile, phi, psi, psi_tilde, quadratic_t, run_study, s_lambda,
+    sample_output, t_rss, t_wc,
 )
 from test_lambda_root import CATALOGUE, CHAINS, RHOS, catalogue_chains, ulp_balanced_chains
 
@@ -280,6 +284,11 @@ MC_DUMP_RHOS = (0.9, 0.5, 0.3, 0.1, 0.05, 0.0027, 1e-4, 1e-6, 1e-9, 1e-12)
 MC_DUMP_FRACTIONS = (0.25, 0.5, 0.9)
 MC_DUMP_SEEDS = (1, 99, 2**64 - 1)
 MC_DUMP_DRAWS = (1000, 12_345, 50_000, 200_000)
+STUDY_DUMP_SEEDS = (1, 2**64 - 1)
+STUDY_DUMP_RHOS = (0.3, 0.0027, 1e-6)
+STUDY_DUMP_CHAINS = 200
+STUDY_DUMP_MC_CHAINS = 9
+STUDY_DUMP_DRAWS = 60_001
 
 
 def dump_chains():
@@ -342,6 +351,16 @@ def dump(path):
                         est = mc_prob(chain, f * t_wc(chain), cfg)
                         out.write(f"{name} mc {seed} {draws} prob {f!r} "
                                   f"{est.value.hex()} {est.stderr.hex()}\n")
+        for seed in STUDY_DUMP_SEEDS:
+            for rho in STUDY_DUMP_RHOS:
+                for n_chains, mc_cfg in ((STUDY_DUMP_CHAINS, None), (STUDY_DUMP_MC_CHAINS,
+                                         McConfig(draws=STUDY_DUMP_DRAWS, seed=seed))):
+                    spec = StudySpec(n_chains=n_chains, rho=rho, seed=seed, mc_cfg=mc_cfg)
+                    for row in run_study(spec):
+                        fields = (row.s1, row.d_factor, *row.ts.values(), *row.fs.values(),
+                                  row.mc_t)
+                        out.write(f"study {seed} {rho!r} {mc_cfg is not None} {row.chain_id} "
+                                  f"{' '.join(map(_hex, fields))}\n")
 
 
 if __name__ == "__main__":

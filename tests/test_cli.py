@@ -409,3 +409,32 @@ def test_analytic_path_never_loads_numpy(chain_csv):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+_NO_POOL_SCRIPT = """
+import sys
+from stacktol import cli
+assert cli.main(["analyze", sys.argv[1]]) == 0
+assert cli.main(["sweep", sys.argv[1], "--rho-min", "1e-6", "--rho-max", "0.1",
+                 "--points", "3"]) == 0
+assert "numpy" not in sys.modules, "analyze or sweep loaded numpy"
+assert "concurrent.futures" not in sys.modules, "analyze or sweep loaded concurrent.futures"
+assert cli.main(["study", "--chains", "3", "--rho", "0.05", "--seed", "1", "--mc-draws", "0",
+                 "-o", sys.argv[2]]) == 0
+assert "concurrent.futures" not in sys.modules, "a study without Monte Carlo loaded the pool"
+assert cli.main(["study", "--chains", "2", "--rho", "0.05", "--seed", "1", "--mc-draws", "10000",
+                 "-o", sys.argv[2]]) == 0
+assert "concurrent.futures" in sys.modules
+"""
+
+
+def test_analytic_commands_never_load_the_pool(chain_csv, tmp_path):
+    # the thread pool is for Monte Carlo rows only; numpy is loaded by the
+    # study itself, to draw its chains
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_POOL_SCRIPT, str(chain_csv), str(tmp_path / "study.csv")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -155,6 +155,19 @@ class TestReadJson:
         with pytest.raises(ChainFileError, match=r"c\.json:1:"):
             read_chain(p)
 
+    def test_integer_past_the_digit_limit_names_the_file(self, tmp_path):
+        # json.load raises a plain ValueError on an integer of more than 4300 digits
+        p = _write(tmp_path, "c.json", '{"contributors": [{"name": "a", "tolerance": 1%s}]}'
+                   % ("0" * 5000))
+        with pytest.raises(ChainFileError, match=r"c\.json: .*4300 digits"):
+            read_chain(p)
+
+    def test_bytes_not_utf8_name_the_file(self, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_bytes(b'{"contributors": [{"name": "\xff", "tolerance": 1}]}')
+        with pytest.raises(ChainFileError, match=r"c\.json: .*utf-8"):
+            read_chain(p)
+
     @pytest.mark.parametrize(
         "item",
         [

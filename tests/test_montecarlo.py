@@ -1,6 +1,7 @@
 """Monte Carlo oracle: reproducibility, closed-form targets, stderr calibration."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,7 +142,7 @@ def _oracle_hex(y, qs):
 
 
 def _quantiles_hex(y, qs):
-    return [x.hex() for x in _quantiles(y.copy(), qs)]
+    return [x.hex() for x in _quantiles(y.copy(), len(y), qs)]
 
 
 class TestTailQuantiles:
@@ -170,7 +171,7 @@ class TestTailQuantiles:
             qs = (1.0, math.nextafter(1.0, 0.0), 1.0 - 1e-12, 0.0)
             assert (len(y) - 1) * qs[0] >= len(y) - 1 > (len(y) - 1) * qs[1]
             assert _quantiles_hex(y, qs) == _oracle_hex(y, qs)
-            assert _quantiles(y.copy(), qs)[0] == y.max()
+            assert _quantiles(y.copy(), len(y), qs)[0] == y.max()
 
     def test_bit_identical_on_a_grid(self, samples):
         qs = tuple(float(q) for q in np.linspace(0.0, 1.0, 1001))
@@ -180,8 +181,62 @@ class TestTailQuantiles:
     def test_reorders_only(self, samples):
         y = samples["sample"]
         z = y.copy()
-        _quantiles(z, _three_quantiles(0.0027))
+        _quantiles(z, len(z), _three_quantiles(0.0027))
         assert (np.sort(z) == np.sort(y)).all()
+
+    @pytest.mark.parametrize("rho", QUANTILE_RHOS)
+    def test_from_a_tail(self, samples, rho):
+        # the largest m values, shuffled, read the same order statistics as
+        # the whole sample, down to the tail that reaches the lowest one read
+        qs = _three_quantiles(rho)
+        rng = np.random.default_rng(5)
+        for y in samples.values():
+            n = len(y)
+            keep = n - math.floor((n - 1) * qs[0])
+            for m in sorted({keep, min(n, keep + 1), min(n, 2 * keep + 7)}):
+                tail = rng.permutation(np.sort(y)[n - m:])
+                assert [x.hex() for x in _quantiles(tail, n, qs)] == _oracle_hex(y, qs)
+
+
+def _mc_oracle(chain, rho, cfg):
+    # mc_quantile and mc_prob at the quantile, through np.quantile and
+    # np.mean over the whole sample
+    y = np.abs(sample_output(chain, cfg))
+    lo, q, hi = (float(x) for x in np.quantile(y, _three_quantiles(rho), method="linear"))
+    delta = min(rho, 1.0 - rho) / 2.0
+    stderr = math.sqrt(rho * (1.0 - rho) / cfg.draws) * (hi - lo) / (2.0 * delta)
+    return (q.hex(), stderr.hex()), float(np.mean(y >= q)).hex()
+
+
+@pytest.mark.filterwarnings("ignore:draws=")
+class TestStreamedTail:
+    """``mc_quantile`` and ``mc_prob`` stream the draws; compared by float.hex with the whole sample."""
+
+    @pytest.mark.parametrize("draws", [1000, 50_000, 50_001, 123_457])
+    @pytest.mark.parametrize("rho", QUANTILE_RHOS)
+    def test_bit_identical(self, draws, rho):
+        chain = StackChain.from_bounds((1.5, 1.0, 0.25))
+        cfg = McConfig(draws=draws, seed=draws)
+        est_bits, prob_bits = _mc_oracle(chain, rho, cfg)
+        for workers in (1, 2, 3):
+            est = mc_quantile(chain, rho, cfg, workers=workers)
+            assert (est.value.hex(), est.stderr.hex()) == est_bits, workers
+        assert mc_prob(chain, float.fromhex(est_bits[0]), cfg).value.hex() == prob_bits
+
+    def test_peak_memory_is_a_tail(self):
+        # numpy reports its buffers to tracemalloc; 10^6 draws take 8 MB.
+        # A first small call loads numpy.random outside the trace.
+        chain = StackChain.from_bounds((2.0, 1.0, 0.5))
+        mc_quantile(chain, 0.0027, McConfig(draws=10_000, seed=3))
+        cfg = McConfig(draws=1_000_000, seed=3)
+        for call in (lambda: mc_quantile(chain, 0.0027, cfg), lambda: mc_prob(chain, 3.0, cfg)):
+            tracemalloc.start()
+            try:
+                call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 2**20
 
 
 class TestProb:

@@ -7,9 +7,13 @@ from stacktol import (
     McConfig,
     Method,
     StudySpec,
+    StudyRow,
+    balance_report,
     gaussian_l,
+    mc_quantile,
     random_chain,
     run_study,
+    study,
     t_rss,
     tolerance,
 )
@@ -113,9 +117,31 @@ class TestRunStudy:
             assert r.mc_t <= r.ts[Method.CHERNOV]
         assert run_study(spec) == rows
 
-    def test_balance_fields_match_chain(self):
-        from stacktol import balance_report
+    @pytest.mark.parametrize("seed", [17, 2**64 - 1])
+    def test_pooled_rows_are_the_rows_built_one_at_a_time(self, seed):
+        spec = StudySpec(n_chains=7, rho=0.0027, seed=seed,
+                         mc_cfg=McConfig(draws=60_001, seed=seed))
+        expected = []
+        for i in range(spec.n_chains):
+            chain = random_chain(5, 1.0, 5.0, _rng_for(seed, i))
+            rep = balance_report(chain)
+            results = [tolerance(chain, m, spec.rho) for m in METHODS]
+            cfg = McConfig(draws=60_001, seed=_mc_seed_for(seed, i))
+            expected.append(StudyRow(
+                chain_id=i, s1=rep.s1, d_factor=rep.d_factor,
+                ts={r.method: r.t for r in results}, fs={r.method: r.f for r in results},
+                mc_t=mc_quantile(chain, spec.rho, cfg).value,
+            ))
+        assert [_row_hex(r) for r in run_study(spec)] == [_row_hex(r) for r in expected]
 
+    @pytest.mark.parametrize("cores", [1, 3, 16])
+    def test_rows_do_not_depend_on_the_core_count(self, monkeypatch, cores):
+        spec = StudySpec(n_chains=5, rho=0.05, seed=8, mc_cfg=McConfig(draws=20_000, seed=8))
+        rows = run_study(spec)
+        monkeypatch.setattr(study, "_cores", lambda: cores)
+        assert [_row_hex(r) for r in run_study(spec)] == [_row_hex(r) for r in rows]
+
+    def test_balance_fields_match_chain(self):
         spec = StudySpec(n_chains=3, rho=0.05, seed=2)
         for row in run_study(spec):
             chain = random_chain(5, 1.0, 5.0, _rng_for(spec.seed, row.chain_id))
@@ -127,3 +153,14 @@ class TestRunStudy:
 def _rng_for(seed: int, chain_id: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(0, chain_id))
     return np.random.Generator(np.random.PCG64(ss))
+
+
+def _mc_seed_for(base: int, chain_id: int) -> int:
+    ss = np.random.SeedSequence(entropy=base, spawn_key=(1, chain_id))
+    return int(ss.generate_state(2, np.uint64)[0])
+
+
+def _row_hex(row):
+    return (row.chain_id, row.s1.hex(), row.d_factor.hex(),
+            [(m, t.hex()) for m, t in row.ts.items()], [(m, f.hex()) for m, f in row.fs.items()],
+            None if row.mc_t is None else row.mc_t.hex())
