@@ -130,14 +130,14 @@ def _tail(chain: StackChain, seed: int, share: list[tuple[int, int]], keep: int)
 def _quantiles(tail: np.ndarray, n: int, qs: tuple[float, ...]) -> list[float]:
     """``np.quantile(y, qs, method="linear")`` bit for bit, for qs in [0, 1]; reorders ``tail``.
 
-    ``tail`` holds the largest ``len(tail)`` of the ``n`` values of ``y``,
-    enough to reach the lowest order statistic read.  Each q reads the order
-    statistics at k = floor((n-1) q) and at k + 1 clipped to n - 1, which
-    sit at k - (n - len(tail)) in the sorted tail.  One selection at the
-    lowest such k puts every larger order statistic above it, and one
-    selection over the rest places them, so the values below it are passed
-    over once.  The values interpolate with numpy's rule: a + (b-a) g, or
-    b - (b-a) (1-g) where g >= 0.5.
+    Each q reads the order statistics at k = floor((n-1) q) and at k + 1
+    clipped to n - 1.  ``tail`` holds the n - k largest of the ``n`` values
+    of ``y`` for the lowest such k, with any of the others: each order
+    statistic is n - k from the top, so at k - (n - len(tail)) in the sorted
+    tail.  One selection at the lowest k puts every larger order statistic
+    above it, and one selection over the rest places them, so the values
+    below it are passed over once.  The values interpolate with numpy's
+    rule: a + (b-a) g, or b - (b-a) (1-g) where g >= 0.5.
     """
     skip = n - len(tail)
     picks = []

@@ -186,15 +186,18 @@ class TestTailQuantiles:
 
     @pytest.mark.parametrize("rho", QUANTILE_RHOS)
     def test_from_a_tail(self, samples, rho):
-        # the largest m values, shuffled, read the same order statistics as
-        # the whole sample, down to the tail that reaches the lowest one read
+        # the largest values down to the lowest order statistic read, shuffled
+        # with any of the others (as the merged tails of several workers
+        # are), read the same order statistics as the whole sample
         qs = _three_quantiles(rho)
         rng = np.random.default_rng(5)
         for y in samples.values():
             n = len(y)
             keep = n - math.floor((n - 1) * qs[0])
-            for m in sorted({keep, min(n, keep + 1), min(n, 2 * keep + 7)}):
-                tail = rng.permutation(np.sort(y)[n - m:])
+            z = np.sort(y)
+            for extra in sorted({0, 1, min(n - keep, keep + 7)}):
+                others = rng.choice(z[:n - keep], extra, replace=False)
+                tail = rng.permutation(np.concatenate([z[n - keep:], others]))
                 assert [x.hex() for x in _quantiles(tail, n, qs)] == _oracle_hex(y, qs)
 
 
@@ -210,7 +213,7 @@ def _mc_oracle(chain, rho, cfg):
 
 @pytest.mark.filterwarnings("ignore:draws=")
 class TestStreamedTail:
-    """``mc_quantile`` and ``mc_prob`` stream the draws; compared by float.hex with the whole sample."""
+    """Streamed ``mc_quantile`` and ``mc_prob`` against the whole sample, by float.hex."""
 
     @pytest.mark.parametrize("draws", [1000, 50_000, 50_001, 123_457])
     @pytest.mark.parametrize("rho", QUANTILE_RHOS)
