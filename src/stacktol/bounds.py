@@ -178,17 +178,14 @@ def _check_t(t: float) -> float:
 # its gap g = K - lam K' decreases from 0 and is concave in log lam, with
 # dg/dlog lam = -lam^2 K''; all are sums over (v, c) of c times langevin (L),
 # legendre_term (m) or x2_langevin_prime (q) terms, plus the price's part.
-_Fn = Callable[[float], float]
-
-
+# n - K' where b = 0 is _langevin_sums(lam, groups)[1], without cancellation.
 class _Member(NamedTuple):
     wbar: float
-    slope: _Fn
-    gap: Callable[[float], tuple[float, float]]  # (g, dg / dlog lam), in one pass
-    co_slope: _Fn  # sum_(v, c) c v (1 - L(lam v)), = K'(inf) - K' where b = 0, without cancellation
+    groups: tuple[tuple[float, int], ...]  # the (v, c) pairs of the scaled chain
+    a: float  # linear price: K' gains a
+    b: float  # quadratic price: g <= -b lam^2
     curv: float  # K''(0): g >= -curv lam^2 / 2
     limit: float  # t(inf), in the chain's own units (inf where b > 0): t is clamped to it
-    b: float  # g <= -b lam^2
 
 
 def _member(chain: StackChain, method: Method, curvature: float = 0.5) -> _Member:
@@ -203,22 +200,20 @@ def _member(chain: StackChain, method: Method, curvature: float = 0.5) -> _Membe
             raise ValueError(f"curvature must be finite and >= 1/6, got {curvature}")
         groups, curv, b = ((1.0, n),), n / 3.0, curvature * s.sq_dev
         limit = math.inf if b else s.wc
+    return _Member(s.wbar, groups, a, b, curv + 2.0 * b, limit)
 
-    def gap(lam: float) -> tuple[float, float]:
-        # b lam^2, formed as b lam lam where lam^2 alone overflows: 0 at b = 0, never NaN
-        penalty = b * (lam * lam) if lam * lam < math.inf else b * lam * lam
-        m, q = _legendre_sums(lam, groups)
-        return m - penalty, -q - 2.0 * penalty
 
-    return _Member(
-        s.wbar,
-        lambda lam: _langevin_sums(lam, groups)[0] + a + 2.0 * b * lam,
-        gap,
-        lambda lam: _langevin_sums(lam, groups)[1],
-        curv + 2.0 * b,
-        limit,
-        b,
-    )
+def _gap(m: _Member, lam: float) -> tuple[float, float]:
+    """(g, dg / dlog lam) of member ``m`` at lam, in one pass."""
+    # b lam^2, formed as b lam lam where lam^2 alone overflows: 0 at b = 0, never NaN
+    penalty = m.b * (lam * lam) if lam * lam < math.inf else m.b * lam * lam
+    ms, qs = _legendre_sums(lam, m.groups)
+    return ms - penalty, -qs - 2.0 * penalty
+
+
+def _slope(m: _Member, lam: float) -> float:
+    """The slope t(lam) = K'(lam) of member ``m``."""
+    return _langevin_sums(lam, m.groups)[0] + m.a + 2.0 * m.b * lam
 
 
 def _exponent(chain: StackChain, method: Method, lam: float, t: float,
@@ -227,7 +222,7 @@ def _exponent(chain: StackChain, method: Method, lam: float, t: float,
     t = _check_t(t)
     m = _member(chain, method, curvature)
     x = lam * m.wbar
-    gap, tangent = m.gap(x)[0], x * m.slope(x)
+    gap, tangent = _gap(m, x)[0], x * _slope(m, x)
     # K = gap + x K' cancels at most one bit: K' is concave from K'(0) >= 0,
     # so K >= x K' / 2.  Where psi_tilde's penalty overflows, gap = -inf, K = +inf.
     k = math.inf if gap == -math.inf else gap + tangent
@@ -294,15 +289,15 @@ def _quantile(m: _Member, rho: float) -> float:
     target = math.log(rho) - math.log(2.0)
     lo = math.sqrt(-2.0 * target / m.curv)
     # a step past 700 overshoots _LAM_MAX anyway, and exp(700) is finite
-    at_lo = m.gap(lo)  # the solver's straddle check reuses it
+    at_lo = _gap(m, lo)  # the solver's straddle check reuses it
     step = min((target - at_lo[0]) / at_lo[1], 700.0)
     pen_root = math.sqrt(-target / m.b) if m.b else math.inf
     # 1e-6 wider keeps g(hi) <= target through rounding where hi is nearly the root
     hi = min((1.0 + 1e-6) * min(lo * math.exp(step), pen_root), _LAM_MAX)
-    if hi == _LAM_MAX and m.gap(hi)[0] > target:
+    if hi == _LAM_MAX and _gap(m, hi)[0] > target:
         return m.limit
-    lam = invert_monotone(lambda x: at_lo if x == lo else m.gap(x), target, lo, hi)
-    return min(m.wbar * m.slope(lam) * _ROUND_UP, m.limit)
+    lam = invert_monotone(lambda x: at_lo if x == lo else _gap(m, x), target, lo, hi)
+    return min(m.wbar * _slope(m, lam) * _ROUND_UP, m.limit)
 
 
 def chernov_prob(chain: StackChain, t: float) -> float:
@@ -322,14 +317,16 @@ def chernov_prob(chain: StackChain, t: float) -> float:
     tau = t / m.wbar
     # n - tau where the worst case passes the largest double
     rest = (m.limit - t) / m.wbar if m.limit < math.inf else len(chain) - tau
-    # co_slope = n - K' >= n - curv lam puts lo left of the root, and
-    # co_slope <= n / lam, from 1 - L(x) <= 1/x, puts hi right of it; both
+    # n - K' >= n - curv lam puts lo left of the root, and
+    # n - K' <= n / lam, from 1 - L(x) <= 1/x, puts hi right of it; both
     # with a factor 2 to spare
     lo, hi = 0.5 * tau / m.curv, 2.0 * len(chain) / rest
     if hi * tau <= math.log(2.0):  # K >= 0 at the optimal lam <= hi: the bound is >= 1
         return 1.0
-    lam = invert_monotone(lambda x: (m.co_slope(x), m.gap(x)[1] / x), rest, lo, hi)
-    return min(1.0, 2.0 * math.exp(m.gap(lam)[0] + lam * (rest - m.co_slope(lam))))
+    lam = invert_monotone(
+        lambda x: (_langevin_sums(x, m.groups)[1], _gap(m, x)[1] / x), rest, lo, hi)
+    k = _gap(m, lam)[0] + lam * (rest - _langevin_sums(lam, m.groups)[1])
+    return min(1.0, 2.0 * math.exp(k))
 
 
 def chernov_t(chain: StackChain, rho: float) -> ToleranceResult:

@@ -133,13 +133,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_sweep)
 
     p = sub.add_parser("study", help="random-chain batch study, CSV output")
-    p.add_argument("--n", type=int, default=5, help="contributors per chain")
-    p.add_argument("--lo", type=float, default=1.0, help="half-width lower bound")
-    p.add_argument("--hi", type=float, default=5.0, help="half-width upper bound")
+    p.add_argument("--n", type=int, default=StudySpec.n_inputs, help="contributors per chain")
+    p.add_argument("--lo", type=float, default=StudySpec.bound_lo, help="half-width lower bound")
+    p.add_argument("--hi", type=float, default=StudySpec.bound_hi, help="half-width upper bound")
     p.add_argument("--chains", type=int, required=True)
     p.add_argument("--rho", type=float, default=DEFAULT_RHO)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--mc-draws", type=int, default=200_000,
+    p.add_argument("--mc-draws", type=int, default=McConfig.draws,
                    help="Monte Carlo draws per chain; 0 disables the mc_t column")
     p.add_argument("-o", "--out", required=True, help="output CSV path")
     p.set_defaults(run=cmd_study)
@@ -149,7 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--rho", type=float, help="estimate the (1-rho)-quantile of |Y|")
     group.add_argument("--t", type=float, help="estimate P(|Y| >= t)")
-    p.add_argument("--draws", type=int, default=200_000)
+    p.add_argument("--draws", type=int, default=McConfig.draws)
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(run=cmd_mc)
 

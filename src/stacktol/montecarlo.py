@@ -7,8 +7,8 @@ produce bit-identical samples, and therefore bit-identical quantiles and
 probabilities.  ``sample_output`` fills one float64 buffer of ``draws``
 values.  ``mc_quantile`` and ``mc_prob`` hold no such buffer: they take |Y|
 chunk by chunk.  ``mc_prob`` counts the hits in each chunk; ``mc_quantile``
-keeps only the draws from the lowest order statistic it reads upwards, in
-one buffer per worker, and selects among those.
+keeps only the draws from the lowest order statistic it reads upwards, each
+worker in its own region of one buffer, and selects among those.
 
 numpy is needed only here and in ``study``; it is imported on first use,
 so the analytic path never loads it.
@@ -48,7 +48,7 @@ class McConfig:
             warnings.warn(
                 f"draws={self.draws} is low for tail estimation; "
                 "expect noisy quantiles below 1e4 draws",
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__, to the caller
             )
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
@@ -72,6 +72,7 @@ def _fill_chunk(chain: StackChain, seed: int, chunk_index: int, out: np.ndarray)
             out[:] = u
         else:
             out += u
+        del u  # before the next draw: one chunk-sized temporary at a time
 
 
 def _map(fn, items, workers: int) -> list:
@@ -102,18 +103,19 @@ def sample_output(chain: StackChain, cfg: McConfig, workers: int = 1) -> np.ndar
     return y
 
 
-def _tail(chain: StackChain, seed: int, share: list[tuple[int, int]], keep: int) -> np.ndarray:
-    """The largest ``keep`` or more of |Y| over the chunks of ``share``, in no order.
+def _tail(chain: StackChain, seed: int, share: list[tuple[int, int]], keep: int,
+          buf: np.ndarray) -> int:
+    """Keep the largest ``keep`` or more of |Y| over ``share``'s chunks at the front of ``buf``.
 
-    Each chunk is drawn after the values kept so far.  When the next one
-    would not fit, a selection moves the ``keep`` largest to the front and
-    the rest is overwritten.  With room for ``2 keep + _CHUNK`` values, at
-    least max(keep, _CHUNK) are drawn between two selections over at most
-    that room, so the selections stay linear in the draws whatever ``keep``.
+    Returns how many are kept, in no order.  Each chunk is drawn after the
+    values kept so far.  When the next one would not fit, a selection moves
+    the ``keep`` largest to the front and the rest is overwritten.  With
+    room for ``2 keep + _CHUNK`` values, at least max(keep, _CHUNK) are
+    drawn between two selections over at most that room, so the selections
+    stay linear in the draws whatever ``keep``.
     """
     import numpy as np
 
-    buf = np.empty(min(sum(n for _, n in share), 2 * keep + _CHUNK))
     m = 0
     for k, n in share:
         if m + n > len(buf):
@@ -124,7 +126,7 @@ def _tail(chain: StackChain, seed: int, share: list[tuple[int, int]], keep: int)
         _fill_chunk(chain, seed, k, out)
         np.abs(out, out=out)
         m += n
-    return buf[:m]
+    return m
 
 
 def _quantiles(tail: np.ndarray, n: int, qs: tuple[float, ...]) -> list[float]:
@@ -177,8 +179,21 @@ def mc_quantile(chain: StackChain, rho: float, cfg: McConfig, workers: int = 1) 
     keep = n - math.floor((n - 1) * qs[0])
     chunks = _chunks(n)
     w = max(1, min(workers, len(chunks)))
-    tails = _map(lambda i: _tail(chain, cfg.seed, chunks[i::w], keep), range(w), w)
-    lo, q, hi = _quantiles(tails[0] if len(tails) == 1 else np.concatenate(tails), n, qs)
+    shares = [chunks[i::w] for i in range(w)]
+    # one buffer with a region per share, room for all its draws or for
+    # 2 keep + _CHUNK; each region's kept values are then moved down behind
+    # the previous ones (a forward copy, in place)
+    starts = [0]
+    for share in shares:
+        starts.append(starts[-1] + min(sum(c for _, c in share), 2 * keep + _CHUNK))
+    buf = np.empty(starts[-1])
+    kept = _map(lambda i: _tail(chain, cfg.seed, shares[i], keep, buf[starts[i]:starts[i + 1]]),
+                range(w), w)
+    m = 0
+    for start, k in zip(starts, kept):
+        buf[m:m + k] = buf[start:start + k]
+        m += k
+    lo, q, hi = _quantiles(buf[:m], n, qs)
     stderr = math.sqrt(r * (1.0 - r) / n) * (hi - lo) / (2.0 * delta)
     return McEstimate(value=q, stderr=stderr)
 

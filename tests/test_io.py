@@ -126,6 +126,12 @@ class TestReadCsv:
         with pytest.raises(FileNotFoundError):
             read_chain(tmp_path / "nope.csv")
 
+    def test_bytes_not_utf8_name_the_file(self, tmp_path):
+        p = tmp_path / "c.csv"
+        p.write_bytes(b"name,tolerance\n\xff,1\n")
+        with pytest.raises(ChainFileError, match=r"c\.csv: .*utf-8"):
+            read_chain(p)
+
     def test_unknown_suffix_needs_fmt(self, tmp_path):
         p = _write(tmp_path, "c.txt", "name,tolerance\na,2\n")
         with pytest.raises(ChainFileError, match="format"):

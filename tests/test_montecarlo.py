@@ -15,6 +15,7 @@ from stacktol import (
     t_rss,
 )
 from stacktol.montecarlo import _quantiles
+from conftest import CASE_BOUNDS
 
 CFG = McConfig(draws=200_000, seed=99)
 
@@ -31,6 +32,11 @@ class TestMcConfig:
     def test_low_draws_warn(self):
         with pytest.warns(UserWarning):
             McConfig(draws=2000, seed=1)
+
+    def test_low_draws_warning_names_the_caller(self):
+        with pytest.warns(UserWarning) as record:
+            McConfig(draws=2000, seed=1)
+        assert record[0].filename == __file__
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_range(self, seed):
@@ -240,6 +246,25 @@ class TestStreamedTail:
             finally:
                 tracemalloc.stop()
             assert peak < 2 * 2**20
+
+    def test_workers_share_one_buffer(self):
+        # at rho >= 0.5 each worker keeps most of its share: merging copies of
+        # the workers' tails would add about 7 MB to the 8 MB of one worker
+        chain = StackChain.from_bounds(CASE_BOUNDS)
+        mc_quantile(chain, 0.0027, McConfig(draws=10_000, seed=3), workers=2)
+        cfg = McConfig(draws=1_000_000, seed=3)
+
+        def peak(rho, workers):
+            tracemalloc.start()
+            try:
+                mc_quantile(chain, rho, cfg, workers=workers)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        for rho in (0.5, 0.9):
+            assert peak(rho, 2) <= peak(rho, 1) + 2**20, rho
+        assert peak(0.0027, 2) <= 2.43 * 2**20
 
 
 class TestProb:
