@@ -80,40 +80,43 @@ def _contributor(where: str, name: str, half_width: float, influence: float) -> 
         raise ChainFileError(f"{where}: {exc}") from None
 
 
+def _rows(reader, path: Path):
+    """The rows of ``reader``; bytes that are not UTF-8 raise ChainFileError naming ``path``."""
+    try:
+        yield from reader
+    except UnicodeDecodeError as exc:
+        raise ChainFileError(f"{path}: {exc}") from None
+
+
 def _read_chain_csv(path: Path) -> StackChain:
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header: list[str] | None = None
         contributors: list[Contributor] = []
-        try:
-            for row in reader:
-                if not any(cell.strip() for cell in row):
-                    continue
-                if header is None:
-                    header = [cell.strip().lower() for cell in row]
-                    if header not in (["name", "tolerance"], ["name", "tolerance", "influence"]):
-                        raise ChainFileError(
-                            f"{path}:{reader.line_num}: header must be "
-                            f"'name,tolerance[,influence]', got {','.join(header)!r}"
-                        )
-                    continue
-                where = f"{path}:{reader.line_num}"
-                if len(row) != len(header):
+        for row in _rows(reader, path):
+            if not any(cell.strip() for cell in row):
+                continue
+            if header is None:
+                header = [cell.strip().lower() for cell in row]
+                if header not in (["name", "tolerance"], ["name", "tolerance", "influence"]):
                     raise ChainFileError(
-                        f"{where}: expected {len(header)} cells, got {len(row)}"
+                        f"{path}:{reader.line_num}: header must be "
+                        f"'name,tolerance[,influence]', got {','.join(header)!r}"
                     )
-                name = row[0].strip()
-                if not name:
-                    raise ChainFileError(f"{where}: field 'name': must be non-empty")
-                tol = _parse_number(row[1], f"{where}: field 'tolerance'", allow_ascii_sign=False)
-                infl = 1.0
-                if len(header) == 3 and row[2].strip():
-                    infl = _parse_number(
-                        row[2], f"{where}: field 'influence'", allow_ascii_sign=True
-                    )
-                contributors.append(_contributor(where, name, tol, infl))
-        except UnicodeDecodeError as exc:
-            raise ChainFileError(f"{path}: {exc}") from None
+                continue
+            where = f"{path}:{reader.line_num}"
+            if len(row) != len(header):
+                raise ChainFileError(
+                    f"{where}: expected {len(header)} cells, got {len(row)}"
+                )
+            name = row[0].strip()
+            if not name:
+                raise ChainFileError(f"{where}: field 'name': must be non-empty")
+            tol = _parse_number(row[1], f"{where}: field 'tolerance'", allow_ascii_sign=False)
+            infl = 1.0
+            if len(header) == 3 and row[2].strip():
+                infl = _parse_number(row[2], f"{where}: field 'influence'", allow_ascii_sign=True)
+            contributors.append(_contributor(where, name, tol, infl))
         if header is None:
             raise ChainFileError(f"{path}: empty file")
     return _build(contributors, str(path))
