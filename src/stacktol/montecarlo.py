@@ -4,11 +4,16 @@ The draws come in fixed-size chunks with one independent RNG substream
 per (contributor, chunk) pair, derived from the configured seed.  Chunk
 boundaries do not depend on the worker count, so serial and parallel runs
 produce bit-identical samples, and therefore bit-identical quantiles and
-probabilities.  ``sample_output`` fills one float64 buffer of ``draws``
-values.  ``mc_quantile`` and ``mc_prob`` hold no such buffer: they take |Y|
-chunk by chunk.  ``mc_prob`` counts the hits in each chunk; ``mc_quantile``
-keeps only the draws from the lowest order statistic it reads upwards, each
-worker in its own region of one buffer, and selects among those.
+probabilities.  Each substream is drawn in place by ``Generator.random``
+and scaled and shifted as ``Generator.uniform`` would do it: the first
+contributor's into the chunk, each next one's into one chunk-sized scratch
+that a share of chunks allocates once, so no contributor allocates a
+temporary of its own.  ``sample_output`` fills one float64 buffer of
+``draws`` values.  ``mc_quantile`` and ``mc_prob`` hold no such buffer:
+they take |Y| chunk by chunk.  ``mc_prob`` counts the hits in each chunk;
+``mc_quantile`` keeps only the draws from the lowest order statistic it
+reads upwards, each worker in its own region of one buffer, and selects
+among those.
 
 numpy is needed only here and in ``study``; it is imported on first use,
 so the analytic path never loads it.
@@ -61,18 +66,31 @@ class McEstimate(NamedTuple):
     stderr: float
 
 
-def _fill_chunk(chain: StackChain, seed: int, chunk_index: int, out: np.ndarray) -> None:
-    """Write one chunk of Y into ``out``: the first contributor, then each next one added."""
+def _fill_chunk(chain: StackChain, seed: int, chunk_index: int, out: np.ndarray,
+                scratch: np.ndarray) -> None:
+    """Write one chunk of Y into ``out``: the first contributor, then each next one added.
+
+    Each (contributor, chunk) substream is drawn in place by
+    ``Generator.random``: the first contributor's straight into ``out``, each
+    next one's into ``scratch`` (at least as long), which is then added in.
+    A draw U becomes -w + (w - -w) U, scaled then shifted in place, which is
+    how ``Generator.uniform(-w, w)`` forms each value from the same stream,
+    so the sample keeps its bits, and a range past the largest double
+    raises the ``OverflowError`` that it raises.
+    """
     import numpy as np
 
     for i, w in enumerate(chain.weighted_bounds):
+        span = w - -w
+        if not math.isfinite(span):
+            raise OverflowError("high - low range exceeds valid bounds")
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(i, chunk_index))
-        u = np.random.Generator(np.random.PCG64(ss)).uniform(-w, w, out.size)
-        if i == 0:
-            out[:] = u
-        else:
+        u = out if i == 0 else scratch[:out.size]
+        np.random.Generator(np.random.PCG64(ss)).random(out=u)
+        u *= span
+        u += -w
+        if i > 0:
             out += u
-        del u  # before the next draw: one chunk-sized temporary at a time
 
 
 def _map(fn, items, workers: int) -> list:
@@ -99,7 +117,8 @@ def sample_output(chain: StackChain, cfg: McConfig, workers: int = 1) -> np.ndar
 
     y = np.empty(cfg.draws)
     slices = [y[start:start + _CHUNK] for start in range(0, cfg.draws, _CHUNK)]
-    _map(lambda k: _fill_chunk(chain, cfg.seed, k, slices[k]), range(len(slices)), workers)
+    _map(lambda k: _fill_chunk(chain, cfg.seed, k, slices[k], np.empty(len(slices[k]))),
+         range(len(slices)), workers)
     return y
 
 
@@ -116,6 +135,7 @@ def _tail(chain: StackChain, seed: int, share: list[tuple[int, int]], keep: int,
     """
     import numpy as np
 
+    scratch = np.empty(max(n for _, n in share))
     m = 0
     for k, n in share:
         if m + n > len(buf):
@@ -123,7 +143,7 @@ def _tail(chain: StackChain, seed: int, share: list[tuple[int, int]], keep: int,
             buf[:keep] = buf[m - keep:m]
             m = keep
         out = buf[m:m + n]
-        _fill_chunk(chain, seed, k, out)
+        _fill_chunk(chain, seed, k, out, scratch)
         np.abs(out, out=out)
         m += n
     return m
@@ -168,10 +188,15 @@ def mc_quantile(chain: StackChain, rho: float, cfg: McConfig, workers: int = 1) 
     central finite difference of the empirical quantile function over a
     window of half-width rho/2 in probability.
     """
+    return _mc_quantile(chain, rho, cfg.draws, cfg.seed, workers)
+
+
+def _mc_quantile(chain: StackChain, rho: float, n: int, seed: int,
+                 workers: int = 1) -> McEstimate:
+    """``mc_quantile`` over ``n`` draws from ``seed``, as checked by ``McConfig``."""
     import numpy as np
 
     r = _check_rho(rho)
-    n = cfg.draws
     delta = min(r, 1.0 - r) / 2.0
     qs = (1.0 - r - delta, 1.0 - r, 1.0 - r + delta)
     # only the draws from the lowest order statistic read upwards are kept:
@@ -187,7 +212,7 @@ def mc_quantile(chain: StackChain, rho: float, cfg: McConfig, workers: int = 1) 
     for share in shares:
         starts.append(starts[-1] + min(sum(c for _, c in share), 2 * keep + _CHUNK))
     buf = np.empty(starts[-1])
-    kept = _map(lambda i: _tail(chain, cfg.seed, shares[i], keep, buf[starts[i]:starts[i + 1]]),
+    kept = _map(lambda i: _tail(chain, seed, shares[i], keep, buf[starts[i]:starts[i + 1]]),
                 range(w), w)
     m = 0
     for start, k in zip(starts, kept):
@@ -204,10 +229,11 @@ def mc_prob(chain: StackChain, t: float, cfg: McConfig) -> McEstimate:
 
     t = _check_t(t)
     buf = np.empty(min(cfg.draws, _CHUNK))
+    scratch = np.empty_like(buf)
     hits = 0
     for k, n in _chunks(cfg.draws):
         y = buf[:n]
-        _fill_chunk(chain, cfg.seed, k, y)
+        _fill_chunk(chain, cfg.seed, k, y, scratch)
         np.abs(y, out=y)
         hits += int(np.count_nonzero(y >= t))
     p = hits / cfg.draws

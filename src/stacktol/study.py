@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Optional
 
 from .bounds import Method, _check_rho, tolerance
 from .chain import StackChain, balance_report
-from .montecarlo import McConfig, _map, mc_quantile
+from .montecarlo import McConfig, _map, _mc_quantile
 
 if TYPE_CHECKING:
     import numpy as np
@@ -116,8 +116,8 @@ def _one_row(spec: StudySpec, chain_id: int) -> StudyRow:
     results = [tolerance(chain, m, spec.rho) for m in _METHODS]
     mc_t = None
     if spec.mc_cfg is not None:
-        cfg = McConfig(draws=spec.mc_cfg.draws, seed=_mc_seed(spec.mc_cfg.seed, chain_id))
-        mc_t = mc_quantile(chain, spec.rho, cfg).value
+        seed = _mc_seed(spec.mc_cfg.seed, chain_id)
+        mc_t = _mc_quantile(chain, spec.rho, spec.mc_cfg.draws, seed).value
     return StudyRow(
         chain_id=chain_id,
         s1=rep.s1,

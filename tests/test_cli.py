@@ -310,6 +310,21 @@ class TestStudy:
             mc_t = float(row["mc_t"])
             assert 0.0 < mc_t <= float(row["chernov_t"])
 
+    def test_low_draws_warns_once(self, tmp_path):
+        # the warning comes from the McConfig the command builds, not again
+        # from each row of the study
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        argv = ["study", "--chains", "2", "--seed", "1", "--mc-draws", "5000",
+                "-o", str(tmp_path / "s.csv")]
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from stacktol.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.count("draws=5000 is low") == 1, proc.stderr
+
     def test_bad_draws_exits_2(self, capsys, tmp_path):
         code, _, err = _run(
             capsys,
@@ -362,6 +377,13 @@ class TestMc:
         code, out, err = _run(capsys, ["mc", str(p), "--rho", "0.05", "--seed", "1"])
         assert code == 1 and out == ""
         assert "numeric failure" in err
+
+    def test_prob_on_a_bound_near_double_max_exits_1(self, capsys, tmp_path):
+        p = tmp_path / "big.csv"
+        p.write_text("name,tolerance\nx1,1e308\n", encoding="utf-8")
+        code, out, err = _run(capsys, ["mc", str(p), "--t", "1.0", "--seed", "1"])
+        assert code == 1 and out == ""
+        assert err == "stacktol: numeric failure: high - low range exceeds valid bounds\n"
 
     def test_rho_and_t_mutually_exclusive(self, capsys, chain_csv):
         with pytest.raises(SystemExit) as exc:

@@ -80,6 +80,63 @@ class TestSampling:
         assert not (a == b).all()
 
 
+def _reference_sample(chain, cfg):
+    # the stream definition: chunks of 50 000 draws; in chunk k, contributor
+    # i draws Generator.uniform(-w, w) from its own substream (i, k), and the
+    # contributors are summed in chain order
+    parts = []
+    for k, start in enumerate(range(0, cfg.draws, 50_000)):
+        n = min(50_000, cfg.draws - start)
+        y = None
+        for i, w in enumerate(chain.weighted_bounds):
+            ss = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(i, k))
+            u = np.random.Generator(np.random.PCG64(ss)).uniform(-w, w, n)
+            y = u if y is None else y + u
+        parts.append(y)
+    return np.concatenate(parts)
+
+
+@pytest.mark.filterwarnings("ignore:draws=")
+class TestStreamDefinition:
+    @pytest.mark.parametrize("bounds", [(0.3,), (2.0, 1e-3), (5.0, 1.0, 0.5, 3.0, 1e6, 0.25, 7.0)])
+    @pytest.mark.parametrize("draws", [1000, 50_000, 123_457])
+    def test_sample_is_the_uniform_draws_summed(self, bounds, draws):
+        chain = StackChain.from_bounds(bounds)
+        cfg = McConfig(draws=draws, seed=draws + len(bounds))
+        expected = _reference_sample(chain, cfg).tobytes()
+        for workers in (1, 2, 3):
+            assert sample_output(chain, cfg, workers=workers).tobytes() == expected, workers
+
+
+OVERFLOWING = [(1e308,), (1.0, 1e308)]  # the second overflows at its second contributor
+
+
+@pytest.mark.parametrize("bounds", OVERFLOWING)
+class TestRangeOverflow:
+    """A range 2w past the largest double raises as ``Generator.uniform`` does."""
+
+    MATCH = "^high - low range exceeds valid bounds$"
+
+    def test_sample_output(self, bounds):
+        for workers in (1, 2):
+            with pytest.raises(OverflowError, match=self.MATCH):
+                sample_output(StackChain.from_bounds(bounds), CFG, workers=workers)
+
+    def test_mc_quantile(self, bounds):
+        for workers in (1, 2):
+            with pytest.raises(OverflowError, match=self.MATCH):
+                mc_quantile(StackChain.from_bounds(bounds), 0.05, CFG, workers=workers)
+
+    def test_mc_prob(self, bounds):
+        with pytest.raises(OverflowError, match=self.MATCH):
+            mc_prob(StackChain.from_bounds(bounds), 1.0, CFG)
+
+    def test_uniform_raises_the_same(self, bounds):
+        w = max(bounds)
+        with pytest.raises(OverflowError, match=self.MATCH):
+            np.random.default_rng(0).uniform(-w, w, 10)
+
+
 class TestQuantile:
     def test_single_uniform(self):
         est = mc_quantile(StackChain.from_bounds((1.0,)), 0.1, CFG)
