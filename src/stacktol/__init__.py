@@ -8,17 +8,41 @@ exponential, and two closed-form relaxations), an industrial
 balance-corrected rule, balance diagnostics, a seeded Monte Carlo
 oracle, and a batch study harness.  See the README for the method
 catalogue and the CLI.
+
+The Monte Carlo and study modules load on first use of one of their
+names, so ``import stacktol`` and the analytic commands never compile or
+run them.
 """
 
-from . import bounds, chain, io, montecarlo, numerics, study
+import importlib
+
+from . import bounds, chain, io, numerics
 from .bounds import *
 from .chain import *
 from .io import *
-from .montecarlo import *
 from .numerics import *
-from .study import *
 
 __version__ = "0.1.0"
 
-__all__ = ["__version__", *chain.__all__, *bounds.__all__, *montecarlo.__all__,
-           *study.__all__, *io.__all__, *numerics.__all__]
+# each lazy module's __all__; tests/test_package.py checks them against it
+_LAZY = {
+    "montecarlo": ("McConfig", "McEstimate", "sample_output", "mc_quantile", "mc_prob"),
+    "study": ("StudySpec", "StudyRow", "random_chain", "run_study"),
+}
+
+__all__ = ["__version__", *chain.__all__, *bounds.__all__, *_LAZY["montecarlo"],
+           *_LAZY["study"], *io.__all__, *numerics.__all__]
+
+
+def __getattr__(name: str) -> object:
+    """Import the lazy module that ``name`` is or belongs to, and bind its names here."""
+    for module, names in _LAZY.items():
+        if name == module or name in names:
+            mod = importlib.import_module(f".{module}", __name__)
+            globals().update((n, getattr(mod, n)) for n in names)
+            return mod if name == module else getattr(mod, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, *(n for names in _LAZY.values() for n in names)})

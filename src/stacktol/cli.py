@@ -13,8 +13,6 @@ from typing import Optional, Sequence
 
 from .bounds import Method, _check_rho, tolerance
 from .io import CurvePoint, read_chain, write_results
-from .montecarlo import McConfig, mc_prob, mc_quantile
-from .study import StudySpec, run_study
 
 __all__ = ["main"]
 
@@ -81,11 +79,15 @@ def cmd_sweep(args: argparse.Namespace) -> None:
 
 def cmd_study(args: argparse.Namespace) -> None:
     """Run a random-chain study and write its CSV to the --out path."""
-    mc_cfg = McConfig(draws=args.mc_draws, seed=args.seed) if args.mc_draws > 0 else None
+    from .montecarlo import McConfig
+    from .study import StudySpec, run_study
+
+    mc_draws = getattr(args, "mc_draws", McConfig.draws)
+    mc_cfg = McConfig(draws=mc_draws, seed=args.seed) if mc_draws > 0 else None
     spec = StudySpec(
-        n_inputs=args.n,
-        bound_lo=args.lo,
-        bound_hi=args.hi,
+        n_inputs=getattr(args, "n", StudySpec.n_inputs),
+        bound_lo=getattr(args, "lo", StudySpec.bound_lo),
+        bound_hi=getattr(args, "hi", StudySpec.bound_hi),
         n_chains=args.chains,
         rho=args.rho,
         seed=args.seed,
@@ -96,7 +98,9 @@ def cmd_study(args: argparse.Namespace) -> None:
 
 def cmd_mc(args: argparse.Namespace) -> None:
     """Monte Carlo quantile (given --rho) or exceedance probability (given --t)."""
-    cfg = McConfig(draws=args.draws, seed=args.seed)
+    from .montecarlo import McConfig, mc_prob, mc_quantile
+
+    cfg = McConfig(draws=getattr(args, "draws", McConfig.draws), seed=args.seed)
     chain = read_chain(args.chain_file)
     if args.rho is not None:
         est, label = mc_quantile(chain, args.rho, cfg), "t_hat"
@@ -133,13 +137,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_sweep)
 
     p = sub.add_parser("study", help="random-chain batch study, CSV output")
-    p.add_argument("--n", type=int, default=StudySpec.n_inputs, help="contributors per chain")
-    p.add_argument("--lo", type=float, default=StudySpec.bound_lo, help="half-width lower bound")
-    p.add_argument("--hi", type=float, default=StudySpec.bound_hi, help="half-width upper bound")
+    # flags left out are left out of the namespace, and the handler takes
+    # StudySpec's and McConfig's defaults, so that building the parser
+    # loads neither module
+    p.add_argument("--n", type=int, default=argparse.SUPPRESS, help="contributors per chain")
+    p.add_argument("--lo", type=float, default=argparse.SUPPRESS, help="half-width lower bound")
+    p.add_argument("--hi", type=float, default=argparse.SUPPRESS, help="half-width upper bound")
     p.add_argument("--chains", type=int, required=True)
     p.add_argument("--rho", type=float, default=DEFAULT_RHO)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--mc-draws", type=int, default=McConfig.draws,
+    p.add_argument("--mc-draws", type=int, default=argparse.SUPPRESS,
                    help="Monte Carlo draws per chain; 0 disables the mc_t column")
     p.add_argument("-o", "--out", required=True, help="output CSV path")
     p.set_defaults(run=cmd_study)
@@ -149,7 +156,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--rho", type=float, help="estimate the (1-rho)-quantile of |Y|")
     group.add_argument("--t", type=float, help="estimate P(|Y| >= t)")
-    p.add_argument("--draws", type=int, default=McConfig.draws)
+    p.add_argument("--draws", type=int, default=argparse.SUPPRESS)
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(run=cmd_mc)
 

@@ -30,7 +30,6 @@ from typing import IO, Sequence, Union
 
 from .bounds import Method, ToleranceResult
 from .chain import Contributor, StackChain, build_chain
-from .study import StudyRow
 
 __all__ = ["ChainFileError", "CurvePoint", "read_chain", "write_results"]
 
@@ -192,16 +191,18 @@ def read_chain(path: "str | Path") -> StackChain:
 
 def _record(item: object) -> dict:
     """Column name -> cell value, in output column order."""
+    if isinstance(item, (ToleranceResult, CurvePoint)):
+        rec = {f.name: getattr(item, f.name) for f in fields(item)}
+        rec["method"] = item.method.value
+        return rec
+    from .study import StudyRow  # only a study writes these; analyze never loads it
+
     if isinstance(item, StudyRow):
         rec = {"chain_id": item.chain_id, "s1": item.s1, "d_factor": item.d_factor}
         for m, t in item.ts.items():
             rec[f"{m.value}_t"] = t
             rec[f"{m.value}_f"] = item.fs[m]
         rec["mc_t"] = item.mc_t
-        return rec
-    if isinstance(item, (ToleranceResult, CurvePoint)):
-        rec = {f.name: getattr(item, f.name) for f in fields(item)}
-        rec["method"] = item.method.value
         return rec
     raise ValueError(f"cannot serialize values of type {type(item).__name__}")
 

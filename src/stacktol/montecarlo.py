@@ -22,6 +22,7 @@ so the analytic path never loads it.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
@@ -37,6 +38,16 @@ __all__ = ["McConfig", "McEstimate", "sample_output", "mc_quantile", "mc_prob"]
 # Per-substream block length. Fixed so that the sample stream depends only
 # on (seed, draws), never on the worker count.
 _CHUNK = 50_000
+
+
+def _check_seed(seed: int) -> None:
+    """Reject a seed that is not an integer in [0, 2**64); numpy's integer types pass."""
+    try:
+        ok = 0 <= operator.index(seed) < 2**64
+    except TypeError:  # a float, a string, ...: SeedSequence would reject it at the first draw
+        ok = False
+    if not ok:
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -55,8 +66,7 @@ class McConfig:
                 "expect noisy quantiles below 1e4 draws",
                 stacklevel=3,  # past the generated __init__, to the caller
             )
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        _check_seed(self.seed)
 
 
 class McEstimate(NamedTuple):
@@ -76,21 +86,26 @@ def _fill_chunk(chain: StackChain, seed: int, chunk_index: int, out: np.ndarray,
     A draw U becomes -w + (w - -w) U, scaled then shifted in place, which is
     how ``Generator.uniform(-w, w)`` forms each value from the same stream,
     so the sample keeps its bits, and a range past the largest double
-    raises the ``OverflowError`` that it raises.
+    raises the ``OverflowError`` that it raises.  A sum past the largest
+    double raises ``OverflowError`` too, where it would be inf.
     """
     import numpy as np
 
-    for i, w in enumerate(chain.weighted_bounds):
-        span = w - -w
-        if not math.isfinite(span):
-            raise OverflowError("high - low range exceeds valid bounds")
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(i, chunk_index))
-        u = out if i == 0 else scratch[:out.size]
-        np.random.Generator(np.random.PCG64(ss)).random(out=u)
-        u *= span
-        u += -w
-        if i > 0:
-            out += u
+    with np.errstate(over="raise"):
+        for i, w in enumerate(chain.weighted_bounds):
+            span = w - -w
+            if not math.isfinite(span):
+                raise OverflowError("high - low range exceeds valid bounds")
+            ss = np.random.SeedSequence(entropy=seed, spawn_key=(i, chunk_index))
+            u = out if i == 0 else scratch[:out.size]
+            np.random.Generator(np.random.PCG64(ss)).random(out=u)
+            u *= span
+            u += -w
+            if i > 0:
+                try:
+                    out += u
+                except FloatingPointError:
+                    raise OverflowError("sum of the draws exceeds the largest double") from None
 
 
 def _map(fn, items, workers: int) -> list:

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Optional
 
 from .bounds import Method, _check_rho, tolerance
 from .chain import StackChain, balance_report
-from .montecarlo import McConfig, _map, _mc_quantile
+from .montecarlo import McConfig, _check_seed, _map, _mc_quantile
 
 if TYPE_CHECKING:
     import numpy as np
@@ -64,8 +64,7 @@ class StudySpec:
         if self.n_chains < 1:
             raise ValueError(f"n_chains must be >= 1, got {self.n_chains}")
         _check_rho(self.rho)
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)

@@ -17,14 +17,17 @@ from stacktol import (
     Method,
     NonFiniteError,
     StackChain,
+    StudySpec,
     bounds,
     chernov_t,
     gaussian_l,
     hoeffding_t,
     mc_prob,
     mc_quantile,
+    run_study,
     t_rss,
     t_wc,
+    write_results,
 )
 from stacktol.cli import main
 from conftest import TABLE_BOUNDS
@@ -325,6 +328,15 @@ class TestStudy:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.count("draws=5000 is low") == 1, proc.stderr
 
+    def test_defaults_are_the_library_defaults(self, capsys, tmp_path):
+        # flags left out take StudySpec's and McConfig's defaults
+        out = tmp_path / "s.csv"
+        assert main(["study", "--chains", "2", "--seed", "3", "-o", str(out)]) == 0
+        capsys.readouterr()
+        spec = StudySpec(n_chains=2, rho=0.0027, seed=3, mc_cfg=McConfig(seed=3))
+        write_results(run_study(spec), "csv", tmp_path / "lib.csv")
+        assert out.read_bytes() == (tmp_path / "lib.csv").read_bytes()
+
     def test_bad_draws_exits_2(self, capsys, tmp_path):
         code, _, err = _run(
             capsys,
@@ -385,6 +397,22 @@ class TestMc:
         assert code == 1 and out == ""
         assert err == "stacktol: numeric failure: high - low range exceeds valid bounds\n"
 
+    @pytest.mark.parametrize("flag,value", [("--rho", "0.0027"), ("--t", "1.0")])
+    def test_sum_past_double_max_exits_1(self, capsys, tmp_path, flag, value):
+        # each range 2w is finite; the sum of four draws can pass the largest double
+        p = tmp_path / "big.csv"
+        p.write_text("name,tolerance\n" + "".join(f"x{i},6e307\n" for i in range(4)),
+                     encoding="utf-8")
+        code, out, err = _run(capsys, ["mc", str(p), flag, value, "--seed", "1"])
+        assert code == 1 and out == ""
+        assert err == "stacktol: numeric failure: sum of the draws exceeds the largest double\n"
+
+    def test_default_draws_are_mc_config_draws(self, capsys, chain_csv):
+        code, out, _ = _run(capsys, ["mc", str(chain_csv), "--rho", "0.05", "--seed", "5"])
+        assert code == 0
+        est = mc_quantile(StackChain.from_bounds(TABLE_BOUNDS), 0.05, McConfig(seed=5))
+        assert out == f"t_hat={est.value!r} stderr={est.stderr!r}\n"
+
     def test_rho_and_t_mutually_exclusive(self, capsys, chain_csv):
         with pytest.raises(SystemExit) as exc:
             main(["mc", str(chain_csv), "--rho", "0.05", "--t", "1.0",
@@ -431,6 +459,51 @@ def test_analytic_path_never_loads_numpy(chain_csv):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+_LAZY_MODULES_SCRIPT = """
+import sys
+from stacktol import cli
+lazy = ("stacktol.montecarlo", "stacktol.study")
+assert cli.main(["analyze", sys.argv[1]]) == 0
+assert cli.main(["sweep", sys.argv[1], "--rho-min", "1e-6", "--rho-max", "0.1",
+                 "--points", "3"]) == 0
+loaded = [m for m in lazy if m in sys.modules]
+assert not loaded, f"analyze or sweep loaded {loaded}"
+assert cli.main(["mc", sys.argv[1], "--rho", "0.0027", "--draws", "10000", "--seed", "1"]) == 0
+assert "stacktol.montecarlo" in sys.modules and "stacktol.study" not in sys.modules
+assert cli.main(["study", "--chains", "1", "--seed", "1", "--mc-draws", "0",
+                 "-o", sys.argv[2]]) == 0
+assert all(m in sys.modules for m in lazy)
+"""
+
+
+def test_analytic_commands_never_load_monte_carlo_or_study(chain_csv, tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_MODULES_SCRIPT, str(chain_csv), str(tmp_path / "s.csv")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["sweep", "--rho-min", "1e-6",
+                                                  "--rho-max", "0.1", "--points", "3"]])
+def test_module_run_never_loads_monte_carlo_or_study(chain_csv, command):
+    # -X importtime lists on stderr every module that python -m stacktol.cli imports
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "stacktol.cli", command[0], str(chain_csv),
+         *command[1:]],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "stacktol.bounds" in imported
+    assert not imported & {"stacktol.montecarlo", "stacktol.study"}
 
 
 _NO_POOL_SCRIPT = """

@@ -47,6 +47,16 @@ class TestMcConfig:
         with pytest.raises(TypeError):
             McConfig(draws=10_000)
 
+    @pytest.mark.parametrize("seed", [1.5, "7", -0.5])
+    def test_seed_is_an_integer(self, seed):
+        # int() would pass these, and numpy would reject them at the first draw
+        with pytest.raises(ValueError, match="^seed must be a 64-bit unsigned integer, got "):
+            McConfig(seed=seed)
+
+    @pytest.mark.parametrize("seed", [np.uint64(2**64 - 1), np.int32(7), True])
+    def test_integer_seed_types_pass(self, seed):
+        assert McConfig(seed=seed).seed == seed
+
 
 class TestSampling:
     def test_repeatable(self):
@@ -135,6 +145,32 @@ class TestRangeOverflow:
         w = max(bounds)
         with pytest.raises(OverflowError, match=self.MATCH):
             np.random.default_rng(0).uniform(-w, w, 10)
+
+
+class TestSumOverflow:
+    """Every range 2w is finite, but a sum of draws can pass the largest double."""
+
+    CHAIN = StackChain.from_bounds((6e307,) * 4)
+    MATCH = "^sum of the draws exceeds the largest double$"
+
+    def test_sample_output(self):
+        for workers in (1, 2):
+            with pytest.raises(OverflowError, match=self.MATCH):
+                sample_output(self.CHAIN, CFG, workers=workers)
+
+    def test_mc_quantile(self):
+        for workers in (1, 2):
+            with pytest.raises(OverflowError, match=self.MATCH):
+                mc_quantile(self.CHAIN, 0.0027, CFG, workers=workers)
+
+    def test_mc_prob(self):
+        with pytest.raises(OverflowError, match=self.MATCH):
+            mc_prob(self.CHAIN, 1.0, CFG)
+
+    def test_sum_that_stays_finite_is_sampled(self):
+        # three of the same bounds stay below the largest double
+        y = sample_output(StackChain.from_bounds((6e307,) * 3), CFG, workers=2)
+        assert np.isfinite(y).all()
 
 
 class TestQuantile:

@@ -52,6 +52,16 @@ class TestStudySpec:
         with pytest.raises(ValueError):
             StudySpec(**kwargs)
 
+    @pytest.mark.parametrize("seed", [1.5, "7", -0.5])
+    def test_seed_is_an_integer(self, seed):
+        # int() would pass these, and numpy would reject them at the first draw
+        with pytest.raises(ValueError, match="^seed must be a 64-bit unsigned integer, got "):
+            StudySpec(n_chains=1, rho=0.05, seed=seed)
+
+    def test_numpy_integer_seed_passes(self):
+        spec = StudySpec(n_chains=1, rho=0.05, seed=np.uint64(3))
+        assert run_study(spec) == run_study(StudySpec(n_chains=1, rho=0.05, seed=3))
+
     def test_rows_list_the_four_bounds_in_method_order(self):
         (row,) = run_study(StudySpec(n_chains=1, rho=0.05, seed=1))
         assert list(row.ts) == list(row.fs) == METHODS
