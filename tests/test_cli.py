@@ -488,15 +488,16 @@ def test_analytic_commands_never_load_monte_carlo_or_study(chain_csv, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("command", [["analyze"], ["sweep", "--rho-min", "1e-6",
-                                                  "--rho-max", "0.1", "--points", "3"]])
-def test_module_run_never_loads_monte_carlo_or_study(chain_csv, command):
+@pytest.mark.parametrize("sub,flags", [
+    ("analyze", []),
+    ("sweep", ["--rho-min", "1e-6", "--rho-max", "0.1", "--points", "3"]),
+])
+def test_module_run_never_loads_monte_carlo_or_study(chain_csv, sub, flags):
     # -X importtime lists on stderr every module that python -m stacktol.cli imports
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "stacktol.cli", command[0], str(chain_csv),
-         *command[1:]],
+        [sys.executable, "-X", "importtime", "-m", "stacktol.cli", sub, str(chain_csv), *flags],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
