@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
@@ -86,8 +85,7 @@ def _check_rho(rho: float) -> float:
     return rho
 
 
-@dataclass(frozen=True)
-class ToleranceResult:
+class ToleranceResult(NamedTuple):
     """One method's half-width with its derived coefficients.
 
     t is the raw formula value and may exceed the worst case on small or

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 from .numerics import h_stable
@@ -39,26 +38,32 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Contributor:
-    """One dimension chain member: name, half-width tolerance, influence."""
-
+class _ContributorFields(NamedTuple):
     name: str
     half_width: float
     influence: float = 1.0
 
-    def __post_init__(self) -> None:
-        if not self.name:
+
+class Contributor(_ContributorFields):
+    """One dimension chain member: name, half-width tolerance, influence."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, half_width: float, influence: float = 1.0) -> "Contributor":
+        if not name:
             raise ValueError("contributor name must be non-empty")
-        if not (math.isfinite(self.half_width) and self.half_width > 0.0):
+        if not (math.isfinite(half_width) and half_width > 0.0):
             raise ValueError(
-                f"contributor {self.name!r}: half_width must be finite and > 0, "
-                f"got {self.half_width!r}"
+                f"contributor {name!r}: half_width must be finite and > 0, got {half_width!r}"
             )
-        if not math.isfinite(self.influence):
-            raise ValueError(
-                f"contributor {self.name!r}: influence must be finite, got {self.influence!r}"
-            )
+        if not math.isfinite(influence):
+            raise ValueError(f"contributor {name!r}: influence must be finite, got {influence!r}")
+        return super().__new__(cls, name, half_width, influence)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "Contributor":
+        """Build from a sequence, validated; ``_replace`` builds through here too."""
+        return cls(*iterable)
 
     @property
     def weighted_bound(self) -> float:
@@ -79,7 +84,6 @@ class _Sums(NamedTuple):
     d: float  # D = (max w_i - wbar) / wc, with n wbar standing in for wc where it overflows
 
 
-@dataclass(frozen=True)
 class StackChain:
     """Immutable chain of contributors with nonzero weighted bounds.
 
@@ -88,15 +92,18 @@ class StackChain:
     output and would only poison the log-based bounds with w_i = 0 terms.
     The sums of the kept bounds that the methods read (wc, wbar, T_RSS,
     the scaled bounds' groups, their dispersion sums and D) are formed
-    then too, once, in a private field outside equality, hash and repr.
+    then too, once, in a private slot outside equality, hash and repr.
+    Assigning to or deleting any attribute raises ``AttributeError``.
     """
 
-    contributors: tuple[Contributor, ...]
-    weighted_bounds: tuple[float, ...] = field(init=False)
-    _sums: _Sums = field(init=False, compare=False, repr=False)
+    __slots__ = ("contributors", "weighted_bounds", "_sums")
 
-    def __post_init__(self) -> None:
-        kept = tuple(c for c in self.contributors if c.weighted_bound != 0.0)
+    contributors: tuple[Contributor, ...]
+    weighted_bounds: tuple[float, ...]
+    _sums: _Sums
+
+    def __init__(self, contributors: tuple[Contributor, ...]) -> None:
+        kept = tuple(c for c in contributors if c.weighted_bound != 0.0)
         if not kept:
             raise ValueError(
                 "chain needs a contributor whose weighted bound |influence| * half_width is nonzero"
@@ -121,6 +128,28 @@ class StackChain:
             math.fsum((ui - 1.0) * (ui - 1.0) for ui in u),
             spread / wc if wc < math.inf else spread / wbar / n,
         ))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.contributors == other.contributors
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.contributors, self.weighted_bounds))
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(contributors={self.contributors!r}, "
+                f"weighted_bounds={self.weighted_bounds!r})")
+
+    def __reduce__(self) -> tuple:
+        # rebuild through __init__: the default would restore the slots by assignment
+        return type(self), (self.contributors,)
 
     @classmethod
     def from_bounds(cls, bounds: Iterable[float]) -> "StackChain":
@@ -175,8 +204,7 @@ def _jensen_gap(chain: StackChain, lam: float) -> float:
     return gap if gap > 0.0 else 0.0
 
 
-@dataclass(frozen=True)
-class BalanceReport:
+class BalanceReport(NamedTuple):
     """How evenly the chain's weighted bounds are spread.
 
     mean, variance (population, /n) and abs_dev_sum are plain dispersion

@@ -24,9 +24,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import IO, Sequence, Union
+from typing import IO, NamedTuple, Sequence, Union
 
 from .bounds import Method, ToleranceResult
 from .chain import Contributor, StackChain, build_chain
@@ -40,8 +39,7 @@ class ChainFileError(ValueError):
     """Chain file failed to parse or validate; message carries the location."""
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     """One (confidence level, method, half-width) row of a sweep curve."""
 
     rho: float
@@ -192,7 +190,7 @@ def read_chain(path: "str | Path") -> StackChain:
 def _record(item: object) -> dict:
     """Column name -> cell value, in output column order."""
     if isinstance(item, (ToleranceResult, CurvePoint)):
-        rec = {f.name: getattr(item, f.name) for f in fields(item)}
+        rec = item._asdict()
         rec["method"] = item.method.value
         return rec
     from .study import StudyRow  # only a study writes these; analyze never loads it

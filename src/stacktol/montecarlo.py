@@ -24,8 +24,7 @@ from __future__ import annotations
 import math
 import operator
 import warnings
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .bounds import _check_rho, _check_t
 from .chain import StackChain
@@ -50,23 +49,53 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
 
 
-@dataclass(frozen=True, kw_only=True)
-class McConfig:
-    """Sampling budget and seed. The seed is mandatory: no ambient entropy."""
+class _KeywordOnly:
+    """Mixin for a NamedTuple whose validating ``__new__`` takes keywords only.
 
-    draws: int = 200_000
+    ``_make``, and so ``_replace``, build through that ``__new__``, so they
+    validate too; pickle and copy pass the fields by keyword; and
+    ``_field_defaults`` holds ``__new__``'s defaults.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._field_defaults = dict(cls.__new__.__kwdefaults__)
+
+    @classmethod
+    def _make(cls, iterable: Iterable):
+        return cls(**dict(zip(cls._fields, iterable, strict=True)))
+
+    def __getnewargs_ex__(self) -> tuple[tuple, dict]:
+        return (), self._asdict()
+
+
+class _McFields(NamedTuple):
+    draws: int
     seed: int
 
-    def __post_init__(self) -> None:
-        if self.draws < 1000:
-            raise ValueError(f"draws must be >= 1000, got {self.draws}")
-        if self.draws < 10_000:
+
+class McConfig(_KeywordOnly, _McFields):
+    """Sampling budget and seed. The seed is mandatory: no ambient entropy.
+
+    The fields are keyword-only; the default of ``draws`` is in
+    ``McConfig._field_defaults``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *, draws: int = 200_000, seed: int) -> "McConfig":
+        if draws < 1000:
+            raise ValueError(f"draws must be >= 1000, got {draws}")
+        if draws < 10_000:
             warnings.warn(
-                f"draws={self.draws} is low for tail estimation; "
+                f"draws={draws} is low for tail estimation; "
                 "expect noisy quantiles below 1e4 draws",
-                stacklevel=3,  # past the generated __init__, to the caller
+                stacklevel=2,  # the caller's line
             )
-        _check_seed(self.seed)
+        _check_seed(seed)
+        return super().__new__(cls, draws, seed)
 
 
 class McEstimate(NamedTuple):

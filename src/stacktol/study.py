@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .bounds import Method, _check_rho, tolerance
 from .chain import StackChain, balance_report
-from .montecarlo import McConfig, _check_seed, _map, _mc_quantile
+from .montecarlo import McConfig, _KeywordOnly, _check_seed, _map, _mc_quantile
 
 if TYPE_CHECKING:
     import numpy as np
@@ -33,42 +32,42 @@ __all__ = ["StudySpec", "StudyRow", "random_chain", "run_study"]
 _METHODS = (Method.HOEFFDING, Method.CHERNOV, Method.LIPSCHITZ, Method.QUADRATIC)
 
 
-@dataclass(frozen=True, kw_only=True)
-class StudySpec:
+class _StudyFields(NamedTuple):
+    n_inputs: int
+    bound_lo: float
+    bound_hi: float
+    n_chains: int
+    rho: float
+    seed: int
+    mc_cfg: Optional[McConfig]
+
+
+class StudySpec(_KeywordOnly, _StudyFields):
     """Parameters of one batch study.
 
     ``mc_cfg`` None disables the Monte Carlo column.  When it is set, its
     seed is the base entropy from which per-chain sampling seeds are
-    derived.
+    derived.  The fields are keyword-only; the defaults are in
+    ``StudySpec._field_defaults``.
     """
 
-    n_inputs: int = 5
-    bound_lo: float = 1.0
-    bound_hi: float = 5.0
-    n_chains: int
-    rho: float
-    seed: int
-    mc_cfg: Optional[McConfig] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n_inputs < 1:
-            raise ValueError(f"n_inputs must be >= 1, got {self.n_inputs}")
-        if not (
-            math.isfinite(self.bound_lo)
-            and math.isfinite(self.bound_hi)
-            and 0.0 < self.bound_lo < self.bound_hi
-        ):
-            raise ValueError(
-                f"bounds must satisfy 0 < lo < hi, got [{self.bound_lo}, {self.bound_hi}]"
-            )
-        if self.n_chains < 1:
-            raise ValueError(f"n_chains must be >= 1, got {self.n_chains}")
-        _check_rho(self.rho)
-        _check_seed(self.seed)
+    def __new__(cls, *, n_inputs: int = 5, bound_lo: float = 1.0, bound_hi: float = 5.0,
+                n_chains: int, rho: float, seed: int,
+                mc_cfg: Optional[McConfig] = None) -> "StudySpec":
+        if n_inputs < 1:
+            raise ValueError(f"n_inputs must be >= 1, got {n_inputs}")
+        if not (math.isfinite(bound_lo) and math.isfinite(bound_hi) and 0.0 < bound_lo < bound_hi):
+            raise ValueError(f"bounds must satisfy 0 < lo < hi, got [{bound_lo}, {bound_hi}]")
+        if n_chains < 1:
+            raise ValueError(f"n_chains must be >= 1, got {n_chains}")
+        _check_rho(rho)
+        _check_seed(seed)
+        return super().__new__(cls, n_inputs, bound_lo, bound_hi, n_chains, rho, seed, mc_cfg)
 
 
-@dataclass(frozen=True)
-class StudyRow:
+class StudyRow(NamedTuple):
     """One chain's diagnostics and per-method results.
 
     ``ts`` and ``fs`` map hoeffding, chernov, lipschitz and quadratic, in
@@ -79,8 +78,8 @@ class StudyRow:
     chain_id: int
     s1: float
     d_factor: float
-    ts: dict[Method, float] = field(repr=False)
-    fs: dict[Method, float] = field(repr=False)
+    ts: dict[Method, float]
+    fs: dict[Method, float]
     mc_t: Optional[float] = None
 
 

@@ -41,6 +41,11 @@ def chain_csv(tmp_path):
     return p
 
 
+# the low-draws warning as the command prints it: one plain line on stderr
+_LOW_DRAWS = ("stacktol: warning: draws={} is low for tail estimation; "
+              "expect noisy quantiles below 1e4 draws\n")
+
+
 def _run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -326,7 +331,7 @@ class TestStudy:
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stderr.count("draws=5000 is low") == 1, proc.stderr
+        assert proc.stderr == _LOW_DRAWS.format(5000)
 
     def test_defaults_are_the_library_defaults(self, capsys, tmp_path):
         # flags left out take StudySpec's and McConfig's defaults
@@ -367,13 +372,21 @@ class TestMc:
         assert out == f"p_hat={est.value!r} stderr={est.stderr!r}\n"
 
     def test_prob_zero_beyond_worst_case(self, capsys, chain_csv):
-        with pytest.warns(UserWarning, match="draws"):
-            code, out, _ = _run(
-                capsys,
-                ["mc", str(chain_csv), "--t", "15.0", "--draws", "1000",
-                 "--seed", "1"],
-            )
+        code, out, err = _run(
+            capsys,
+            ["mc", str(chain_csv), "--t", "15.0", "--draws", "1000",
+             "--seed", "1"],
+        )
         assert code == 0 and out.startswith("p_hat=0.0 ")
+        assert err == _LOW_DRAWS.format(1000)
+
+    def test_low_draws_warning_precedes_a_bad_seed_error(self, capsys, chain_csv):
+        code, out, err = _run(
+            capsys, ["mc", str(chain_csv), "--rho", "0.05", "--draws", "9999", "--seed", "-1"]
+        )
+        assert code == 2 and out == ""
+        assert err == (_LOW_DRAWS.format(9999)
+                       + "stacktol: seed must be a 64-bit unsigned integer, got -1\n")
 
     def test_repeat_runs_identical(self, capsys, chain_csv):
         argv = ["mc", str(chain_csv), "--rho", "0.0027", "--draws", "20000",
@@ -493,7 +506,8 @@ def test_analytic_commands_never_load_monte_carlo_or_study(chain_csv, tmp_path):
     ("sweep", ["--rho-min", "1e-6", "--rho-max", "0.1", "--points", "3"]),
 ])
 def test_module_run_never_loads_monte_carlo_or_study(chain_csv, sub, flags):
-    # -X importtime lists on stderr every module that python -m stacktol.cli imports
+    # -X importtime lists on stderr every module that python -m stacktol.cli imports;
+    # the records are NamedTuples, so neither dataclasses nor its inspect loads either
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run(
@@ -505,6 +519,7 @@ def test_module_run_never_loads_monte_carlo_or_study(chain_csv, sub, flags):
                 if line.startswith("import time:")}
     assert "stacktol.bounds" in imported
     assert not imported & {"stacktol.montecarlo", "stacktol.study"}
+    assert not imported & {"dataclasses", "inspect"}
 
 
 _NO_POOL_SCRIPT = """

@@ -2,7 +2,6 @@
 
 import math
 import random
-from dataclasses import astuple
 
 import mpmath
 import pytest
@@ -161,7 +160,7 @@ def test_repeated_bounds_never_below_the_exact_quantile(rho):
 
 
 def _analyze_bits(w, rho):
-    return [tuple(x.hex() if isinstance(x, float) else x for x in astuple(r))
+    return [tuple(x.hex() if isinstance(x, float) else x for x in tuple(r))
             for r in analyze_all(StackChain.from_bounds(w), rho)]
 
 

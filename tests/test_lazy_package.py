@@ -24,11 +24,15 @@ def _run(script: str) -> None:
 
 
 def test_import_loads_neither_module():
+    # nor dataclasses, whose import of inspect costs more than the package's own modules
     _run("""
 import sys
+before = set(sys.modules)
 import stacktol
 assert "stacktol.montecarlo" not in sys.modules
 assert "stacktol.study" not in sys.modules
+loaded = {"dataclasses", "inspect"} & (set(sys.modules) - before)
+assert not loaded, loaded
 """)
 
 
