@@ -92,7 +92,7 @@ class McConfig(_KeywordOnly, _McFields):
             warnings.warn(
                 f"draws={draws} is low for tail estimation; "
                 "expect noisy quantiles below 1e4 draws",
-                stacklevel=2,  # the caller's line
+                stacklevel=2,  # the caller's line; through _replace, _make's
             )
         _check_seed(seed)
         return super().__new__(cls, draws, seed)

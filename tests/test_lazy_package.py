@@ -24,7 +24,7 @@ def _run(script: str) -> None:
 
 
 def test_import_loads_neither_module():
-    # nor dataclasses, whose import of inspect costs more than the package's own modules
+    # nor dataclasses, which would load inspect, ast, dis and tokenize on every run
     _run("""
 import sys
 before = set(sys.modules)
