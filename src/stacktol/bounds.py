@@ -26,8 +26,9 @@ bounds of 1 ((v, c) = (1, n)), plus a = sum|u_i - 1| (LIPSCHITZ) or
 b = curvature sum (u_i - 1)^2 (QUADRATIC).  The infimum sits where
 K'(lam) = t, so every inversion is one monotone root in lam, driven by
 the slope K' and the gap K - lam K'; K = gap + lam K' gives the exponents
-phi, psi and psi_tilde.  All functions are pure; results are frozen
-records.
+phi, psi and psi_tilde.  A quantile is the bound (K - log(rho / 2)) / lam at
+the lam where its root stops (see _quantile); only chernov_prob goes through
+numerics.invert_monotone.  All functions are pure; results are frozen records.
 """
 
 from __future__ import annotations
@@ -38,7 +39,9 @@ from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
 from .chain import StackChain, _jensen_gap, t_rss, t_wc
-from .numerics import _langevin_sums, _legendre_sums, invert_monotone
+from .numerics import (
+    _MAX_ITER, ConvergenceError, _checked, _langevin_sums, _legendre_sums, invert_monotone,
+)
 
 __all__ = [
     "Method",
@@ -273,29 +276,37 @@ def psi_tilde(chain: StackChain, lam: float, t: float, curvature: float = 0.5) -
 
 # Past this lam every gap is finite and no slope changes in double precision.
 _LAM_MAX = 2.0 ** 900
+_STEP_TOL = 1e-7  # _quantile stops at the first lam whose own Newton step is this small
 
 
 def _quantile(m: _Member, rho: float) -> float:
-    """Smallest t with 2 exp(g) <= rho at the optimal lam.
+    """The member's bound t = (K(lam) - log(rho / 2)) / lam at the lam where its root stops.
 
-    The root of g(lam) = log(rho / 2) lies right of lo, where the Gaussian
-    bound -curv lam^2 / 2 meets the target, and left of the Newton step in
-    log lam from lo (g is concave in log lam) and of the root of -b lam^2.
-    Newton steps from there find it.  t is clamped to the member's limit
-    t(inf), so it never falls as rho falls.
+    The bound holds at every lam > 0 and is least where g(lam) = log(rho / 2).
+    Newton steps in log lam, where g is concave, run from the Gaussian point
+    (g >= -curv lam^2 / 2), left of the root; each is cut at the root of
+    -b lam^2 or at _LAM_MAX, and halved if it leaves the bracket of the
+    points seen.  They stop at the first lam, on either side of the root,
+    whose own step is at most 1e-7: as lam K'' <= K', t there exceeds the
+    optimum by at most about step^2 / 2 <= 5e-15 of itself.  t is clamped to
+    the member's limit t(inf), also the answer where the root lies past
+    _LAM_MAX, so it never falls as rho falls.
     """
     target = math.log(rho) - math.log(2.0)
-    lo = math.sqrt(-2.0 * target / m.curv)
-    # a step past 700 overshoots _LAM_MAX anyway, and exp(700) is finite
-    at_lo = _gap(m, lo)  # the solver's straddle check reuses it
-    step = min((target - at_lo[0]) / at_lo[1], 700.0)
-    pen_root = math.sqrt(-target / m.b) if m.b else math.inf
-    # 1e-6 wider keeps g(hi) <= target through rounding where hi is nearly the root
-    hi = min((1.0 + 1e-6) * min(lo * math.exp(step), pen_root), _LAM_MAX)
-    if hi == _LAM_MAX and _gap(m, hi)[0] > target:
-        return m.limit
-    lam = invert_monotone(lambda x: at_lo if x == lo else _gap(m, x), target, lo, hi)
-    return min(m.wbar * _slope(m, lam) * _ROUND_UP, m.limit)
+    cap = min(math.sqrt(-target / m.b) if m.b else math.inf, _LAM_MAX)
+    lam, lo, hi = math.sqrt(-2.0 * target / m.curv), 0.0, math.inf
+    for _ in range(_MAX_ITER):
+        g, dg = _checked(lambda x: _gap(m, x), lam)
+        step = (target - g) / dg
+        if lam == _LAM_MAX and step > 0.0:
+            return m.limit
+        if abs(step) <= _STEP_TOL:
+            return min(m.wbar * (_slope(m, lam) + (g - target) / lam) * _ROUND_UP, m.limit)
+        lo, hi = (lam, hi) if step > 0.0 else (lo, lam)
+        # a step past 700 overshoots _LAM_MAX anyway, and exp(700) is finite
+        nxt = min(lam * math.exp(min(step, 700.0)), cap)
+        lam = nxt if lo < nxt < hi else math.sqrt(lam) * math.sqrt(hi if step > 0.0 else lo)
+    raise ConvergenceError(f"lambda root not found after {_MAX_ITER} steps")
 
 
 def chernov_prob(chain: StackChain, t: float) -> float:

@@ -100,7 +100,7 @@ def cmd_study(args: argparse.Namespace) -> None:
     from .study import StudySpec, run_study
 
     mc_draws = getattr(args, "mc_draws", McConfig._field_defaults["draws"])
-    mc_cfg = _mc_config(mc_draws, args.seed) if mc_draws > 0 else None
+    mc_cfg = _mc_config(mc_draws, args.seed) if mc_draws else None  # McConfig rejects < 0
     defaults = StudySpec._field_defaults
     spec = StudySpec(
         n_inputs=getattr(args, "n", defaults["n_inputs"]),

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 import warnings
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
@@ -89,10 +90,13 @@ class McConfig(_KeywordOnly, _McFields):
         if draws < 1000:
             raise ValueError(f"draws must be >= 1000, got {draws}")
         if draws < 10_000:
+            level, frame = 2, sys._getframe(1)  # the caller's line, past _replace and _make
+            while frame.f_code in (cls._make.__func__.__code__, cls._replace.__code__):
+                level, frame = level + 1, frame.f_back
             warnings.warn(
                 f"draws={draws} is low for tail estimation; "
                 "expect noisy quantiles below 1e4 draws",
-                stacklevel=2,  # the caller's line; through _replace, _make's
+                stacklevel=level,
             )
         _check_seed(seed)
         return super().__new__(cls, draws, seed)

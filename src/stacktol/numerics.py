@@ -18,10 +18,10 @@ with counts c, at lam * v is one kernel's loop: ``_legendre_sums`` forms the
 gap's c m and c q (sharing expm1(-2x)), ``_langevin_sums`` the slope's c v L
 and c v (1 - L).  Each public function of x is its kernel's one-term view.
 
-The solver is deliberately tiny: one inverter for nonincreasing functions
-on a positive bracket, which takes Newton steps in log x with a bisection
-safeguard.  Its three errors are all ArithmeticErrors.  Everything in this
-module is pure and stateless.
+The solver is one inverter for nonincreasing functions on a positive
+bracket: Newton steps in log x, a bisection safeguard, an end on the safe
+side of the root.  Only bounds.chernov_prob uses it.  Its three errors are
+all ArithmeticErrors.  Everything in this module is pure and stateless.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ _H_SERIES_SWITCH = 1e-3
 # lose at most ~1e-13 relative to cancellation.
 _LANGEVIN_SERIES_SWITCH = 0.1
 
-# invert_monotone stops once a Newton step in log x falls below _REL_TOL, and
-# raises after _MAX_ITER steps.
+# invert_monotone stops once a Newton step in log x falls below _REL_TOL; it and
+# bounds._quantile raise after _MAX_ITER steps.
 _REL_TOL = 1e-9
 _MAX_ITER = 256
 

@@ -104,43 +104,43 @@ T_BITS = {
     ('single', 1e-06): ('0x1.fffff3a7f08ecp-1', '0x1.fffff3a7f08ecp-1', '0x1.fffff3a7f08ecp-1', '0x1.fffff3a7f08ecp-1'),
     ('single', 1e-12): ('0x1.ffffffffff31ep-1', '0x1.ffffffffff31ep-1', '0x1.ffffffffff31ep-1', '0x1.ffffffffff31ep-1'),
     ('single', 1e-300): ('0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0'),
-    ('pair', 0.1): ('0x1.446e7e8c943e2p+1', '0x1.c0d2df919004cp+1', '0x1.98f3af7e36eacp+1', '0x1.642ab32bd5752p+1'),
-    ('pair', 0.0027): ('0x1.76367bb0380fep+1', '0x1.f59e7f81e1a66p+1', '0x1.1a18c3b2b8bf2p+2', '0x1.d19999bdc8976p+1'),
-    ('pair', 1e-06): ('0x1.7fcfc803a9a0ap+1', '0x1.ffccdb39dc15ep+1', '0x1.7c5c331513744p+2', '0x1.2659c76d71275p+2'),
-    ('pair', 1e-12): ('0x1.7ffff3a7f08e8p+1', '0x1.fffff2e83ff7cp+1', '0x1.e999dca586e1cp+2', '0x1.6797aa5235fffp+2'),
+    ('pair', 0.1): ('0x1.446e7e8c943e2p+1', '0x1.c0d2df919004cp+1', '0x1.98f3af7e36eacp+1', '0x1.642ab32bd5751p+1'),
+    ('pair', 0.0027): ('0x1.76367bb0380fep+1', '0x1.f59e7f81e1a66p+1', '0x1.1a18c3b2b8bf1p+2', '0x1.d19999bdc8975p+1'),
+    ('pair', 1e-06): ('0x1.7fcfc803a9a0ap+1', '0x1.ffccdb39dc15ep+1', '0x1.7c5c331513744p+2', '0x1.2659c76d71274p+2'),
+    ('pair', 1e-12): ('0x1.7ffff3a7f08e8p+1', '0x1.fffff2e83ff7cp+1', '0x1.e999dca586e1bp+2', '0x1.6797aa5235fffp+2'),
     ('pair', 1e-300): ('0x1.8000000000000p+1', '0x1.0000000000000p+2', '0x1.d1a5568ecee4bp+4', '0x1.20ef0aa813013p+4'),
-    ('table', 0.1): ('0x1.2f3b69b05ca3dp+3', '0x1.dc6a26e156332p+3', '0x1.7f8dd1f98252cp+3', '0x1.421a90778f796p+3'),
-    ('table', 0.0027): ('0x1.8dd7bd937e0c3p+3', '0x1.20e626f6e86f4p+4', '0x1.165dedce87e4ep+4', '0x1.c830c7d47cc44p+3'),
-    ('table', 1e-06): ('0x1.cf2788a1da92ap+3', '0x1.464cfa2472560p+4', '0x1.8bf8fe8eecf72p+4', '0x1.35f8046d2f5b6p+4'),
-    ('table', 1e-12): ('0x1.deefe6da998b9p+3', '0x1.4f6354f3f7af8p+4', '0x1.079029052b362p+5', '0x1.88f21346ccd8cp+4'),
-    ('table', 1e-300): ('0x1.e000000000000p+3', '0x1.5000000000000p+4', '0x1.058f906c3b0adp+7', '0x1.46d646ced991dp+6'),
-    ('case', 0.1): ('0x1.84d72f28e519dp+0', '0x1.8c1ee51a41a75p+1', '0x1.327d9f2d0995fp+1', '0x1.b7b99bd5cb9e4p+0'),
-    ('case', 0.0027): ('0x1.00a8b73c109cap+1', '0x1.cf740672bde6ep+1', '0x1.c5f752aeae03ap+1', '0x1.43509d4cdfa50p+1'),
-    ('case', 1e-06): ('0x1.3d7dfc922d293p+1', '0x1.0dfcaf873cb09p+2', '0x1.4e85250b336efp+2', '0x1.d5b5ed96cbd93p+1'),
-    ('case', 1e-12): ('0x1.60eedacfa5320p+1', '0x1.258a195e60d51p+2', '0x1.cf8e63fa5ae2cp+2', '0x1.3ee7e5ce1e022p+2'),
-    ('case', 1e-300): ('0x1.6cccccccccccdp+1', '0x1.2d70a3d70a3d7p+2', '0x1.0837b6dbf6149p+5', '0x1.4335c70e99b93p+4'),
-    ('long', 0.1): ('0x1.ff583e926fa23p+5', '0x1.03aaf81ee4d90p+8', '0x1.1f5e1279f8c97p+6', '0x1.ffe356c79a201p+5'),
-    ('long', 0.0027): ('0x1.7ab4d48727482p+6', '0x1.20748aff2b9c7p+8', '0x1.aa6b0e353f483p+6', '0x1.7b989a6b9bbadp+6'),
-    ('long', 1e-06): ('0x1.16f3c377ec386p+7', '0x1.4a8cbf766a9bbp+8', '0x1.3b570bca35ea0p+7', '0x1.18661c4889f0ep+7'),
-    ('long', 1e-12): ('0x1.81c61b43db295p+7', '0x1.7d1e5cbab61d8p+8', '0x1.b728596d8eb99p+7', '0x1.85b72004788dbp+7'),
-    ('long', 1e-300): ('0x1.24a5ef3c2d273p+9', '0x1.88113b77ac02bp+9', '0x1.df069edc47f33p+9', '0x1.80028b941ffb8p+9'),
-    ('tiny', 0.1): ('0x1.f0ac3617c66e3p-664', '0x1.578d66ea73294p-663', '0x1.39084e09cbf28p-663', '0x1.10a0c872591abp-663'),
-    ('tiny', 0.0027): ('0x1.1e70ff9cf372ep-663', '0x1.7ff6f1a8a4464p-663', '0x1.afdcb82adf14ap-663', '0x1.6464cd9e88f02p-663'),
-    ('tiny', 1e-06): ('0x1.25c9f049e1b56p-663', '0x1.87c1fb760e876p-663', '0x1.232599bae1c61p-662', '0x1.c29f2da1e5f48p-663'),
-    ('tiny', 1e-12): ('0x1.25eecf8cd4f02p-663', '0x1.87e9174f562b6p-663', '0x1.76c3ee64f4ccep-662', '0x1.13400e7fb8345p-662'),
+    ('table', 0.1): ('0x1.2f3b69b05ca3cp+3', '0x1.dc6a26e156332p+3', '0x1.7f8dd1f98252ap+3', '0x1.421a90778f796p+3'),
+    ('table', 0.0027): ('0x1.8dd7bd937e0c4p+3', '0x1.20e626f6e86f4p+4', '0x1.165dedce87e4dp+4', '0x1.c830c7d47cc46p+3'),
+    ('table', 1e-06): ('0x1.cf2788a1da929p+3', '0x1.464cfa2472560p+4', '0x1.8bf8fe8eecf70p+4', '0x1.35f8046d2f5b5p+4'),
+    ('table', 1e-12): ('0x1.deefe6da998b9p+3', '0x1.4f6354f3f7af8p+4', '0x1.079029052b362p+5', '0x1.88f21346ccd8ep+4'),
+    ('table', 1e-300): ('0x1.e000000000000p+3', '0x1.5000000000000p+4', '0x1.058f906c3b0aap+7', '0x1.46d646ced9920p+6'),
+    ('case', 0.1): ('0x1.84d72f28e519ep+0', '0x1.8c1ee51a41a74p+1', '0x1.327d9f2d0995cp+1', '0x1.b7b99bd5cb9e4p+0'),
+    ('case', 0.0027): ('0x1.00a8b73c109cap+1', '0x1.cf740672bde6fp+1', '0x1.c5f752aeae03ep+1', '0x1.43509d4cdfa50p+1'),
+    ('case', 1e-06): ('0x1.3d7dfc922d293p+1', '0x1.0dfcaf873cb0ap+2', '0x1.4e85250b336f1p+2', '0x1.d5b5ed96cbd91p+1'),
+    ('case', 1e-12): ('0x1.60eedacfa5320p+1', '0x1.258a195e60d51p+2', '0x1.cf8e63fa5ae2dp+2', '0x1.3ee7e5ce1e022p+2'),
+    ('case', 1e-300): ('0x1.6cccccccccccdp+1', '0x1.2d70a3d70a3d7p+2', '0x1.0837b6dbf6153p+5', '0x1.4335c70e99b92p+4'),
+    ('long', 0.1): ('0x1.ff583e926fa26p+5', '0x1.03aaf81ee4d8ap+8', '0x1.1f5e1279f8c73p+6', '0x1.ffe356c79a1a5p+5'),
+    ('long', 0.0027): ('0x1.7ab4d48727487p+6', '0x1.20748aff2b9c6p+8', '0x1.aa6b0e353f48dp+6', '0x1.7b989a6b9bb96p+6'),
+    ('long', 1e-06): ('0x1.16f3c377ec385p+7', '0x1.4a8cbf766a9b9p+8', '0x1.3b570bca35e9ep+7', '0x1.18661c4889f17p+7'),
+    ('long', 1e-12): ('0x1.81c61b43db296p+7', '0x1.7d1e5cbab61dap+8', '0x1.b728596d8eb96p+7', '0x1.85b72004788d8p+7'),
+    ('long', 1e-300): ('0x1.24a5ef3c2d273p+9', '0x1.88113b77ac02bp+9', '0x1.df069edc47f32p+9', '0x1.80028b941ffb6p+9'),
+    ('tiny', 0.1): ('0x1.f0ac3617c66e3p-664', '0x1.578d66ea73294p-663', '0x1.39084e09cbf28p-663', '0x1.10a0c872591aap-663'),
+    ('tiny', 0.0027): ('0x1.1e70ff9cf372ep-663', '0x1.7ff6f1a8a4464p-663', '0x1.afdcb82adf149p-663', '0x1.6464cd9e88f01p-663'),
+    ('tiny', 1e-06): ('0x1.25c9f049e1b56p-663', '0x1.87c1fb760e876p-663', '0x1.232599bae1c61p-662', '0x1.c29f2da1e5f47p-663'),
+    ('tiny', 1e-12): ('0x1.25eecf8cd4f02p-663', '0x1.87e9174f562b6p-663', '0x1.76c3ee64f4ccdp-662', '0x1.13400e7fb8345p-662'),
     ('tiny', 1e-300): ('0x1.25eed8ffb39c1p-663', '0x1.87e92154ef7acp-663', '0x1.646dc9a859fd8p-660', '0x1.ba54387615190p-661'),
-    ('huge', 0.1): ('0x1.a7d8113120d84p+665', '0x1.252d1a6a5a322p+666', '0x1.0b21aa46e2df1p+666', '0x1.d14db17658c0cp+665'),
-    ('huge', 0.0027): ('0x1.e8e1123fe95bfp+665', '0x1.47a9a547ef6dap+666', '0x1.7089702b72fedp+666', '0x1.3022765c2084fp+666'),
-    ('huge', 1e-06): ('0x1.f56b55cd9bae5p+665', '0x1.4e50252874d42p+666', '0x1.f0e901913c613p+666', '0x1.808bb28185768p+666'),
-    ('huge', 1e-12): ('0x1.f5aa441bd3610p+665', '0x1.4e7184f010842p+666', '0x1.3fcff4b205d3fp+667', '0x1.d5c760e834900p+666'),
+    ('huge', 0.1): ('0x1.a7d8113120d84p+665', '0x1.252d1a6a5a322p+666', '0x1.0b21aa46e2df1p+666', '0x1.d14db17658c0ap+665'),
+    ('huge', 0.0027): ('0x1.e8e1123fe95bfp+665', '0x1.47a9a547ef6dap+666', '0x1.7089702b72fecp+666', '0x1.3022765c2084ep+666'),
+    ('huge', 1e-06): ('0x1.f56b55cd9bae5p+665', '0x1.4e50252874d42p+666', '0x1.f0e901913c613p+666', '0x1.808bb28185767p+666'),
+    ('huge', 1e-12): ('0x1.f5aa441bd3610p+665', '0x1.4e7184f010842p+666', '0x1.3fcff4b205d3ep+667', '0x1.d5c760e834900p+666'),
     ('huge', 1e-300): ('0x1.f5aa543c31387p+665', '0x1.4e718d7d7625ap+666', '0x1.302a2122e6233p+669', '0x1.7978091c3feb6p+668'),
-    ('near', 0.1): ('0x1.abc460eda08e1p+0', '0x1.abc508b348504p+0', '0x1.abc460ee4319ep+0', '0x1.abc460edd3b97p+0'),
+    ('near', 0.1): ('0x1.abc460eda08e1p+0', '0x1.abc508b348504p+0', '0x1.abc460ee4319fp+0', '0x1.abc460edd3b96p+0'),
     ('near', 0.0027): ('0x1.f2294d3f1aa94p+0', '0x1.f229f504c6322p+0', '0x1.f2294d4312b7ap+0', '0x1.f2294d406cd9dp+0'),
     ('near', 1e-06): ('0x1.ffbc76a72415cp+0', '0x1.ffbd1e6cd0593p+0', '0x1.ffbc7775854bap+0', '0x1.ffbc76ebef6aap+0'),
     ('near', 1e-12): ('0x1.00004b285341cp+1', '0x1.00009f0b29655p+1', '0x1.0000bed3e61c9p+1', '0x1.000081ff76247p+1'),
     ('near', 1e-300): ('0x1.000053e2d6239p+1', '0x1.0000a7c5ac472p+1', '0x1.0008bd9d97892p+1', '0x1.00052e4ead7ddp+1'),
-    ('decimal', 0.1): ('0x1.bfc1c170af280p-3', '0x1.bfc1c170af281p-3', '0x1.bfc1c170af280p-3', '0x1.bfc1c170af280p-3'),
-    ('decimal', 0.0027): ('0x1.1a383071a64ecp-2', '0x1.1a383071a64eep-2', '0x1.1a383071a64edp-2', '0x1.1a383071a64edp-2'),
+    ('decimal', 0.1): ('0x1.bfc1c170af280p-3', '0x1.bfc1c170af283p-3', '0x1.bfc1c170af281p-3', '0x1.bfc1c170af281p-3'),
+    ('decimal', 0.0027): ('0x1.1a383071a64ecp-2', '0x1.1a383071a64edp-2', '0x1.1a383071a64ecp-2', '0x1.1a383071a64ecp-2'),
     ('decimal', 1e-06): ('0x1.3167f21093a53p-2', '0x1.3167f21093a55p-2', '0x1.3167f21093a54p-2', '0x1.3167f21093a54p-2'),
     ('decimal', 1e-12): ('0x1.332e9b8236ba1p-2', '0x1.332e9b8236ba3p-2', '0x1.332e9b8236ba2p-2', '0x1.332e9b8236ba2p-2'),
     ('decimal', 1e-300): ('0x1.3333333333334p-2', '0x1.3333333333335p-2', '0x1.333333333334ap-2', '0x1.3333333333345p-2'),
@@ -167,55 +167,55 @@ ANALYZE_SHA = {
     ('single', 1e-12): '258f0d39f83a21d0',
     ('single', 1e-300): '989a8e8af1c8b6f6',
     ('pair', 0.1): 'ceb19c0713d31694',
-    ('pair', 0.0027): '082b372bb28775e0',
+    ('pair', 0.0027): '36fcbdea58c886bb',
     ('pair', 1e-06): '27e8d29d59b25f81',
-    ('pair', 1e-12): 'd5f292bfd405d624',
+    ('pair', 1e-12): '44635eae142b7e9b',
     ('pair', 1e-300): '0fb2cdc6683ddf5d',
-    ('table', 0.1): '788bf35d6446528b',
-    ('table', 0.0027): 'eb1689fb57883672',
-    ('table', 1e-06): 'f37a23f3593c98fa',
+    ('table', 0.1): 'b03fa5287ff6beb6',
+    ('table', 0.0027): 'a3e5d063efaff3f5',
+    ('table', 1e-06): '7f889c0b5f0e5294',
     ('table', 1e-12): '27b46b1cbcab6401',
-    ('table', 1e-300): '2abf92592339fadd',
-    ('case', 0.1): '52cc62c1097d3e84',
-    ('case', 0.0027): '45dc17cf8f9e5817',
-    ('case', 1e-06): 'fa2ce23140c02665',
-    ('case', 1e-12): '35df057a2e70c717',
-    ('case', 1e-300): '5169bc90989204f8',
-    ('long', 0.1): 'd2fdf8e75ce77817',
-    ('long', 0.0027): 'e82103befe55a2e5',
-    ('long', 1e-06): 'e01ffc2475de1513',
-    ('long', 1e-12): 'c7c33eb37753b77e',
-    ('long', 1e-300): '4cf109b7af9a61c7',
+    ('table', 1e-300): 'd4dcc26560802058',
+    ('case', 0.1): '15c223646d554c73',
+    ('case', 0.0027): '4eb6cfad6ed89cc4',
+    ('case', 1e-06): 'a931407d8aa88ede',
+    ('case', 1e-12): '684931ac3bd49051',
+    ('case', 1e-300): '08eb4fb4467c6e26',
+    ('long', 0.1): '86e11afe09e1521e',
+    ('long', 0.0027): '864a92d193ae8d81',
+    ('long', 1e-06): 'a336678d2790d9ba',
+    ('long', 1e-12): '1174f5f969b5f051',
+    ('long', 1e-300): '82c861e061fb639f',
     ('tiny', 0.1): '68fb04ef55b375ca',
-    ('tiny', 0.0027): '48fff3400964b187',
+    ('tiny', 0.0027): '9d2b6edf003a5b8d',
     ('tiny', 1e-06): '968c10234c0c22f2',
-    ('tiny', 1e-12): '853d002a10e46ede',
+    ('tiny', 1e-12): 'c62a1786a0032beb',
     ('tiny', 1e-300): 'bc670817fa16e76b',
     ('huge', 0.1): '39c0cc890106f440',
-    ('huge', 0.0027): '9338c6e10c1d1f64',
+    ('huge', 0.0027): '460cc335e17b84f3',
     ('huge', 1e-06): 'be809e91a4581ac9',
-    ('huge', 1e-12): '82ef95b0072b6473',
+    ('huge', 1e-12): 'eb8aab783537d3c0',
     ('huge', 1e-300): '130d1465d20c709b',
-    ('near', 0.1): '903b33a3ee7b1a05',
+    ('near', 0.1): '2f76ba7d42e07149',
     ('near', 0.0027): '3f64c9a5d2ced06e',
     ('near', 1e-06): '50c7e73c0a598999',
     ('near', 1e-12): 'e273138aa9fa4fd4',
     ('near', 1e-300): '99eb3ebc83733387',
-    ('decimal', 0.1): '806e8942b8d86c3e',
-    ('decimal', 0.0027): 'e73afcf69513cd63',
+    ('decimal', 0.1): '1b85caef184bbba9',
+    ('decimal', 0.0027): '5a26a9cf1e7305db',
     ('decimal', 1e-06): '2c8e84ba22b037db',
     ('decimal', 1e-12): '1767d472ebcfc3c3',
     ('decimal', 1e-300): '9bb5eb45a0747dd6',
-    ('catalogue', 0.1): 'f68db1ee4dac5f07',
-    ('catalogue', 0.0027): '96025ece63238c7d',
+    ('catalogue', 0.1): '87ade65421cce72f',
+    ('catalogue', 0.0027): 'cf8324c78757de14',
     ('catalogue', 1e-06): 'ab306e607f4954ca',
-    ('catalogue', 1e-12): '142add91d338de45',
-    ('catalogue', 1e-300): 'aa283ce295b0708d',
-    ('catalogue_long', 0.1): '12cf2e5712bc1a0f',
-    ('catalogue_long', 0.0027): '08f09a42a7d10383',
-    ('catalogue_long', 1e-06): '628c05dde9a35411',
-    ('catalogue_long', 1e-12): 'd09e7299c88529cf',
-    ('catalogue_long', 1e-300): 'cc8839fe9a827755',
+    ('catalogue', 1e-12): '8d035c5c186ecd79',
+    ('catalogue', 1e-300): '60293b63556a78f9',
+    ('catalogue_long', 0.1): '812dac2e2bcd31fb',
+    ('catalogue_long', 0.0027): '77aab7f2a451cc88',
+    ('catalogue_long', 1e-06): 'ba8ca084a175a96e',
+    ('catalogue_long', 1e-12): 'ae819f807416beb7',
+    ('catalogue_long', 1e-300): 'eaacc4221fa098c4',
 }
 
 # t_wc, t_rss and every balance_report field, hashed

@@ -203,7 +203,7 @@ class TestAnalyze:
         def fail(*args):
             raise error("solver failed")
 
-        monkeypatch.setattr(bounds, "invert_monotone", fail)
+        monkeypatch.setattr(bounds, "_gap", fail)
         code, out, err = _run(capsys, ["analyze", str(chain_csv)])
         assert code == 1 and out == ""
         assert "numeric failure" in err
@@ -341,6 +341,24 @@ class TestStudy:
         spec = StudySpec(n_chains=2, rho=0.0027, seed=3, mc_cfg=McConfig(seed=3))
         write_results(run_study(spec), "csv", tmp_path / "lib.csv")
         assert out.read_bytes() == (tmp_path / "lib.csv").read_bytes()
+
+    @pytest.mark.parametrize("draws", ["-3", "-1000"])
+    def test_negative_draws_exits_2(self, capsys, tmp_path, draws):
+        # only 0 disables Monte Carlo: a negative count is an input error
+        out = tmp_path / "s.csv"
+        code, stdout, err = _run(capsys, ["study", "--chains", "2", "--seed", "1",
+                                          "--mc-draws", draws, "-o", str(out)])
+        assert code == 2 and stdout == ""
+        assert err == f"stacktol: draws must be >= 1000, got {draws}\n"
+        assert not out.exists()
+
+    def test_zero_draws_disables_mc(self, capsys, tmp_path):
+        out = tmp_path / "s.csv"
+        code, _, err = _run(capsys, ["study", "--chains", "2", "--seed", "1",
+                                     "--mc-draws", "0", "-o", str(out)])
+        assert code == 0 and err == ""
+        with open(out, newline="", encoding="utf-8") as fh:
+            assert [row["mc_t"] for row in csv.DictReader(fh)] == ["", ""]
 
     def test_bad_draws_exits_2(self, capsys, tmp_path):
         code, _, err = _run(

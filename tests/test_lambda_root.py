@@ -213,6 +213,46 @@ def test_no_gap_evaluated_twice(gap_terms, rho):
     assert lams and len(set(lams)) == len(lams)
 
 
+@pytest.mark.parametrize("rho", [0.1, 0.0027, 1e-6, 1e-12])
+def test_mean_gap_evaluations_per_solve(gap_terms, rho):
+    # the root stops at the first lambda whose own Newton step is small, on
+    # either side, so no step is taken only to reach the safe side
+    counts = []
+    for w in CHAINS.values():
+        chain = StackChain.from_bounds(w)
+        for solver in SOLVERS:
+            gap_terms.clear()
+            solver(chain, rho)
+            counts.append(len(gap_terms))
+    assert sum(counts) / len(counts) <= 4.0
+
+
+@pytest.mark.parametrize("rho", [0.1, 0.0027, 1e-6, 1e-12])
+def test_quantile_and_prob_agree(rho):
+    # chernov_t is the optimized bound at a lambda next to the optimum, so the
+    # optimized bound at that t is rho less the tiny excess and the rounding up
+    for w in [*CHAINS.values(), *catalogue_chains(40)]:
+        chain = StackChain.from_bounds(w)
+        t = chernov_t(chain, rho).t
+        if t < t_wc(chain):
+            assert 0.99 * rho <= chernov_prob(chain, t) <= rho, (w, t)
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_quantile_reports_its_failures(monkeypatch, solver):
+    chain = StackChain.from_bounds(CHAINS["table"])
+    monkeypatch.setattr(bounds, "_legendre_sums", lambda lam, groups: (math.nan, 1.0))
+    with pytest.raises(numerics.NonFiniteError):
+        solver(chain, 0.0027)
+    # a gap that jumps across the target at lambda = 3: the bracket closes
+    # on it, but no Newton step there ever falls below the tolerance
+    target = math.log(0.0027 / 2.0)
+    jump = lambda m, lam: (target + (1.0 if lam < 3.0 else -1.0), -1.0)  # noqa: E731
+    monkeypatch.setattr(bounds, "_gap", jump)
+    with pytest.raises(numerics.ConvergenceError):
+        solver(chain, 0.0027)
+
+
 def test_stalled_newton_step_moves_an_ulp(gap_terms):
     # here g rounds just above the target where the Newton step no longer
     # moves lambda: an ulp steps past it, halving the bracket would not

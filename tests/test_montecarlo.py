@@ -38,6 +38,18 @@ class TestMcConfig:
             McConfig(draws=2000, seed=1)
         assert record[0].filename == __file__
 
+    @pytest.mark.parametrize("build", [
+        lambda: McConfig(seed=1)._replace(draws=5000),
+        lambda: McConfig._make([5000, 1]),
+        lambda: McConfig(draws=10_000, seed=1)._replace(draws=5000, seed=2),
+    ], ids=["replace", "make", "replace_both"])
+    def test_low_draws_warning_names_the_caller_through_builders(self, build):
+        # _replace goes through _make, which goes through __new__: the
+        # warning skips both frames and names this file
+        with pytest.warns(UserWarning) as record:
+            build()
+        assert len(record) == 1 and record[0].filename == __file__
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_range(self, seed):
         with pytest.raises(ValueError):
