@@ -26,9 +26,11 @@ bounds of 1 ((v, c) = (1, n)), plus a = sum|u_i - 1| (LIPSCHITZ) or
 b = curvature sum (u_i - 1)^2 (QUADRATIC).  The infimum sits where
 K'(lam) = t, so every inversion is one monotone root in lam, driven by
 the slope K' and the gap K - lam K'; K = gap + lam K' gives the exponents
-phi, psi and psi_tilde.  A quantile is the bound (K - log(rho / 2)) / lam at
-the lam where its root stops (see _quantile); only chernov_prob goes through
-numerics.invert_monotone.  All functions are pure; results are frozen records.
+phi, psi and psi_tilde.  Every quantile and chernov_prob run that root
+through numerics._root, and report their bound at the lam where it stops,
+as that bound holds at every lam: a quantile (K - log(rho / 2)) / lam (see
+_quantile), chernov_prob 2 exp(K - lam t).  All functions are pure;
+results are frozen records.
 """
 
 from __future__ import annotations
@@ -39,9 +41,7 @@ from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
 from .chain import StackChain, _jensen_gap, t_rss, t_wc
-from .numerics import (
-    _MAX_ITER, ConvergenceError, _checked, _langevin_sums, _legendre_sums, invert_monotone,
-)
+from .numerics import _langevin_sums, _legendre_sums, _root
 
 __all__ = [
     "Method",
@@ -276,37 +276,25 @@ def psi_tilde(chain: StackChain, lam: float, t: float, curvature: float = 0.5) -
 
 # Past this lam every gap is finite and no slope changes in double precision.
 _LAM_MAX = 2.0 ** 900
-_STEP_TOL = 1e-7  # _quantile stops at the first lam whose own Newton step is this small
 
 
 def _quantile(m: _Member, rho: float) -> float:
     """The member's bound t = (K(lam) - log(rho / 2)) / lam at the lam where its root stops.
 
     The bound holds at every lam > 0 and is least where g(lam) = log(rho / 2).
-    Newton steps in log lam, where g is concave, run from the Gaussian point
-    (g >= -curv lam^2 / 2), left of the root; each is cut at the root of
-    -b lam^2 or at _LAM_MAX, and halved if it leaves the bracket of the
-    points seen.  They stop at the first lam, on either side of the root,
-    whose own step is at most 1e-7: as lam K'' <= K', t there exceeds the
-    optimum by at most about step^2 / 2 <= 5e-15 of itself.  t is clamped to
-    the member's limit t(inf), also the answer where the root lies past
-    _LAM_MAX, so it never falls as rho falls.
+    numerics._root runs from the Gaussian point (g >= -curv lam^2 / 2), left
+    of the root, with each step cut at the root of -b lam^2 or at _LAM_MAX,
+    where g is concave in log lam.  As lam K'' <= K', t at the lam where it
+    stops exceeds the optimum by at most about step^2 / 2 <= 5e-15 of itself.
+    t is clamped to the member's limit t(inf), also the answer where the root
+    lies past _LAM_MAX, so it never falls as rho falls.
     """
     target = math.log(rho) - math.log(2.0)
     cap = min(math.sqrt(-target / m.b) if m.b else math.inf, _LAM_MAX)
-    lam, lo, hi = math.sqrt(-2.0 * target / m.curv), 0.0, math.inf
-    for _ in range(_MAX_ITER):
-        g, dg = _checked(lambda x: _gap(m, x), lam)
-        step = (target - g) / dg
-        if lam == _LAM_MAX and step > 0.0:
-            return m.limit
-        if abs(step) <= _STEP_TOL:
-            return min(m.wbar * (_slope(m, lam) + (g - target) / lam) * _ROUND_UP, m.limit)
-        lo, hi = (lam, hi) if step > 0.0 else (lo, lam)
-        # a step past 700 overshoots _LAM_MAX anyway, and exp(700) is finite
-        nxt = min(lam * math.exp(min(step, 700.0)), cap)
-        lam = nxt if lo < nxt < hi else math.sqrt(lam) * math.sqrt(hi if step > 0.0 else lo)
-    raise ConvergenceError(f"lambda root not found after {_MAX_ITER} steps")
+    lam, g = _root(lambda x: _gap(m, x), target, math.sqrt(-2.0 * target / m.curv), 0.0, cap)
+    if lam == _LAM_MAX and g > target:
+        return m.limit
+    return min(m.wbar * (_slope(m, lam) + (g - target) / lam) * _ROUND_UP, m.limit)
 
 
 def chernov_prob(chain: StackChain, t: float) -> float:
@@ -328,13 +316,15 @@ def chernov_prob(chain: StackChain, t: float) -> float:
     rest = (m.limit - t) / m.wbar if m.limit < math.inf else len(chain) - tau
     # n - K' >= n - curv lam puts lo left of the root, and
     # n - K' <= n / lam, from 1 - L(x) <= 1/x, puts hi right of it; both
-    # with a factor 2 to spare
+    # with a factor 2 to spare.  The root runs from hi, cut there, and lo > 0
+    # keeps a halved step off lam = 0.
     lo, hi = 0.5 * tau / m.curv, 2.0 * len(chain) / rest
     if hi * tau <= math.log(2.0):  # K >= 0 at the optimal lam <= hi: the bound is >= 1
         return 1.0
-    lam = invert_monotone(
-        lambda x: (_langevin_sums(x, m.groups)[1], _gap(m, x)[1] / x), rest, lo, hi)
-    k = _gap(m, lam)[0] + lam * (rest - _langevin_sums(lam, m.groups)[1])
+    # co = n - K' at the lam where the root stops
+    lam, co = _root(lambda x: (_langevin_sums(x, m.groups)[1], _gap(m, x)[1] / x),
+                    rest, hi, lo, hi)
+    k = _gap(m, lam)[0] + lam * (rest - co)
     return min(1.0, 2.0 * math.exp(k))
 
 

@@ -54,7 +54,8 @@ class _KeywordOnly:
     """Mixin for a NamedTuple whose validating ``__new__`` takes keywords only.
 
     ``_make``, and so ``_replace``, build through that ``__new__``, so they
-    validate too; pickle and copy pass the fields by keyword; and
+    validate too; pickle and copy rebuild an accepted record with
+    ``tuple.__new__``, so they neither validate nor warn again; and
     ``_field_defaults`` holds ``__new__``'s defaults.
     """
 
@@ -68,8 +69,8 @@ class _KeywordOnly:
     def _make(cls, iterable: Iterable):
         return cls(**dict(zip(cls._fields, iterable, strict=True)))
 
-    def __getnewargs_ex__(self) -> tuple[tuple, dict]:
-        return (), self._asdict()
+    def __reduce__(self) -> tuple:
+        return tuple.__new__, (type(self), tuple(self))
 
 
 class _McFields(NamedTuple):

@@ -18,10 +18,11 @@ with counts c, at lam * v is one kernel's loop: ``_legendre_sums`` forms the
 gap's c m and c q (sharing expm1(-2x)), ``_langevin_sums`` the slope's c v L
 and c v (1 - L).  Each public function of x is its kernel's one-term view.
 
-The solver is one inverter for nonincreasing functions on a positive
-bracket: Newton steps in log x, a bisection safeguard, an end on the safe
-side of the root.  Only bounds.chernov_prob uses it.  Its three errors are
-all ArithmeticErrors.  Everything in this module is pure and stateless.
+``_root`` is the one lambda-root of the Chernoff family: Newton steps in
+log x with a halving safeguard, stopped at the first x whose own step is
+small, on either side of the root.  Every quantile and chernov_prob runs
+it.  Its two errors are ArithmeticErrors.  Everything in this module is
+pure and stateless.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import math
 from typing import Callable, Iterable
 
 __all__ = [
-    "BracketError",
     "ConvergenceError",
     "NonFiniteError",
     "h_stable",
@@ -38,7 +38,6 @@ __all__ = [
     "langevin",
     "x2_langevin_prime",
     "legendre_term",
-    "invert_monotone",
 ]
 
 # Below this point the 3-term even series for h is more accurate than the
@@ -50,14 +49,10 @@ _H_SERIES_SWITCH = 1e-3
 # lose at most ~1e-13 relative to cancellation.
 _LANGEVIN_SERIES_SWITCH = 0.1
 
-# invert_monotone stops once a Newton step in log x falls below _REL_TOL; it and
-# bounds._quantile raise after _MAX_ITER steps.
-_REL_TOL = 1e-9
+# _root stops at the first x whose own Newton step in log x is at most
+# _STEP_TOL, and raises after _MAX_ITER steps.
+_STEP_TOL = 1e-7
 _MAX_ITER = 256
-
-
-class BracketError(ArithmeticError):
-    """A solver's search interval is malformed or does not straddle its target."""
 
 
 class NonFiniteError(ArithmeticError):
@@ -66,13 +61,6 @@ class NonFiniteError(ArithmeticError):
 
 class ConvergenceError(ArithmeticError):
     """A solver used up its iteration budget before reaching its tolerance."""
-
-
-def _checked(f: Callable[[float], tuple[float, float]], x: float) -> tuple[float, float]:
-    y, dy = f(x)
-    if not (math.isfinite(y) and math.isfinite(dy)):
-        raise NonFiniteError(f"objective returned {(y, dy)!r} at x={x!r}")
-    return y, dy
 
 
 def h_stable(x: float) -> float:
@@ -194,53 +182,29 @@ def legendre_term(x: float) -> float:
     return _legendre_sums(x, _ONE_TERM)[0]
 
 
-def invert_monotone(
-    f: Callable[[float], tuple[float, float]],
-    target: float,
-    lo: float,
-    hi: float,
-) -> float:
-    """Root of a nonincreasing g on (lo, hi): the x with g(x) = target, from its safe side.
+def _root(
+    f: Callable[[float], tuple[float, float]], target: float, x: float, lo: float, cap: float,
+) -> tuple[float, float]:
+    """(x, g(x)) at the first x whose own Newton step toward g = target is at most 1e-7.
 
-    f(x) returns the pair (g(x), x g'(x)), g and its derivative in log x;
-    raises NonFiniteError if either value is not finite.  Requires
-    0 < lo < hi < inf and g(lo) >= target >= g(hi), else raises
-    BracketError.  It takes Newton steps in log x from hi.  A step that
-    does not land strictly inside the bracket is replaced by halving it in
-    log x, and one too small to move x moves it an ulp toward hi, past a g
-    that rounds just above the target.  It stops at a point with
-    g <= target reached by a Newton step below 1e-9, or whose own step is a
-    few ulps: Newton has converged to rounding there.
-
-    So g <= target at the returned x, and a bound inverted through g is
-    never undershot; raises ConvergenceError if 256 steps do not get there.
+    f(x) returns (g(x), x g'(x)), a decreasing g and its derivative in log
+    x.  Newton steps in log x run from x, each cut at cap, and one that
+    would leave the bracket of the points seen so far, which starts as
+    (lo, inf), is halved in log x.  The x returned may lie on either side
+    of the root; it is cap where the root lies past cap.  Raises
+    NonFiniteError where g or x g' is not finite, and ConvergenceError
+    after 256 steps.
     """
-    if not 0.0 < lo < hi < math.inf:  # NaN fails this too
-        raise BracketError(f"bracket must satisfy 0 < lo < hi < inf, got [{lo}, {hi}]")
-    g_lo = _checked(f, lo)[0]
-    g_hi, dg_hi = _checked(f, hi)
-    if not (g_lo >= target >= g_hi):
-        raise BracketError(
-            f"bracket does not straddle target: g({lo})={g_lo}, g({hi})={g_hi}, target={target}"
-        )
-    x, gx, dgx, step = hi, g_hi, dg_hi, math.inf  # step: the last Newton step, in log x
+    hi = math.inf
     for _ in range(_MAX_ITER):
-        if gx > target:
-            lo = x
-        else:
-            hi = x
-        if gx <= target and step <= _REL_TOL:
-            return x
-        newton = (target - gx) / dgx
-        if gx <= target and abs(newton) <= 4.0 * math.ulp(1.0):
-            return x
-        nxt = x * math.exp(min(newton, 700.0))  # capped so that exp stays finite
-        if nxt == x:  # g rounds just above the target: step past it
-            nxt = math.nextafter(x, hi)
-        x, step = nxt, abs(newton)
-        if not lo < x < hi:
-            x, step = math.sqrt(lo) * math.sqrt(hi), math.inf
-            if not lo < x < hi:
-                return hi
-        gx, dgx = _checked(f, x)
-    raise ConvergenceError(f"solver stopped at [{lo}, {hi}] after {_MAX_ITER} steps")
+        g, dg = f(x)
+        if not (math.isfinite(g) and math.isfinite(dg)):
+            raise NonFiniteError(f"objective returned {(g, dg)!r} at x={x!r}")
+        step = (target - g) / dg
+        if abs(step) <= _STEP_TOL or (x == cap and step > 0.0):
+            return x, g
+        lo, hi = (x, hi) if step > 0.0 else (lo, x)
+        # capped so that exp stays finite
+        nxt = min(x * math.exp(min(step, 700.0)), cap)
+        x = nxt if lo < nxt < hi else math.sqrt(x) * math.sqrt(hi if step > 0.0 else lo)
+    raise ConvergenceError(f"root not found after {_MAX_ITER} steps")

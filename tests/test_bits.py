@@ -150,13 +150,13 @@ T_BITS = {
 PROB_BITS = {
     'single': ('0x1.0000000000000p+0', '0x1.bd5d00e2e8468p-6'),
     'pair': ('0x1.e3ac824fbf569p-1', '0x1.b3d302dd283e7p-12'),
-    'table': ('0x1.6ee0ffafd9a23p-2', '0x1.0228b5273e147p-29'),
-    'case': ('0x1.417941e4a72fap-3', '0x1.1608c11e35a75p-57'),
-    'long': ('0x1.f526294953293p-105', '0x0.0p+0'),
+    'table': ('0x1.6ee0ffafd9a28p-2', '0x1.0228b5273e157p-29'),
+    'case': ('0x1.417941e4a72fcp-3', '0x1.1608c11e35a97p-57'),
+    'long': ('0x1.f526294953cdap-105', '0x0.0p+0'),
     'tiny': ('0x1.e3ac824fbf569p-1', '0x1.b3d302dd28343p-12'),
     'huge': ('0x1.e3ac824fbf569p-1', '0x1.b3d302dd2835fp-12'),
-    'near': ('0x1.c43b420a956c3p-1', '0x1.83663b6f69cbcp-12'),
-    'decimal': ('0x1.2c8846f40235dp-1', '0x1.50fab965acdf4p-18'),
+    'near': ('0x1.c43b420a956c2p-1', '0x1.83663b6f69cc8p-12'),
+    'decimal': ('0x1.2c8846f40235bp-1', '0x1.50fab965acdf4p-18'),
 }
 
 # every analyze_all field, hashed

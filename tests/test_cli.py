@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 from stacktol import (
-    BracketError,
     ConvergenceError,
     McConfig,
     Method,
@@ -198,7 +197,7 @@ class TestAnalyze:
         assert code == 0 and err == ""
         assert out == _run(capsys, ["analyze", str(chain_csv)])[1]
 
-    @pytest.mark.parametrize("error", [BracketError, ConvergenceError, NonFiniteError])
+    @pytest.mark.parametrize("error", [OverflowError, ConvergenceError, NonFiniteError])
     def test_solver_failure_exits_1(self, capsys, chain_csv, monkeypatch, error):
         def fail(*args):
             raise error("solver failed")

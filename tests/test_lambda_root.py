@@ -2,18 +2,17 @@
 
 import math
 import random
+import sys
 
 import mpmath
 import pytest
 
 from stacktol import (
-    BracketError,
     StackChain,
     analyze_all,
     bounds,
     chernov_prob,
     chernov_t,
-    invert_monotone,
     lipschitz_t,
     quadratic_t,
     t_wc,
@@ -73,9 +72,9 @@ def ulp_balanced_chains(count, seed=17):
 # (chernov, lipschitz, quadratic) t from the bisection in lambda that this
 # solver replaced; bisection stopped at the upper edge of a bracket 1e-9 wide.
 # On ("pair", 0.0027) the gap rounds just above the target at the last
-# Newton iterates: the solver has to step past them, not stop short.
-# "near" and "decimal" (whose bounds differ from their mean in the last
-# bit) have a quadratic penalty that overflows far right of the root.
+# Newton iterates, where the bound there still holds.  "near" and "decimal"
+# (whose bounds differ from their mean in the last bit) have a quadratic
+# penalty that overflows far right of the root.
 BISECTION_T = {
     ("single", 0.1): (0.9632120558950119, 0.9632120558950119, 0.9632120558950119),
     ("single", 0.0027): (0.9990067255088534, 0.9990067255088534, 0.9990067255088534),
@@ -127,8 +126,9 @@ BISECTION_T = {
 
 @pytest.mark.parametrize("name,rho", list(BISECTION_T))
 def test_agrees_with_bisection_from_below(name, rho):
-    # Newton converges to rounding level, so it sits at or below the
-    # bisection's upper edge, by at most the bracket width
+    # the bound where the root stops exceeds the optimum by at most about
+    # 5e-15 of t, so it sits at or below the bisection's upper edge, by at
+    # most the bracket width
     chain = StackChain.from_bounds(CHAINS[name])
     for solver, old in zip(SOLVERS, BISECTION_T[name, rho]):
         t = solver(chain, rho).t
@@ -206,8 +206,8 @@ def test_few_gap_evaluations_per_solve(gap_terms, name, rho):
 
 @pytest.mark.parametrize("rho", [0.1, 0.0027, 1e-6, 1e-12])
 def test_no_gap_evaluated_twice(gap_terms, rho):
-    # the gap at the bracket's left end serves the first Newton step and
-    # the solver's straddle check
+    # each gap evaluation serves one Newton step, and the root stops at the
+    # first lambda whose own step is small, without evaluating it again
     chernov_t(StackChain.from_bounds(CHAINS["table"]), rho)
     lams = [lam for lam, _ in gap_terms]
     assert lams and len(set(lams)) == len(lams)
@@ -253,9 +253,9 @@ def test_quantile_reports_its_failures(monkeypatch, solver):
         solver(chain, 0.0027)
 
 
-def test_stalled_newton_step_moves_an_ulp(gap_terms):
+def test_stalled_newton_step_stops(gap_terms):
     # here g rounds just above the target where the Newton step no longer
-    # moves lambda: an ulp steps past it, halving the bracket would not
+    # moves lambda: that step is below the tolerance, so the root stops there
     chain = StackChain.from_bounds((2458938.8200963996, 75.47651397188778, 205532.58582615896))
     quadratic_t(chain, 1e-100)
     assert 1 <= len(gap_terms) <= 10
@@ -282,13 +282,12 @@ def test_analyze_all_calls_h_stable_never(monkeypatch):
     assert len(calls) == 201
 
 
-def test_newton_path_budget_and_bracket_errors():
+def test_newton_path_linear_root():
+    # g is linear in log x, so one Newton step lands on the root
     g = lambda x: -math.log(x)  # noqa: E731
     dg = lambda x: -1.0  # noqa: E731
-    root = invert_monotone(lambda x: (g(x), dg(x)), -2.0, 1.0, 100.0)
+    root, _ = numerics._root(lambda x: (g(x), dg(x)), -2.0, 100.0, 1.0, math.inf)
     assert root == pytest.approx(math.exp(2.0), rel=1e-15)
-    with pytest.raises(BracketError):
-        invert_monotone(lambda x: (-x, -x), -2.0, 0.0, 100.0)
 
 
 def test_newton_step_out_of_the_bracket_is_replaced_by_bisection():
@@ -296,8 +295,9 @@ def test_newton_step_out_of_the_bracket_is_replaced_by_bisection():
     # lands far left of the bracket
     g = lambda x: -math.tanh(math.log(x))  # noqa: E731
     dg = lambda x: -1.0 / math.cosh(math.log(x)) ** 2  # noqa: E731
-    root = invert_monotone(lambda x: (g(x), dg(x)), -0.9, 0.5, math.exp(5.0))
-    assert root == pytest.approx(math.exp(math.atanh(0.9)), rel=1e-12)
+    root, _ = numerics._root(lambda x: (g(x), dg(x)), -0.9, math.exp(5.0), 0.5, math.exp(5.0))
+    # within about one 1e-7 Newton step in log x of the root
+    assert abs(math.log(root) - math.atanh(0.9)) <= 2e-7
 
 
 def test_prob_one_ulp_below_wc():
@@ -336,6 +336,65 @@ def test_few_co_slope_evaluations_per_prob(slope_terms, name):
         slope_terms.clear()
         chernov_prob(chain, frac * t_wc(chain))
         assert 1 <= len(slope_terms) <= 20, frac
+
+
+def test_mean_co_slope_evaluations_per_prob(slope_terms):
+    # the root takes n - K' from its last evaluation, where the bound is formed
+    calls = 0
+    fracs = (0.3, 0.5, 0.9, 0.99, 1.0 - 1e-9, 1.0 - 1e-15)
+    for w in CHAINS.values():
+        chain = StackChain.from_bounds(w)
+        for frac in fracs:
+            slope_terms.clear()
+            chernov_prob(chain, frac * t_wc(chain))
+            calls += len(slope_terms)
+    assert calls / (len(CHAINS) * len(fracs)) <= 6.5
+
+
+# chains whose worst case sums exactly in double precision, so that the
+# reference optimizes the same t near wc; the bounds stay normal doubles
+EXACT_WC_CHAINS = (
+    (1.0,),
+    (1.0, 2.0),
+    (5.0, 4.0, 3.0, 2.0, 1.0),
+    (2.5, 2.5, 2.5, 2.5),
+    (0.25, 0.25, 0.25, 0.5, 0.5, 1.0, 1.0),
+    (0.75, 1.5, 3.0, 0.375),
+    (2.0 ** -660, 2.0 ** -659),
+    (2.0 ** 660, 3.0 * 2.0 ** 660),
+)
+
+
+def _optimum_prob(w, t):
+    """min(1, 2 exp(min_lam K(lam) - lam t)) to 50 digits, by bisection of K' = t in log lam."""
+    with mpmath.workdps(50):
+        mw, mt = [mpmath.mpf(x) for x in w], mpmath.mpf(t)
+        rest = sum(mw) - mt  # exact: the sum of these doubles is a double
+        lo, hi = mpmath.mpf(1e-6) / max(mw), 2 * len(mw) / rest
+        for _ in range(100):
+            lam = mpmath.sqrt(lo * hi)
+            if sum(x * (1 - mpmath.coth(lam * x) + 1 / (lam * x)) for x in mw) > rest:
+                lo = lam
+            else:
+                hi = lam
+        k = sum(mpmath.log(mpmath.sinh(lam * x) / (lam * x)) for x in mw) - lam * mt
+        return min(mpmath.mpf(1), 2 * mpmath.exp(k))
+
+
+@pytest.mark.parametrize("w", EXACT_WC_CHAINS)
+def test_prob_against_high_precision_optimum(w):
+    # the bound at the lambda where the root stops exceeds the optimum by a
+    # second-order excess, and falls below it only by rounding: of 1e-14,
+    # and of the exponent k, a few ulps of |k| (1.3e-14 relative at k = -142)
+    chain = StackChain.from_bounds(w)
+    assert math.fsum(w) == t_wc(chain) == float(sum(mpmath.mpf(x) for x in w))
+    for frac in (0.3, 0.5, 0.7, 0.9, 0.99, 1.0 - 1e-9, 1.0 - 1e-15):
+        t = frac * t_wc(chain)
+        ref = _optimum_prob(w, t)
+        with mpmath.workdps(50):
+            rel = float(chernov_prob(chain, t) / ref - 1)
+            k = float(mpmath.log(ref / 2))
+        assert -(1e-14 + 2.0 * sys.float_info.epsilon * abs(k)) <= rel <= 5e-13, (frac, rel)
 
 
 def test_chernov_t_takes_one_slope_evaluation(slope_terms):

@@ -8,16 +8,15 @@ import numpy as np
 import pytest
 
 from stacktol import (
-    BracketError,
     ConvergenceError,
     NonFiniteError,
     h_stable,
-    invert_monotone,
     langevin,
     legendre_term,
     log_sinh_over_x,
     x2_langevin_prime,
 )
+from stacktol.numerics import _root
 
 # 50-digit reference evaluations of log((1 - e^-x)/x), frozen
 H_AT_2 = -0.83856063842880436639
@@ -188,38 +187,28 @@ def test_finite_up_to_the_largest_double(x):
 
 
 class TestInvertMonotone:
-    """Newton steps in log x: g = -log x is linear there, exp(-x) is not."""
+    """Newton steps in log x (numerics._root): g = -log x is linear there, exp(-x) is not."""
 
     def test_linear(self):
-        g = lambda x: -math.log(x)  # noqa: E731
-        root = invert_monotone(lambda x: (g(x), -1.0), -2.0, 1.0, 100.0)
+        root, g = _root(lambda x: (-math.log(x), -1.0), -2.0, 100.0, 1.0, math.inf)
         assert root == pytest.approx(math.exp(2.0), rel=1e-15)
-        assert g(root) <= -2.0
+        assert g == -math.log(root)
 
     def test_exponential(self):
-        g = lambda x: math.exp(-x)  # noqa: E731
-        root = invert_monotone(lambda x: (g(x), -x * math.exp(-x)), 0.5, 0.01, 10.0)
-        assert root == pytest.approx(math.log(2.0), rel=1e-15)
-        assert g(root) <= 0.5
-
-    @pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (-1.0, 1.0), (1.0, 1.0), (2.0, 1.0),
-                                       (1.0, math.inf), (0.0, math.inf), (math.nan, 1.0)])
-    def test_invalid_bracket(self, lo, hi):
-        with pytest.raises(BracketError):
-            invert_monotone(lambda x: (-x, -x), -0.5, lo, hi)
-
-    def test_no_straddle(self):
-        with pytest.raises(BracketError):
-            invert_monotone(lambda x: (-math.log(x), -1.0), 5.0, 1.0, 100.0)
+        # from 10 the first step lands at 0, left of the bracket, and is halved
+        root, g = _root(lambda x: (math.exp(-x), -x * math.exp(-x)), 0.5, 10.0, 0.01, 10.0)
+        # within about one 1e-7 Newton step in log x of the root
+        assert abs(math.log(root / math.log(2.0))) <= 2e-7
+        assert g == math.exp(-root)
 
     def test_exhausted_budget_raises(self):
-        # g sits just above the target on [1, 2), so x crawls there an ulp a step
-        g = lambda x: 1e-300 if x < 2.0 else -1.0  # noqa: E731
+        # g jumps across the target at x = 2, so every Newton step is 1 in log x
+        g = lambda x: 1.0 if x < 2.0 else -1.0  # noqa: E731
         with pytest.raises(ConvergenceError):
-            invert_monotone(lambda x: (g(x), -1.0), 0.0, 1.0, 3.0)
+            _root(lambda x: (g(x), -1.0), 0.0, 3.0, 1.0, math.inf)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_derivative_raises(self, bad):
         # a finite g with a NaN or infinite x g' is refused, not stepped on
         with pytest.raises(NonFiniteError):
-            invert_monotone(lambda x: (-math.log(x), bad), -2.0, 1.0, 100.0)
+            _root(lambda x: (-math.log(x), bad), -2.0, 100.0, 1.0, math.inf)
