@@ -27,9 +27,11 @@ b = curvature sum (u_i - 1)^2 (QUADRATIC).  The infimum sits where
 K'(lam) = t, so every inversion is one monotone root in lam, driven by
 the slope K' and the gap K - lam K'; K = gap + lam K' gives the exponents
 phi, psi and psi_tilde.  Every quantile and chernov_prob run that root
-through numerics._root, and report their bound at the lam where it stops,
-as that bound holds at every lam: a quantile (K - log(rho / 2)) / lam (see
-_quantile), chernov_prob 2 exp(K - lam t).  All functions are pure;
+through numerics._root, a quantile from a start that follows g from its
+Gaussian regime to its saturated one, chernov_prob from right of the root,
+and report their bound at the lam where it stops, as that bound holds at
+every lam: a quantile (K - log(rho / 2)) / lam (see _quantile),
+chernov_prob 2 exp(K - lam t).  All functions are pure;
 results are frozen records.
 """
 
@@ -183,6 +185,7 @@ def _check_t(t: float) -> float:
 class _Member(NamedTuple):
     wbar: float
     groups: tuple[tuple[float, int], ...]  # the (v, c) pairs of the scaled chain
+    n: int  # the number of bounds, sum c
     a: float  # linear price: K' gains a
     b: float  # quadratic price: g <= -b lam^2
     curv: float  # K''(0): g >= -curv lam^2 / 2
@@ -201,7 +204,7 @@ def _member(chain: StackChain, method: Method, curvature: float = 0.5) -> _Membe
             raise ValueError(f"curvature must be finite and >= 1/6, got {curvature}")
         groups, curv, b = ((1.0, n),), n / 3.0, curvature * s.sq_dev
         limit = math.inf if b else s.wc
-    return _Member(s.wbar, groups, a, b, curv + 2.0 * b, limit)
+    return _Member(s.wbar, groups, n, a, b, curv + 2.0 * b, limit)
 
 
 def _gap(m: _Member, lam: float) -> tuple[float, float]:
@@ -282,16 +285,27 @@ def _quantile(m: _Member, rho: float) -> float:
     """The member's bound t = (K(lam) - log(rho / 2)) / lam at the lam where its root stops.
 
     The bound holds at every lam > 0 and is least where g(lam) = log(rho / 2).
-    numerics._root runs from the Gaussian point (g >= -curv lam^2 / 2), left
-    of the root, with each step cut at the root of -b lam^2 or at _LAM_MAX,
-    where g is concave in log lam.  As lam K'' <= K', t at the lam where it
+    g is concave in log lam, -curv lam^2 / 2 near 0 and -n log lam + O(1)
+    once every bound saturates.  Without a quadratic price numerics._root
+    starts at the root of -(n / 2) log(1 + curv lam^2 / n), which follows
+    both regimes and is the Gaussian point sqrt(-2 log(rho / 2) / curv)
+    while |log rho| << n; with one (b > 0), at that Gaussian point, left of
+    the root as g >= -curv lam^2 / 2.  Each step is cut at the root of
+    -b lam^2 or at _LAM_MAX.  As lam K'' <= K', t at the lam where the root
     stops exceeds the optimum by at most about step^2 / 2 <= 5e-15 of itself.
     t is clamped to the member's limit t(inf), also the answer where the root
     lies past _LAM_MAX, so it never falls as rho falls.
     """
     target = math.log(rho) - math.log(2.0)
     cap = min(math.sqrt(-target / m.b) if m.b else math.inf, _LAM_MAX)
-    lam, g = _root(lambda x: _gap(m, x), target, math.sqrt(-2.0 * target / m.curv), 0.0, cap)
+    if m.b:
+        start = math.sqrt(-2.0 * target / m.curv)
+    else:
+        try:
+            start = min(math.sqrt(m.n * math.expm1(-2.0 * target / m.n) / m.curv), cap)
+        except OverflowError:  # past expm1's range: n = 1 below rho ~ 1e-154, n = 2 below ~ 1e-308
+            start = cap
+    lam, g = _root(lambda x: _gap(m, x), target, start, 0.0, cap)
     if lam == _LAM_MAX and g > target:
         return m.limit
     return min(m.wbar * (_slope(m, lam) + (g - target) / lam) * _ROUND_UP, m.limit)
@@ -313,12 +327,12 @@ def chernov_prob(chain: StackChain, t: float) -> float:
         return 0.0
     tau = t / m.wbar
     # n - tau where the worst case passes the largest double
-    rest = (m.limit - t) / m.wbar if m.limit < math.inf else len(chain) - tau
+    rest = (m.limit - t) / m.wbar if m.limit < math.inf else m.n - tau
     # n - K' >= n - curv lam puts lo left of the root, and
     # n - K' <= n / lam, from 1 - L(x) <= 1/x, puts hi right of it; both
     # with a factor 2 to spare.  The root runs from hi, cut there, and lo > 0
     # keeps a halved step off lam = 0.
-    lo, hi = 0.5 * tau / m.curv, 2.0 * len(chain) / rest
+    lo, hi = 0.5 * tau / m.curv, 2.0 * m.n / rest
     if hi * tau <= math.log(2.0):  # K >= 0 at the optimal lam <= hi: the bound is >= 1
         return 1.0
     # co = n - K' at the lam where the root stops

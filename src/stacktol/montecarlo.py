@@ -50,6 +50,16 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
 
 
+def _check_count(name: str, value: int, least: int) -> None:
+    """Reject a count that is not an integer >= least; numpy's integer types pass."""
+    try:
+        operator.index(value)
+    except TypeError:  # a float, a string, ...: range or numpy would reject it at first use
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 class _KeywordOnly:
     """Mixin for a NamedTuple whose validating ``__new__`` takes keywords only.
 
@@ -88,8 +98,7 @@ class McConfig(_KeywordOnly, _McFields):
     __slots__ = ()
 
     def __new__(cls, *, draws: int = 200_000, seed: int) -> "McConfig":
-        if draws < 1000:
-            raise ValueError(f"draws must be >= 1000, got {draws}")
+        _check_count("draws", draws, 1000)
         if draws < 10_000:
             level, frame = 2, sys._getframe(1)  # the caller's line, past _replace and _make
             while frame.f_code in (cls._make.__func__.__code__, cls._replace.__code__):

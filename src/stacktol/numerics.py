@@ -19,10 +19,10 @@ gap's c m and c q (sharing expm1(-2x)), ``_langevin_sums`` the slope's c v L
 and c v (1 - L).  Each public function of x is its kernel's one-term view.
 
 ``_root`` is the one lambda-root of the Chernoff family: Newton steps in
-log x with a halving safeguard, stopped at the first x whose own step is
-small, on either side of the root.  Every quantile and chernov_prob runs
-it.  Its two errors are ArithmeticErrors.  Everything in this module is
-pure and stateless.
+log x, on g left of the root and on log |g| right of it, with a halving
+safeguard, stopped at the first x whose own step is small, on either side
+of the root.  Every quantile and chernov_prob runs it.  Its two errors
+are ArithmeticErrors.  Everything in this module is pure and stateless.
 """
 
 from __future__ import annotations
@@ -190,10 +190,14 @@ def _root(
     f(x) returns (g(x), x g'(x)), a decreasing g and its derivative in log
     x.  Newton steps in log x run from x, each cut at cap, and one that
     would leave the bracket of the points seen so far, which starts as
-    (lo, inf), is halved in log x.  The x returned may lie on either side
-    of the root; it is cap where the root lies past cap.  Raises
-    NonFiniteError where g or x g' is not finite, and ConvergenceError
-    after 256 steps.
+    (lo, inf), is halved in log x.  Left of the root the step is Newton's
+    on g; right of it, where g has the target's sign, it is Newton's on
+    log |g|, log(target / g) g / (x g'), which lands on the root in one
+    step where |g| is a power of x: the gap -curv x^2 / 2 while no bound
+    saturates, n - K' ~ n / x once all do.  The stop test is on g's own
+    step either way.  The x returned may lie on either side of the root;
+    it is cap where the root lies past cap.  Raises NonFiniteError where g
+    or x g' is not finite, and ConvergenceError after 256 steps.
     """
     hi = math.inf
     for _ in range(_MAX_ITER):
@@ -204,6 +208,8 @@ def _root(
         if abs(step) <= _STEP_TOL or (x == cap and step > 0.0):
             return x, g
         lo, hi = (x, hi) if step > 0.0 else (lo, x)
+        if step < 0.0 and g * target > 0.0:  # right of the root: a step in log |g|
+            step = math.log(target / g) * g / dg
         # capped so that exp stays finite
         nxt = min(x * math.exp(min(step, 700.0)), cap)
         x = nxt if lo < nxt < hi else math.sqrt(x) * math.sqrt(hi if step > 0.0 else lo)

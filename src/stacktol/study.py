@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .bounds import Method, _check_rho, tolerance
 from .chain import StackChain, balance_report
-from .montecarlo import McConfig, _KeywordOnly, _check_seed, _map, _mc_quantile
+from .montecarlo import McConfig, _KeywordOnly, _check_count, _check_seed, _map, _mc_quantile
 
 if TYPE_CHECKING:
     import numpy as np
@@ -56,12 +56,10 @@ class StudySpec(_KeywordOnly, _StudyFields):
     def __new__(cls, *, n_inputs: int = 5, bound_lo: float = 1.0, bound_hi: float = 5.0,
                 n_chains: int, rho: float, seed: int,
                 mc_cfg: Optional[McConfig] = None) -> "StudySpec":
-        if n_inputs < 1:
-            raise ValueError(f"n_inputs must be >= 1, got {n_inputs}")
+        _check_count("n_inputs", n_inputs, 1)
         if not (math.isfinite(bound_lo) and math.isfinite(bound_hi) and 0.0 < bound_lo < bound_hi):
             raise ValueError(f"bounds must satisfy 0 < lo < hi, got [{bound_lo}, {bound_hi}]")
-        if n_chains < 1:
-            raise ValueError(f"n_chains must be >= 1, got {n_chains}")
+        _check_count("n_chains", n_chains, 1)
         _check_rho(rho)
         _check_seed(seed)
         return super().__new__(cls, n_inputs, bound_lo, bound_hi, n_chains, rho, seed, mc_cfg)

@@ -227,6 +227,47 @@ def test_mean_gap_evaluations_per_solve(gap_terms, rho):
     assert sum(counts) / len(counts) <= 4.0
 
 
+def test_mean_gap_evaluations_on_repeated_bounds(gap_terms):
+    # a few distinct bounds, some of them saturated at the root: the start on
+    # -(n / 2) log(1 + curv lambda^2 / n) lies nearer the root than the
+    # Gaussian point, from which the same root takes 4.3 evaluations here
+    counts = []
+    for w in catalogue_chains(40):
+        chain = StackChain.from_bounds(w)
+        for rho in (0.1, 0.0027, 1e-6, 1e-12):
+            gap_terms.clear()
+            chernov_t(chain, rho)
+            counts.append(len(gap_terms))
+    assert sum(counts) / len(counts) <= 3.6
+
+
+def test_mean_gap_evaluations_with_one_dominant_bound(gap_terms):
+    # one bound of 50 among 199 of about 1 saturates long before the root:
+    # the start follows g into saturation, and right of the root the steps
+    # are taken in log |g|, so the root does not crawl back from far right
+    counts = []
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        chain = StackChain.from_bounds((50.0,) + tuple(rng.uniform(0.5, 1.5) for _ in range(199)))
+        for rho in (0.1, 0.0027, 1e-6, 1e-12):
+            gap_terms.clear()
+            chernov_t(chain, rho)
+            counts.append(len(gap_terms))
+    assert sum(counts) / len(counts) <= 6.0
+
+
+@pytest.mark.parametrize("rho", [5e-324, 1e-310])
+def test_subnormal_rho_gives_a_finite_t(rho):
+    # -2 log(rho / 2) / n is past expm1's range at n = 1 and 2: the start
+    # goes to the cap there, and t is still finite
+    for name, w in CHAINS.items():
+        chain = StackChain.from_bounds(w)
+        ts = [solver(chain, rho).t for solver in SOLVERS]
+        assert all(math.isfinite(t) for t in ts), (name, ts)
+        if name == "single":
+            assert ts == [1.0, 1.0, 1.0]
+
+
 @pytest.mark.parametrize("rho", [0.1, 0.0027, 1e-6, 1e-12])
 def test_quantile_and_prob_agree(rho):
     # chernov_t is the optimized bound at a lambda next to the optimum, so the
@@ -338,8 +379,7 @@ def test_few_co_slope_evaluations_per_prob(slope_terms, name):
         assert 1 <= len(slope_terms) <= 20, frac
 
 
-def test_mean_co_slope_evaluations_per_prob(slope_terms):
-    # the root takes n - K' from its last evaluation, where the bound is formed
+def _mean_co_slope_evaluations(slope_terms):
     calls = 0
     fracs = (0.3, 0.5, 0.9, 0.99, 1.0 - 1e-9, 1.0 - 1e-15)
     for w in CHAINS.values():
@@ -348,7 +388,18 @@ def test_mean_co_slope_evaluations_per_prob(slope_terms):
             slope_terms.clear()
             chernov_prob(chain, frac * t_wc(chain))
             calls += len(slope_terms)
-    assert calls / (len(CHAINS) * len(fracs)) <= 6.5
+    return calls / (len(CHAINS) * len(fracs))
+
+
+def test_mean_co_slope_evaluations_per_prob(slope_terms):
+    # the root takes n - K' from its last evaluation, where the bound is formed
+    assert _mean_co_slope_evaluations(slope_terms) <= 6.5
+
+
+def test_mean_co_slope_evaluations_per_prob_in_log_co(slope_terms):
+    # the root starts right of the root, where n - K' ~ n / lambda is a power
+    # of lambda: a step in log (n - K') lands next to the root
+    assert _mean_co_slope_evaluations(slope_terms) <= 4.0
 
 
 # chains whose worst case sums exactly in double precision, so that the

@@ -69,6 +69,18 @@ class TestMcConfig:
     def test_integer_seed_types_pass(self, seed):
         assert McConfig(seed=seed).seed == seed
 
+    @pytest.mark.parametrize("draws", [200_000.0, 5000.5, "20000"])
+    def test_draws_is_an_integer(self, draws):
+        # range would reject these at the first draw, with a TypeError
+        with pytest.raises(ValueError, match="^draws must be an integer, got "):
+            McConfig(draws=draws, seed=1)
+
+    @pytest.mark.parametrize("draws", [np.int64(20_000), np.uint32(10_000)])
+    def test_integer_draws_types_pass(self, draws):
+        cfg = McConfig(draws=draws, seed=1)
+        assert cfg.draws == draws
+        assert mc_quantile(StackChain.from_bounds((1.0, 2.0)), 0.5, cfg).value > 0.0
+
 
 class TestSampling:
     def test_repeatable(self):

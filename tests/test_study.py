@@ -58,6 +58,17 @@ class TestStudySpec:
         with pytest.raises(ValueError, match="^seed must be a 64-bit unsigned integer, got "):
             StudySpec(n_chains=1, rho=0.05, seed=seed)
 
+    @pytest.mark.parametrize("field", ["n_inputs", "n_chains"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, "3"])
+    def test_counts_are_integers(self, field, value):
+        # numpy or range would reject these in run_study, with a TypeError
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            StudySpec(**{"n_chains": 1, "rho": 0.05, "seed": 1, field: value})
+
+    def test_numpy_integer_counts_pass(self):
+        spec = StudySpec(n_inputs=np.int32(3), n_chains=np.uint8(2), rho=0.05, seed=1)
+        assert run_study(spec) == run_study(StudySpec(n_inputs=3, n_chains=2, rho=0.05, seed=1))
+
     def test_numpy_integer_seed_passes(self):
         spec = StudySpec(n_chains=1, rho=0.05, seed=np.uint64(3))
         assert run_study(spec) == run_study(StudySpec(n_chains=1, rho=0.05, seed=3))
