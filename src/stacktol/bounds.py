@@ -31,7 +31,8 @@ through numerics._root, a quantile from a start that follows g from its
 Gaussian regime to its saturated one, chernov_prob from right of the root,
 and report their bound at the lam where it stops, as that bound holds at
 every lam: a quantile (K - log(rho / 2)) / lam (see _quantile),
-chernov_prob 2 exp(K - lam t).  All functions are pure;
+chernov_prob 2 exp(K - lam t).  Each forms it from the g the root hands
+back with that lam, so no gap is evaluated twice.  All functions are pure;
 results are frozen records.
 """
 
@@ -64,8 +65,9 @@ __all__ = [
 ]
 
 
-# wbar * slope(lam) carries a few ulps of rounding, and near wc, where the
-# exact tail goes as (wc - t)^n, one ulp down can under-cover: round t up.
+# wbar (t(lam) + (g - log(rho / 2)) / lam) carries a few ulps of rounding, and
+# near wc, where the exact tail goes as (wc - t)^n, one ulp down can
+# under-cover: round t up.
 _ROUND_UP = 1.0 + 8.0 * sys.float_info.epsilon
 
 
@@ -246,7 +248,8 @@ def phi(chain: StackChain, lam: float, t: float) -> float:
 def s_lambda(chain: StackChain, lam: float) -> float:
     """Imbalance functional S_lambda = sum_i [h(2 lam w_i) - h(2 lam wbar)].
 
-    Nonnegative by convexity of h; zero iff all bounds are equal.  This is
+    Nonnegative by convexity of h, and clipped at 0: 0 on equal bounds, and
+    near balance the sum can cancel to 0 where the true value is not.  This is
     exactly what the balance-agnostic relaxations give away versus the
     optimized exponent at scale lam.
     """
@@ -291,10 +294,11 @@ def _quantile(m: _Member, rho: float) -> float:
     both regimes and is the Gaussian point sqrt(-2 log(rho / 2) / curv)
     while |log rho| << n; with one (b > 0), at that Gaussian point, left of
     the root as g >= -curv lam^2 / 2.  Each step is cut at the root of
-    -b lam^2 or at _LAM_MAX.  As lam K'' <= K', t at the lam where the root
-    stops exceeds the optimum by at most about step^2 / 2 <= 5e-15 of itself.
-    t is clamped to the member's limit t(inf), also the answer where the root
-    lies past _LAM_MAX, so it never falls as rho falls.
+    -b lam^2 or at _LAM_MAX.  t is formed from the g that the root hands back
+    and the slope at the lam where it stops.  As lam K'' <= K', it exceeds
+    the optimum by at most about step^2 / 2 <= 5e-15 of itself.  t is
+    clamped to the member's limit t(inf), so it never falls as rho falls;
+    where the root lies past _LAM_MAX the clamp gives the limit itself.
     """
     target = math.log(rho) - math.log(2.0)
     cap = min(math.sqrt(-target / m.b) if m.b else math.inf, _LAM_MAX)
@@ -305,23 +309,24 @@ def _quantile(m: _Member, rho: float) -> float:
             start = min(math.sqrt(m.n * math.expm1(-2.0 * target / m.n) / m.curv), cap)
         except OverflowError:  # past expm1's range: n = 1 below rho ~ 1e-154, n = 2 below ~ 1e-308
             start = cap
-    lam, g = _root(lambda x: _gap(m, x), target, start, 0.0, cap)
-    if lam == _LAM_MAX and g > target:
-        return m.limit
+    lam, (g, _) = _root(lambda x: _gap(m, x), target, start, 0.0, cap)
+    # where the root lies past _LAM_MAX, n - K' <= n / lam (each c v (1 - L(lam v))
+    # is at most c / lam) puts t(lam) within 2^-900 of t(inf), relative: far
+    # inside _ROUND_UP, so the clamp gives the limit
     return min(m.wbar * (_slope(m, lam) + (g - target) / lam) * _ROUND_UP, m.limit)
 
 
 def chernov_prob(chain: StackChain, t: float) -> float:
     """Optimized exponential tail bound min(1, 2 exp(inf_lam phi(lam, t))).
 
-    Returns 1 at t = 0 and 0 for t >= the worst case (the infimum diverges
-    to -inf there).  Nonincreasing in t.  The optimal lam solves K' = t, or
+    Returns 1 for t up to about wc log 2 / (2 n), t = 0 included, without a
+    solve, and 0 for t >= the worst case (the infimum diverges to -inf
+    there).  Nonincreasing in t.  The optimal lam solves K' = t, or
     n - K' = (wc - t) / wbar on the scaled chain, which stays exact near wc
-    where K' saturates; K - lam t = g + lam (K' - t) bounds at any lam.
+    where K' saturates.  K - lam t = g + lam (K' - t) bounds at any lam, and
+    is formed from the g and n - K' of the step where the root stops.
     """
     t = _check_t(t)
-    if t == 0.0:
-        return 1.0
     m = _member(chain, Method.CHERNOV)
     if t >= m.limit:
         return 0.0
@@ -335,10 +340,14 @@ def chernov_prob(chain: StackChain, t: float) -> float:
     lo, hi = 0.5 * tau / m.curv, 2.0 * m.n / rest
     if hi * tau <= math.log(2.0):  # K >= 0 at the optimal lam <= hi: the bound is >= 1
         return 1.0
-    # co = n - K' at the lam where the root stops
-    lam, co = _root(lambda x: (_langevin_sums(x, m.groups)[1], _gap(m, x)[1] / x),
-                    rest, hi, lo, hi)
-    k = _gap(m, lam)[0] + lam * (rest - co)
+
+    def co_slope(x: float) -> tuple[float, float, float]:
+        # (n - K', its derivative in log lam, g): the root steps on the first two
+        co, (g, dg) = _langevin_sums(x, m.groups)[1], _gap(m, x)
+        return co, dg / x, g
+
+    lam, (co, _, g) = _root(co_slope, rest, hi, lo, hi)
+    k = g + lam * (rest - co)
     return min(1.0, 2.0 * math.exp(k))
 
 

@@ -209,10 +209,12 @@ class BalanceReport(NamedTuple):
 
     mean, variance (population, /n) and abs_dev_sum are plain dispersion
     statistics of the weighted bounds.  s1 is the Jensen gap
-    sum_i [h(2 w_i) - h(2 wbar)] at unit exponent scale: zero iff all
-    bounds are equal, and the exact overhead the balance-agnostic bounds
-    pay at lambda = 1.  d_factor = (max w_i - wbar) / sum w_i is the
-    dimensionless dominance of the largest contributor.
+    sum_i [h(2 w_i) - h(2 wbar)] at unit exponent scale, clipped at 0: 0 on
+    equal bounds, and near balance it can cancel to 0 (it is 0.0 on
+    (1, 1 + 1e-9, 1 - 1e-9), where the true gap is 2.8e-19).  It is the
+    overhead the balance-agnostic bounds pay at lambda = 1.
+    d_factor = (max w_i - wbar) / sum w_i is the dimensionless dominance of
+    the largest contributor.
     """
 
     mean: float

@@ -16,13 +16,16 @@ All are evaluated without overflow or cancellation for every finite x in
 their domain.  Each sum over a Chernoff-family member's distinct bounds v,
 with counts c, at lam * v is one kernel's loop: ``_legendre_sums`` forms the
 gap's c m and c q (sharing expm1(-2x)), ``_langevin_sums`` the slope's c v L
-and c v (1 - L).  Each public function of x is its kernel's one-term view.
+and c v (1 - L).  langevin, x2_langevin_prime and legendre_term are their
+kernel's one-term view; h_stable has its own series and expm1 form, and
+log_sinh_over_x is formed as m + x L from two kernels.
 
 ``_root`` is the one lambda-root of the Chernoff family: Newton steps in
 log x, on g left of the root and on log |g| right of it, with a halving
 safeguard, stopped at the first x whose own step is small, on either side
-of the root.  Every quantile and chernov_prob runs it.  Its two errors
-are ArithmeticErrors.  Everything in this module is pure and stateless.
+of the root.  It hands back that x with the whole evaluation made there.
+Every quantile and chernov_prob runs it.  Its two errors are
+ArithmeticErrors.  Everything in this module is pure and stateless.
 """
 
 from __future__ import annotations
@@ -183,30 +186,33 @@ def legendre_term(x: float) -> float:
 
 
 def _root(
-    f: Callable[[float], tuple[float, float]], target: float, x: float, lo: float, cap: float,
-) -> tuple[float, float]:
-    """(x, g(x)) at the first x whose own Newton step toward g = target is at most 1e-7.
+    f: Callable[[float], tuple[float, ...]], target: float, x: float, lo: float, cap: float,
+) -> tuple[float, tuple[float, ...]]:
+    """(x, f(x)) at the first x whose own Newton step toward g = target is at most 1e-7.
 
-    f(x) returns (g(x), x g'(x)), a decreasing g and its derivative in log
-    x.  Newton steps in log x run from x, each cut at cap, and one that
-    would leave the bracket of the points seen so far, which starts as
-    (lo, inf), is halved in log x.  Left of the root the step is Newton's
-    on g; right of it, where g has the target's sign, it is Newton's on
-    log |g|, log(target / g) g / (x g'), which lands on the root in one
-    step where |g| is a power of x: the gap -curv x^2 / 2 while no bound
-    saturates, n - K' ~ n / x once all do.  The stop test is on g's own
+    f(x) returns (g(x), x g'(x), ...): a decreasing g and its derivative in
+    log x, then whatever else the caller wants from the step where the root
+    stops.  The root hands back that whole evaluation, so no caller
+    evaluates there again.  Newton steps in log x run from x, each cut at
+    cap, and one that would leave the bracket of the points seen so far,
+    which starts as (lo, inf), is halved in log x.  Left of the root the
+    step is Newton's on g; right of it, where g has the target's sign, it
+    is Newton's on log |g|, log(target / g) g / (x g'), which lands on the
+    root in one step where |g| is a power of x: the gap -curv x^2 / 2 while
+    no bound saturates, n - K' ~ n / x once all do.  The stop test is on g's own
     step either way.  The x returned may lie on either side of the root;
     it is cap where the root lies past cap.  Raises NonFiniteError where g
     or x g' is not finite, and ConvergenceError after 256 steps.
     """
     hi = math.inf
     for _ in range(_MAX_ITER):
-        g, dg = f(x)
+        fx = f(x)
+        g, dg = fx[0], fx[1]
         if not (math.isfinite(g) and math.isfinite(dg)):
             raise NonFiniteError(f"objective returned {(g, dg)!r} at x={x!r}")
         step = (target - g) / dg
         if abs(step) <= _STEP_TOL or (x == cap and step > 0.0):
-            return x, g
+            return x, fx
         lo, hi = (x, hi) if step > 0.0 else (lo, x)
         if step < 0.0 and g * target > 0.0:  # right of the root: a step in log |g|
             step = math.log(target / g) * g / dg

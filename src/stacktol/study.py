@@ -137,7 +137,6 @@ def run_study(spec: StudySpec) -> list[StudyRow]:
 
     Each row depends only on (spec, chain_id).
     """
-    ids = range(spec.n_chains)
-    if spec.mc_cfg is None:
-        return [_one_row(spec, i) for i in ids]
-    return _map(lambda i: _one_row(spec, i), ids, _cores())
+    # without Monte Carlo one worker: _map then runs the rows in turn and loads no pool
+    workers = 1 if spec.mc_cfg is None else _cores()
+    return _map(lambda i: _one_row(spec, i), range(spec.n_chains), workers)

@@ -35,6 +35,13 @@ the same layout, and prints, for each kind of line (family t: every ``chernov``,
 how many lines differ and the largest relative change of a value in them.  It exits with
 status 1 if the dumps differ in length, or if any line differs other than a family line,
 a prob line, or a study line in its Chernoff-family t and f alone.
+
+``PYTHONPATH=src python tests/test_bits.py --kernels FILE`` writes, for the same chains, rho
+and fractions as ``--dump``, every kernel call of each Chernoff-family solve: a header line
+per solve (``chernov_t``, ``lipschitz_t``, ``quadratic_t`` at curvature 0.5 and 1/6, and
+``chernov_prob``), then one line per ``_legendre_sums`` or ``_langevin_sums`` call with the
+kernel's name, the ``float.hex`` of its lambda and its group count.  ``diff`` of two such
+files shows whether two trees make the same kernel calls at the same lambda.
 """
 
 import argparse
@@ -50,6 +57,7 @@ from stacktol import (
     lipschitz_t, mc_prob, mc_quantile, phi, psi, psi_tilde, quadratic_t, run_study, s_lambda,
     sample_output, t_rss, t_wc,
 )
+from stacktol import bounds
 from test_lambda_root import CATALOGUE, CHAINS, RHOS, catalogue_chains, ulp_balanced_chains
 
 PROB_FRACTIONS = (0.5, 0.99)
@@ -371,6 +379,41 @@ def dump(path):
                                   f"{' '.join(map(_hex, fields))}\n")
 
 
+KERNELS = ("_legendre_sums", "_langevin_sums")
+
+
+def kernels(path):
+    """Write the kernel calls of dump()'s Chernoff-family solves; see the module docstring."""
+    solves = (
+        ("chernov_t", lambda chain, rho: chernov_t(chain, rho).t),
+        ("lipschitz_t", lambda chain, rho: lipschitz_t(chain, rho).t),
+        ("quadratic_t", lambda chain, rho: quadratic_t(chain, rho).t),
+        ("quadratic_t/6", lambda chain, rho: quadratic_t(chain, rho, 1.0 / 6.0).t),
+    )
+    originals = {name: getattr(bounds, name) for name in KERNELS}
+    with open(path, "w") as out:
+        def traced(name):
+            def call(lam, groups):
+                out.write(f"{name} {lam.hex()} {len(groups)}\n")
+                return originals[name](lam, groups)
+            return call
+        try:
+            for name in KERNELS:
+                setattr(bounds, name, traced(name))
+            for label, w in dump_chains():
+                chain = StackChain.from_bounds(w)
+                for rho in DUMP_RHOS:
+                    for name, solve in solves:
+                        out.write(f"{label} {rho!r} {name}\n")
+                        _hex_or_error(lambda: solve(chain, rho))
+                for f in DUMP_FRACTIONS:
+                    out.write(f"{label} chernov_prob {f!r}\n")
+                    _hex_or_error(lambda: chernov_prob(chain, f * t_wc(chain)))
+        finally:
+            for name, kernel in originals.items():
+                setattr(bounds, name, kernel)
+
+
 FAMILY = ("chernov", "lipschitz", "quadratic", "quadratic/6")
 COMPARE_KINDS = ("family t", "prob", "study", "Monte Carlo", "other")
 
@@ -475,9 +518,14 @@ if __name__ == "__main__":
     parser.add_argument("--dump", metavar="FILE", help="write the dump to FILE instead")
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
                         help="compare two dumps instead")
+    parser.add_argument("--kernels", metavar="FILE",
+                        help="write the kernel calls of each solve to FILE instead")
     args = parser.parse_args()
     if args.dump is not None:
         dump(args.dump)
+        raise SystemExit
+    if args.kernels is not None:
+        kernels(args.kernels)
         raise SystemExit
     if args.compare is not None:
         report, offending = compare(*args.compare)

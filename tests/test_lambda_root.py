@@ -144,11 +144,19 @@ def test_never_below_the_exact_quantile(name, rho):
         assert exact_abs_tail(w, solver(chain, rho).t) <= rho, solver.__name__
 
 
-def test_limit_returned_exactly_once_t_stops_changing():
+def test_limit_returned_exactly_once_t_stops_changing(gap_terms):
     # wbar * t(lambda) rounded up would sit a few ulps above it
     for name in ("pair", "table", "case", "tiny", "huge", "near"):
         chain = StackChain.from_bounds(CHAINS[name])
         assert lipschitz_t(chain, 1e-300).t == BISECTION_T[name, 1e-300][1]
+    # the root lies past _LAM_MAX, where the clamp gives the limit: the small
+    # bounds are far from saturated there ("single" is pinned in T_BITS and
+    # at subnormal rho)
+    for w in ((3.0, 1e-280, 1e-280), (1.0, 1e-250)):
+        chain = StackChain.from_bounds(w)
+        gap_terms.clear()
+        assert chernov_t(chain, 1e-300).t == t_wc(chain), w
+        assert gap_terms[-1][0] == bounds._LAM_MAX, w
 
 
 @pytest.mark.parametrize("rho", [0.1, 0.0027, 1e-6, 1e-12])
@@ -362,12 +370,12 @@ def slope_terms(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("t", [1e-300, 1e-120, 1e-20, 0.1])
-def test_prob_is_one_at_small_t_without_a_solve(slope_terms, t):
+@pytest.mark.parametrize("t", [0.0, 1e-300, 1e-120, 1e-20, 0.1])
+def test_prob_is_one_at_small_t_without_a_solve(slope_terms, gap_terms, t):
     # the optimal lambda is at most 2 wc / (wc - t), about 2 here, and K >= 0
     assert chernov_prob(StackChain.from_bounds((1.0, 2.0)), t) == 1.0
     assert chernov_prob(StackChain.from_bounds(CHAINS["long"]), t) == 1.0
-    assert slope_terms == []
+    assert slope_terms == [] and gap_terms == []
 
 
 @pytest.mark.parametrize("name", ["single", "pair", "table", "long"])
@@ -379,27 +387,34 @@ def test_few_co_slope_evaluations_per_prob(slope_terms, name):
         assert 1 <= len(slope_terms) <= 20, frac
 
 
-def _mean_co_slope_evaluations(slope_terms):
+def _mean_kernel_calls_per_prob(terms):
+    """The mean length of ``terms``, a kernel's call record, per chernov_prob call."""
     calls = 0
     fracs = (0.3, 0.5, 0.9, 0.99, 1.0 - 1e-9, 1.0 - 1e-15)
     for w in CHAINS.values():
         chain = StackChain.from_bounds(w)
         for frac in fracs:
-            slope_terms.clear()
+            terms.clear()
             chernov_prob(chain, frac * t_wc(chain))
-            calls += len(slope_terms)
+            calls += len(terms)
     return calls / (len(CHAINS) * len(fracs))
 
 
 def test_mean_co_slope_evaluations_per_prob(slope_terms):
     # the root takes n - K' from its last evaluation, where the bound is formed
-    assert _mean_co_slope_evaluations(slope_terms) <= 6.5
+    assert _mean_kernel_calls_per_prob(slope_terms) <= 6.5
 
 
 def test_mean_co_slope_evaluations_per_prob_in_log_co(slope_terms):
     # the root starts right of the root, where n - K' ~ n / lambda is a power
     # of lambda: a step in log (n - K') lands next to the root
-    assert _mean_co_slope_evaluations(slope_terms) <= 4.0
+    assert _mean_kernel_calls_per_prob(slope_terms) <= 4.0
+
+
+def test_mean_gap_evaluations_per_prob(gap_terms):
+    # the root hands back the g of its last step, where the bound is formed,
+    # so the gap is evaluated once per step and not again at its end
+    assert _mean_kernel_calls_per_prob(gap_terms) <= 3.5
 
 
 # chains whose worst case sums exactly in double precision, so that the

@@ -190,16 +190,18 @@ class TestInvertMonotone:
     """Newton steps in log x (numerics._root): g = -log x is linear there, exp(-x) is not."""
 
     def test_linear(self):
-        root, g = _root(lambda x: (-math.log(x), -1.0), -2.0, 100.0, 1.0, math.inf)
+        root, (g, dg) = _root(lambda x: (-math.log(x), -1.0), -2.0, 100.0, 1.0, math.inf)
         assert root == pytest.approx(math.exp(2.0), rel=1e-15)
-        assert g == -math.log(root)
+        assert (g, dg) == (-math.log(root), -1.0)
 
     def test_exponential(self):
         # from 10 the first step lands at 0, left of the bracket, and is halved
-        root, g = _root(lambda x: (math.exp(-x), -x * math.exp(-x)), 0.5, 10.0, 0.01, 10.0)
+        f = lambda x: (math.exp(-x), -x * math.exp(-x), x)  # noqa: E731
+        root, evaluation = _root(f, 0.5, 10.0, 0.01, 10.0)
         # within about one 1e-7 Newton step in log x of the root
         assert abs(math.log(root / math.log(2.0))) <= 2e-7
-        assert g == math.exp(-root)
+        # the whole evaluation at the stopping x, what the root does not read too
+        assert evaluation == f(root)
 
     def test_exhausted_budget_raises(self):
         # g jumps across the target at x = 2, so every Newton step is 1 in log x
