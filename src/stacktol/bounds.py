@@ -32,8 +32,13 @@ Gaussian regime to its saturated one, chernov_prob from right of the root,
 and report their bound at the lam where it stops, as that bound holds at
 every lam: a quantile (K - log(rho / 2)) / lam (see _quantile),
 chernov_prob 2 exp(K - lam t).  Each forms it from the g the root hands
-back with that lam, so no gap is evaluated twice.  All functions are pure;
-results are frozen records.
+back with that lam, so no gap is evaluated twice.
+
+Each method has one body, in the solver table _SOLVERS.  analyze_all and
+tolerance check rho and form l_rho once per call and pass both down; the
+public *_t functions form them per call and call the same body, so every
+route gives the same bits.  All functions are pure; results are frozen
+records.
 """
 
 from __future__ import annotations
@@ -41,9 +46,10 @@ from __future__ import annotations
 import math
 import sys
 from enum import Enum
+from functools import partial
 from typing import Callable, NamedTuple, Optional
 
-from .chain import StackChain, _jensen_gap, t_rss, t_wc
+from .chain import StackChain, _jensen_gap
 from .numerics import _langevin_sums, _legendre_sums, _root
 
 __all__ = [
@@ -69,6 +75,10 @@ __all__ = [
 # near wc, where the exact tail goes as (wc - t)^n, one ulp down can
 # under-cover: round t up.
 _ROUND_UP = 1.0 + 8.0 * sys.float_info.epsilon
+
+# The records are built as tuple.__new__(Record, fields), what a NamedTuple's own
+# __new__ does, without that Python-level frame per record.
+_new = tuple.__new__
 
 
 class Method(str, Enum):
@@ -110,6 +120,12 @@ class ToleranceResult(NamedTuple):
     rho: Optional[float]
 
 
+def _level(rho: float) -> tuple[float, float]:
+    """(rho, l_rho): the checked level and its Gaussian coefficient, formed once per call."""
+    r = _check_rho(rho)
+    return r, math.sqrt(2.0 * (math.log(2.0) - math.log(r))) / 3.0
+
+
 def gaussian_l(rho: float) -> float:
     """Gaussian deviation coefficient l_rho = (1/3) sqrt(2 ln(2/rho)).
 
@@ -117,26 +133,27 @@ def gaussian_l(rho: float) -> float:
     by the sub-Gaussian tail bound.  Strictly decreasing in rho; 2/rho is
     never formed, as it overflows for subnormal rho.
     """
-    r = _check_rho(rho)
-    return math.sqrt(2.0 * (math.log(2.0) - math.log(r))) / 3.0
+    return _level(rho)[1]
 
 
-def _result(
-    method: Method, chain: StackChain, t: float, rho: Optional[float]
-) -> ToleranceResult:
+def _result(method: Method, chain: StackChain, t: float, rho: Optional[float],
+            l_rho: Optional[float]) -> ToleranceResult:
     # t and T_RSS scaled by one power of two, exactly, so that l_rho * T_RSS
     # neither underflows on subnormal chains nor overflows near the largest double
-    rss_s, e = math.frexp(chain._sums.rss)
+    s = chain._sums
+    rss_s, e = math.frexp(s.rss)
     t_s = math.ldexp(t, -e)
-    f = t_s / (gaussian_l(rho) * rss_s) if rho is not None else None
-    return ToleranceResult(
-        method=method,
-        t=t,
-        t_clamped=min(t, chain._sums.wc),
-        f=f,
-        coverage=t_s / rss_s,
-        rho=rho,
-    )
+    f = t_s / (l_rho * rss_s) if rho is not None else None
+    return _new(ToleranceResult, (method, t, min(t, s.wc), f, t_s / rss_s, rho))
+
+
+def _hoeffding(method: Method, chain: StackChain, rho: float, l_rho: float) -> ToleranceResult:
+    s = chain._sums
+    rss_s, e = math.frexp(s.rss)
+    # scaled back by 2^e in two halves: the first is exact, the second rounds
+    # once or gives inf, where math.ldexp and 2.0 ** 1024 raise OverflowError
+    t = 3.0 * (l_rho * rss_s) * 2.0 ** (e // 2) * 2.0 ** (e - e // 2)
+    return _new(ToleranceResult, (method, t, min(t, s.wc), 3.0, 3.0 * l_rho, rho))
 
 
 def hoeffding_t(chain: StackChain, rho: float) -> ToleranceResult:
@@ -149,20 +166,7 @@ def hoeffding_t(chain: StackChain, rho: float) -> ToleranceResult:
     T_RSS scaled like _result's, so it does not round to 0 on subnormal
     chains.
     """
-    r = _check_rho(rho)
-    l_rho = gaussian_l(r)
-    rss_s, e = math.frexp(chain._sums.rss)
-    # scaled back by 2^e in two halves: the first is exact, the second rounds
-    # once or gives inf, where math.ldexp and 2.0 ** 1024 raise OverflowError
-    t = 3.0 * (l_rho * rss_s) * 2.0 ** (e // 2) * 2.0 ** (e - e // 2)
-    return ToleranceResult(
-        method=Method.HOEFFDING,
-        t=t,
-        t_clamped=min(t, chain._sums.wc),
-        f=3.0,
-        coverage=3.0 * l_rho,
-        rho=r,
-    )
+    return _hoeffding(Method.HOEFFDING, chain, *_level(rho))
 
 
 def _check_lambda(lam: float) -> float:
@@ -196,8 +200,8 @@ class _Member(NamedTuple):
 
 def _member(chain: StackChain, method: Method, curvature: float = 0.5) -> _Member:
     """The Chernoff-family member ``method`` on ``chain``: its ((v, c) groups, a, b, limit)."""
-    s, n = chain._sums, len(chain)
-    groups, curv, a, b, limit = s.groups, s.curv, 0.0, 0.0, s.wc
+    s = chain._sums
+    n, groups, curv, a, b, limit = s.n, s.groups, s.curv, 0.0, 0.0, s.wc
     if method is Method.LIPSCHITZ:
         # a linear price cancels from the gap, so t(inf) is finite
         groups, curv, a, limit = ((1.0, n),), n / 3.0, s.abs_dev, s.wc + s.wbar * s.abs_dev
@@ -206,7 +210,7 @@ def _member(chain: StackChain, method: Method, curvature: float = 0.5) -> _Membe
             raise ValueError(f"curvature must be finite and >= 1/6, got {curvature}")
         groups, curv, b = ((1.0, n),), n / 3.0, curvature * s.sq_dev
         limit = math.inf if b else s.wc
-    return _Member(s.wbar, groups, n, a, b, curv + 2.0 * b, limit)
+    return _new(_Member, (s.wbar, groups, n, a, b, curv + 2.0 * b, limit))
 
 
 def _gap(m: _Member, lam: float) -> tuple[float, float]:
@@ -298,7 +302,7 @@ def _quantile(m: _Member, rho: float) -> float:
     and the slope at the lam where it stops.  As lam K'' <= K', it exceeds
     the optimum by at most about step^2 / 2 <= 5e-15 of itself.  t is
     clamped to the member's limit t(inf), so it never falls as rho falls;
-    where the root lies past _LAM_MAX the clamp gives the limit itself.
+    where the root lies past _LAM_MAX it is that limit, with no slope formed.
     """
     target = math.log(rho) - math.log(2.0)
     cap = min(math.sqrt(-target / m.b) if m.b else math.inf, _LAM_MAX)
@@ -309,10 +313,13 @@ def _quantile(m: _Member, rho: float) -> float:
             start = min(math.sqrt(m.n * math.expm1(-2.0 * target / m.n) / m.curv), cap)
         except OverflowError:  # past expm1's range: n = 1 below rho ~ 1e-154, n = 2 below ~ 1e-308
             start = cap
-    lam, (g, _) = _root(lambda x: _gap(m, x), target, start, 0.0, cap)
-    # where the root lies past _LAM_MAX, n - K' <= n / lam (each c v (1 - L(lam v))
-    # is at most c / lam) puts t(lam) within 2^-900 of t(inf), relative: far
-    # inside _ROUND_UP, so the clamp gives the limit
+    lam, (g, _) = _root(partial(_gap, m), target, start, 0.0, cap)
+    # the root stops at _LAM_MAX only where b = 0 and the limit is finite; there
+    # n - K' <= n / lam (each c v (1 - L(lam v)) is at most c / lam) puts t(lam)
+    # within 2^-900 of t(inf), relative: far inside _ROUND_UP, so the clamp would
+    # give the limit, and the slope is not formed
+    if lam == _LAM_MAX:
+        return m.limit
     return min(m.wbar * (_slope(m, lam) + (g - target) / lam) * _ROUND_UP, m.limit)
 
 
@@ -351,14 +358,20 @@ def chernov_prob(chain: StackChain, t: float) -> float:
     return min(1.0, 2.0 * math.exp(k))
 
 
+def _family(method: Method, chain: StackChain, rho: float, l_rho: float,
+            curvature: float = 0.5) -> ToleranceResult:
+    """The body of CHERNOV, LIPSCHITZ and QUADRATIC: the member's quantile at rho."""
+    t = _quantile(_member(chain, method, curvature), rho)
+    return _result(method, chain, t, rho, l_rho)
+
+
 def chernov_t(chain: StackChain, rho: float) -> ToleranceResult:
     """Half-width from inverting the optimized exponential bound at rho.
 
     Below the worst case unless rho is so small that t rounds to it; the
     tightest guaranteed method in this family.
     """
-    r = _check_rho(rho)
-    return _result(Method.CHERNOV, chain, _quantile(_member(chain, Method.CHERNOV), r), r)
+    return _family(Method.CHERNOV, chain, *_level(rho))
 
 
 def lipschitz_t(chain: StackChain, rho: float) -> ToleranceResult:
@@ -367,9 +380,7 @@ def lipschitz_t(chain: StackChain, rho: float) -> ToleranceResult:
     t tends to wc + sum|w_i - wbar| as rho goes to 0.  May exceed the worst
     case on unbalanced chains; both raw and clamped values are reported.
     """
-    r = _check_rho(rho)
-    t = _quantile(_member(chain, Method.LIPSCHITZ), r)
-    return _result(Method.LIPSCHITZ, chain, t, r)
+    return _family(Method.LIPSCHITZ, chain, *_level(rho))
 
 
 def quadratic_t(chain: StackChain, rho: float, curvature: float = 0.5) -> ToleranceResult:
@@ -379,9 +390,13 @@ def quadratic_t(chain: StackChain, rho: float, curvature: float = 0.5) -> Tolera
     where it is CHERNOV with limit wc.  Tighter than LIPSCHITZ when the
     imbalance is small.
     """
-    r = _check_rho(rho)
-    t = _quantile(_member(chain, Method.QUADRATIC, curvature), r)
-    return _result(Method.QUADRATIC, chain, t, r)
+    return _family(Method.QUADRATIC, chain, *_level(rho), curvature)
+
+
+def _airbus(method: Method, chain: StackChain, rho: Optional[float],
+            l_rho: Optional[float]) -> ToleranceResult:
+    s = chain._sums
+    return _result(method, chain, 1.6 * (-0.56 * s.d + 1.04) * s.rss, None, None)
 
 
 def airbus_t(chain: StackChain) -> ToleranceResult:
@@ -390,21 +405,23 @@ def airbus_t(chain: StackChain) -> ToleranceResult:
     D is the dominance factor from the balance report.  The constants
     embed the rule's own quantile calibration, so no rho is attached.
     """
-    t = 1.6 * (-0.56 * chain._sums.d + 1.04) * chain._sums.rss
-    return _result(Method.AIRBUS, chain, t, None)
+    return _airbus(Method.AIRBUS, chain, None, None)
 
 
-# Each method's solver, keyed in Method's order.  Each entry looks its
-# function up at call time, so a wrapped module attribute is seen.
-_SOLVERS: dict[Method, Callable[[StackChain, Optional[float]], ToleranceResult]] = {
-    Method.WC: lambda c, r: _result(Method.WC, c, t_wc(c), None),
-    Method.RSS: lambda c, r: _result(Method.RSS, c, t_rss(c), None),
-    Method.GAUSSIAN: lambda c, r: _result(Method.GAUSSIAN, c, gaussian_l(r) * t_rss(c), r),
-    Method.HOEFFDING: lambda c, r: hoeffding_t(c, r),
-    Method.CHERNOV: lambda c, r: chernov_t(c, r),
-    Method.LIPSCHITZ: lambda c, r: lipschitz_t(c, r),
-    Method.QUADRATIC: lambda c, r: quadratic_t(c, r),
-    Method.AIRBUS: lambda c, r: airbus_t(c),
+# Each method's solver, keyed in Method's order.  Each is called as
+# solve(method, chain, rho, l_rho) with rho's constants formed once by the
+# caller (None for the rho-free methods), and holds the method's only body:
+# the public *_t functions form the constants and call it.
+_SOLVERS: dict[Method, Callable[[Method, StackChain, Optional[float], Optional[float]],
+                                ToleranceResult]] = {
+    Method.WC: lambda m, c, r, l: _result(m, c, c._sums.wc, None, None),
+    Method.RSS: lambda m, c, r, l: _result(m, c, c._sums.rss, None, None),
+    Method.GAUSSIAN: lambda m, c, r, l: _result(m, c, l * c._sums.rss, r, l),
+    Method.HOEFFDING: _hoeffding,
+    Method.CHERNOV: _family,
+    Method.LIPSCHITZ: _family,
+    Method.QUADRATIC: _family,
+    Method.AIRBUS: _airbus,
 }
 _RHO_FREE = frozenset({Method.WC, Method.RSS, Method.AIRBUS})
 
@@ -416,10 +433,10 @@ def tolerance(chain: StackChain, method: Method, rho: Optional[float] = None) ->
     except ValueError:
         raise ValueError(f"unknown method {method!r}") from None
     if method in _RHO_FREE:
-        return _SOLVERS[method](chain, None)
+        return _SOLVERS[method](method, chain, None, None)
     if rho is None:
         raise ValueError(f"method {method.value} requires a confidence level")
-    return _SOLVERS[method](chain, _check_rho(rho))
+    return _SOLVERS[method](method, chain, *_level(rho))
 
 
 def analyze_all(chain: StackChain, rho: float) -> list[ToleranceResult]:
@@ -428,5 +445,5 @@ def analyze_all(chain: StackChain, rho: float) -> list[ToleranceResult]:
     Order: WC, RSS, GAUSSIAN, HOEFFDING, CHERNOV, LIPSCHITZ, QUADRATIC,
     AIRBUS.  WC, RSS and AIRBUS do not consume rho and report f = None.
     """
-    r = _check_rho(rho)
-    return [solve(chain, r) for solve in _SOLVERS.values()]
+    r, l_rho = _level(rho)
+    return [solve(m, chain, r, l_rho) for m, solve in _SOLVERS.items()]

@@ -8,9 +8,10 @@ where T_i is the half-width tolerance of contributor i and a_i its
 influence coefficient.  Everything downstream only ever needs the
 weighted bounds w_i = |a_i| * T_i, so those are precomputed once and the
 chain object is immutable.  So are the sums every method reads, formed
-once when the chain is built: the worst case wc = sum w_i, the mean bound
-wbar, T_RSS, the bounds scaled to mean 1 (u_i = w_i / wbar) grouped by
-value, sum u_i^2, sum |u_i - 1|, sum (u_i - 1)^2 and the dominance D.
+once when the chain is built: the number of bounds n, the worst case
+wc = sum w_i, the mean bound wbar, T_RSS, the bounds scaled to mean 1
+(u_i = w_i / wbar) grouped by value, sum u_i^2, sum |u_i - 1|,
+sum (u_i - 1)^2 and the dominance D.
 A contributor whose weighted bound is 0.0, from a zero influence or from
 a product |a_i| * T_i that underflows, is dropped at build time.
 
@@ -74,6 +75,7 @@ class Contributor(_ContributorFields):
 class _Sums(NamedTuple):
     """The sums of a chain's bounds w_i that every method reads, u_i = w_i / wbar."""
 
+    n: int  # the number of bounds
     wc: float  # sum w_i, inf past the largest double
     wbar: float  # the mean bound, always finite
     rss: float  # T_RSS
@@ -90,7 +92,7 @@ class StackChain:
     Contributors whose weighted bound is 0.0, from a zero influence or an
     underflowed product, are dropped at build time: they cannot move the
     output and would only poison the log-based bounds with w_i = 0 terms.
-    The sums of the kept bounds that the methods read (wc, wbar, T_RSS,
+    The sums of the kept bounds that the methods read (n, wc, wbar, T_RSS,
     the scaled bounds' groups, their dispersion sums and D) are formed
     then too, once, in a private slot outside equality, hash and repr.
     Assigning to or deleting any attribute raises ``AttributeError``.
@@ -122,7 +124,7 @@ class StackChain:
         object.__setattr__(self, "contributors", kept)
         object.__setattr__(self, "weighted_bounds", w)
         object.__setattr__(self, "_sums", _Sums(
-            wc, wbar, math.hypot(*w), groups,
+            n, wc, wbar, math.hypot(*w), groups,
             math.fsum(c * (v * v) for v, c in groups) / 3.0,
             math.fsum(abs(ui - 1.0) for ui in u),
             math.fsum((ui - 1.0) * (ui - 1.0) for ui in u),
