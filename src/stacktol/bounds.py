@@ -28,7 +28,9 @@ K'(lam) = t, so every inversion is one monotone root in lam, driven by
 the slope K' and the gap K - lam K'; K = gap + lam K' gives the exponents
 phi, psi and psi_tilde.  Every quantile and chernov_prob run that root
 through numerics._root, a quantile from a start that follows g from its
-Gaussian regime to its saturated one, chernov_prob from right of the root,
+Gaussian regime to its saturated one (on a member with more than
+_SPLIT_GROUPS groups, a start that gives its largest bound its own
+curvature), chernov_prob from right of the root,
 and report their bound at the lam where it stops, as that bound holds at
 every lam: a quantile (K - log(rho / 2)) / lam (see _quantile),
 chernov_prob 2 exp(K - lam t).  Each forms it from the g the root hands
@@ -50,7 +52,7 @@ from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 from .chain import StackChain, _jensen_gap
-from .numerics import _langevin_sums, _legendre_sums, _root
+from .numerics import NonFiniteError, _langevin_sums, _legendre_sums, _root
 
 __all__ = [
     "Method",
@@ -288,6 +290,41 @@ def psi_tilde(chain: StackChain, lam: float, t: float, curvature: float = 0.5) -
 _LAM_MAX = 2.0 ** 900
 
 
+# A member with more than this many groups starts its root on the curve that
+# splits off its largest bound (_split_start).  On a mix of uniform, log-uniform and
+# one-dominant chains that start pays from 12 bounds on and ties at 10 and 11: its
+# 2 to 16 curve steps cost about as much as the gap evaluations they save.  A
+# uniform chain alone never gains.  Measured by timing chernov_t with and without it
+# at n = 8 to 200 bounds, 6 seeds x rho in (0.1, 0.0027, 1e-6, 1e-12), 2 cores.
+_SPLIT_GROUPS = 11
+
+
+def _split_start(m: _Member, target: float, start: float, cap: float) -> float:
+    """The root of -(c1 / 2) log(1 + v1^2 lam^2 / 3) - (r / 2) log(1 + k_r lam^2 / r), from start.
+
+    (v1, c1) is the member's largest group, r = n - c1 and k_r = curv - c1 v1^2 / 3
+    the curvature of the rest; r = 0 would give the plain start's curve.  Where a
+    term overflows, far past any bound's saturation, this root raises and start is
+    kept.
+    """
+    v1, c1 = max(m.groups)
+    r = m.n - c1
+    k1, kr = v1 * v1 / 3.0, m.curv - c1 * (v1 * v1) / 3.0
+    if not kr > 2.0 ** -20 * m.curv:  # 20 bits or more cancelled: sum the rest itself
+        kr = math.fsum([c * (v * v) for v, c in m.groups if v != v1]) / 3.0
+    kr /= r
+
+    def curve(x: float) -> tuple[float, float]:
+        y, z = k1 * (x * x), kr * (x * x)
+        return (-0.5 * (c1 * math.log1p(y) + r * math.log1p(z)),
+                -(c1 * y / (1.0 + y) + r * z / (1.0 + z)))
+
+    try:
+        return _root(curve, target, start, 0.0, cap)[0]
+    except NonFiniteError:
+        return start
+
+
 def _quantile(m: _Member, rho: float) -> float:
     """The member's bound t = (K(lam) - log(rho / 2)) / lam at the lam where its root stops.
 
@@ -297,7 +334,12 @@ def _quantile(m: _Member, rho: float) -> float:
     starts at the root of -(n / 2) log(1 + curv lam^2 / n), which follows
     both regimes and is the Gaussian point sqrt(-2 log(rho / 2) / curv)
     while |log rho| << n; with one (b > 0), at that Gaussian point, left of
-    the root as g >= -curv lam^2 / 2.  Each step is cut at the root of
+    the root as g >= -curv lam^2 / 2.  That shared curvature lets the largest
+    bound saturate first, so on a member with more than _SPLIT_GROUPS groups
+    the start is moved, from there, to the root of the curve that splits that
+    bound off (_split_start): where one bound dominates the plain start lies
+    0.8 to 1.2 left of the root in log lam.  The start only moves the
+    iterates; the bound holds wherever they stop.  Each step is cut at the root of
     -b lam^2 or at _LAM_MAX.  t is formed from the g that the root hands back
     and the slope at the lam where it stops.  As lam K'' <= K', it exceeds
     the optimum by at most about step^2 / 2 <= 5e-15 of itself.  t is
@@ -313,6 +355,8 @@ def _quantile(m: _Member, rho: float) -> float:
             start = min(math.sqrt(m.n * math.expm1(-2.0 * target / m.n) / m.curv), cap)
         except OverflowError:  # past expm1's range: n = 1 below rho ~ 1e-154, n = 2 below ~ 1e-308
             start = cap
+        if len(m.groups) > _SPLIT_GROUPS:
+            start = _split_start(m, target, start, cap)
     lam, (g, _) = _root(partial(_gap, m), target, start, 0.0, cap)
     # the root stops at _LAM_MAX only where b = 0 and the limit is finite; there
     # n - K' <= n / lam (each c v (1 - L(lam v)) is at most c / lam) puts t(lam)

@@ -135,9 +135,9 @@ T_BITS = {
     ('case', 1e-06): ('0x1.3d7dfc922d294p+1', '0x1.0dfcaf873cb09p+2', '0x1.4e85250b336f1p+2', '0x1.d5b5ed96cbd91p+1'),
     ('case', 1e-12): ('0x1.60eedacfa5320p+1', '0x1.258a195e60d51p+2', '0x1.cf8e63fa5ae2dp+2', '0x1.3ee7e5ce1e022p+2'),
     ('case', 1e-300): ('0x1.6cccccccccccdp+1', '0x1.2d70a3d70a3d7p+2', '0x1.0837b6dbf6149p+5', '0x1.4335c70e99b94p+4'),
-    ('long', 0.1): ('0x1.ff583e926fa21p+5', '0x1.03aaf81ee4d92p+8', '0x1.1f5e1279f8c68p+6', '0x1.ffe356c79a1f8p+5'),
-    ('long', 0.0027): ('0x1.7ab4d48727481p+6', '0x1.20748aff2b9c6p+8', '0x1.aa6b0e353f488p+6', '0x1.7b989a6b9bbaep+6'),
-    ('long', 1e-06): ('0x1.16f3c377ec385p+7', '0x1.4a8cbf766a9bap+8', '0x1.3b570bca35e9cp+7', '0x1.18661c4889f0cp+7'),
+    ('long', 0.1): ('0x1.ff583e926fa26p+5', '0x1.03aaf81ee4d92p+8', '0x1.1f5e1279f8c68p+6', '0x1.ffe356c79a1f8p+5'),
+    ('long', 0.0027): ('0x1.7ab4d48727483p+6', '0x1.20748aff2b9c6p+8', '0x1.aa6b0e353f488p+6', '0x1.7b989a6b9bbaep+6'),
+    ('long', 1e-06): ('0x1.16f3c377ec384p+7', '0x1.4a8cbf766a9bap+8', '0x1.3b570bca35e9cp+7', '0x1.18661c4889f0cp+7'),
     ('long', 1e-12): ('0x1.81c61b43db295p+7', '0x1.7d1e5cbab61d9p+8', '0x1.b728596d8eb98p+7', '0x1.85b72004788e4p+7'),
     ('long', 1e-300): ('0x1.24a5ef3c2d273p+9', '0x1.88113b77ac02bp+9', '0x1.df069edc47f36p+9', '0x1.80028b941ffb5p+9'),
     ('tiny', 0.1): ('0x1.f0ac3617c66e4p-664', '0x1.578d66ea73294p-663', '0x1.39084e09cbf28p-663', '0x1.10a0c872591aap-663'),
@@ -197,9 +197,9 @@ ANALYZE_SHA = {
     ('case', 1e-06): '2049bf17a1daec4d',
     ('case', 1e-12): '684931ac3bd49051',
     ('case', 1e-300): '5169bc90989204f8',
-    ('long', 0.1): '248f33774176ffeb',
-    ('long', 0.0027): 'a113775e0775af25',
-    ('long', 1e-06): '9006fcd8af9d25f0',
+    ('long', 0.1): 'ff92ae9a13711379',
+    ('long', 0.0027): '90d08eb37a938b52',
+    ('long', 1e-06): 'bcf28529ec46f844',
     ('long', 1e-12): '93eb54486ba46693',
     ('long', 1e-300): '8d0ddac341572eee',
     ('tiny', 0.1): '3e6aaed4870e67ae',

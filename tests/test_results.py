@@ -3,7 +3,8 @@
 ``analyze_all`` forms rho's constants once and calls each method's body with
 them; the public ``*_t`` functions and ``tolerance`` form them per call.  Each
 route must give the same ``float.hex`` in every field.  Scaling every bound by
-2^e scales t and t_clamped by exactly 2^e and leaves f and coverage unchanged.
+2^e scales t and t_clamped by exactly 2^e and leaves f and coverage unchanged,
+on short chains and on chains long enough for the split start.
 """
 
 import math
@@ -22,6 +23,7 @@ from stacktol import (
     quadratic_t,
     tolerance,
 )
+from stacktol.bounds import _SPLIT_GROUPS
 from test_lambda_root import CHAINS, RHOS
 
 ROUTES = {
@@ -50,9 +52,13 @@ def test_every_route_gives_the_same_bits(name, rho):
         assert _bits(tolerance(chain, r.method.value, rho)) == expect, r.method
 
 
+# chains of 1 to 8 bounds, and chains with more groups than _SPLIT_GROUPS, whose
+# Chernoff root starts on the curve that splits off the largest bound
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(
-    bounds=st.lists(st.floats(1e-4, 1e4), min_size=1, max_size=8),
+    bounds=st.lists(st.floats(1e-4, 1e4), min_size=1, max_size=8)
+    | st.lists(st.floats(1e-4, 1e4), min_size=_SPLIT_GROUPS + 1, max_size=_SPLIT_GROUPS + 16,
+               unique=True),
     rho=st.floats(1e-12, 0.4),
     e=st.integers(-1000, 900),
 )
