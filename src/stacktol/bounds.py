@@ -187,8 +187,9 @@ def _check_t(t: float) -> float:
 
 # On the scaled chain, each member's slope t(lam) = K'(lam) is increasing and
 # its gap g = K - lam K' decreases from 0 and is concave in log lam, with
-# dg/dlog lam = -lam^2 K''; all are sums over (v, c) of c times langevin (L),
-# legendre_term (m) or x2_langevin_prime (q) terms, plus the price's part.
+# dg/dlog lam = -lam^2 K''; all are sums over (v, c) of c times L(x) = coth x - 1/x,
+# m(x) = log(sinh x / x) - x L(x) or q(x) = x^2 L'(x) at x = lam v, from the kernels
+# _langevin_sums (L) and _legendre_sums (m and q), plus the price's part.
 # n - K' where b = 0 is _langevin_sums(lam, groups)[1], without cancellation.
 class _Member(NamedTuple):
     wbar: float
@@ -198,6 +199,7 @@ class _Member(NamedTuple):
     b: float  # quadratic price: g <= -b lam^2
     curv: float  # K''(0): g >= -curv lam^2 / 2
     limit: float  # t(inf), in the chain's own units (inf where b > 0): t is clamped to it
+    top: tuple[float, int]  # the largest group (v1, c1): max(groups)
 
 
 def _member(chain: StackChain, method: Method, curvature: float = 0.5) -> _Member:
@@ -212,7 +214,8 @@ def _member(chain: StackChain, method: Method, curvature: float = 0.5) -> _Membe
             raise ValueError(f"curvature must be finite and >= 1/6, got {curvature}")
         groups, curv, b = ((1.0, n),), n / 3.0, curvature * s.sq_dev
         limit = math.inf if b else s.wc
-    return _new(_Member, (s.wbar, groups, n, a, b, curv + 2.0 * b, limit))
+    return _new(_Member, (s.wbar, groups, n, a, b, curv + 2.0 * b, limit,
+                          s.top if method is Method.CHERNOV else groups[0]))
 
 
 def _gap(m: _Member, lam: float) -> tuple[float, float]:
@@ -252,14 +255,18 @@ def phi(chain: StackChain, lam: float, t: float) -> float:
 
 
 def s_lambda(chain: StackChain, lam: float) -> float:
-    """Imbalance functional S_lambda = sum_i [h(2 lam w_i) - h(2 lam wbar)].
+    """Imbalance functional S_lambda = sum_i [f(lam w_i) - f(lam wbar)], f(x) = log(sinh x / x).
 
-    Nonnegative by convexity of h, and clipped at 0: 0 on equal bounds, and
-    near balance the sum can cancel to 0 where the true value is not.  This is
-    exactly what the balance-agnostic relaxations give away versus the
-    optimized exponent at scale lam.
+    Formed as the sum of f's Bregman divergences D_f(lam w_i, lam wbar), each
+    >= 0, within 1e-11 relative of their exact sum: 0 on equal bounds, > 0 on
+    any others unless the true value underflows.  This is exactly what the
+    balance-agnostic relaxations give away versus the optimized exponent at
+    scale lam.  Raises ValueError where lam * max(w) overflows.
     """
-    return _jensen_gap(chain, _check_lambda(lam))
+    lam = _check_lambda(lam)
+    if lam * max(chain.weighted_bounds) == math.inf:
+        raise ValueError(f"lambda * max(w) must be finite, got lambda={lam!r}")
+    return _jensen_gap(chain, lam)
 
 
 def psi(chain: StackChain, lam: float, t: float) -> float:
@@ -307,7 +314,7 @@ def _split_start(m: _Member, target: float, start: float, cap: float) -> float:
     term overflows, far past any bound's saturation, this root raises and start is
     kept.
     """
-    v1, c1 = max(m.groups)
+    v1, c1 = m.top
     r = m.n - c1
     k1, kr = v1 * v1 / 3.0, m.curv - c1 * (v1 * v1) / 3.0
     if not kr > 2.0 ** -20 * m.curv:  # 20 bits or more cancelled: sum the rest itself

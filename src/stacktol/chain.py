@@ -11,7 +11,7 @@ chain object is immutable.  So are the sums every method reads, formed
 once when the chain is built: the number of bounds n, the worst case
 wc = sum w_i, the mean bound wbar, T_RSS, the bounds scaled to mean 1
 (u_i = w_i / wbar) grouped by value, sum u_i^2, sum |u_i - 1|,
-sum (u_i - 1)^2 and the dominance D.
+sum (u_i - 1)^2, the largest u_i with its count, and the dominance D.
 A contributor whose weighted bound is 0.0, from a zero influence or from
 a product |a_i| * T_i that underflows, is dropped at build time.
 
@@ -26,7 +26,7 @@ import math
 from collections import Counter
 from typing import Iterable, NamedTuple, Sequence
 
-from .numerics import h_stable
+from .numerics import _langevin_sums, _legendre_sums
 
 __all__ = [
     "Contributor",
@@ -83,6 +83,7 @@ class _Sums(NamedTuple):
     curv: float  # sum u_i^2 / 3
     abs_dev: float  # sum |u_i - 1|
     sq_dev: float  # sum (u_i - 1)^2
+    top: tuple[float, int]  # the largest u_i and its count: max(groups)
     d: float  # D = (max w_i - wbar) / wc, with n wbar standing in for wc where it overflows
 
 
@@ -119,8 +120,9 @@ class StackChain:
             e = n.bit_length()
             wc, wbar = math.inf, math.ldexp(math.fsum(math.ldexp(wi, -e) for wi in w) / n, e)
         u = [wi / wbar for wi in w]
-        groups = tuple(Counter(u).items())  # fsum is exact, so the groups' order is moot
-        spread = max(w) - wbar
+        counts, wmax = Counter(u), max(w)
+        groups = tuple(counts.items())  # fsum is exact, so the groups' order is moot
+        top = wmax / wbar  # division is monotone, so this is max(u)
         object.__setattr__(self, "contributors", kept)
         object.__setattr__(self, "weighted_bounds", w)
         object.__setattr__(self, "_sums", _Sums(
@@ -128,7 +130,8 @@ class StackChain:
             math.fsum(c * (v * v) for v, c in groups) / 3.0,
             math.fsum(abs(ui - 1.0) for ui in u),
             math.fsum((ui - 1.0) * (ui - 1.0) for ui in u),
-            spread / wc if wc < math.inf else spread / wbar / n,
+            (top, counts[top]),
+            (wmax - wbar) / wc if wc < math.inf else (wmax - wbar) / wbar / n,
         ))
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -180,30 +183,55 @@ def t_rss(chain: StackChain) -> float:
     return chain._sums.rss
 
 
-def _h_scaled(lam: float, w: float) -> float:
-    """h(2 lam w), without forming 2 lam w where it over- or underflows.
-
-    Past x ~ 745, h(x) = -log(x) in doubles, so the overflowing product is
-    only ever needed through its logarithm; an underflowed product is
-    h(0+) = 0.
-    """
-    x = 2.0 * lam * w
-    if math.isinf(x):
-        return -(math.log(2.0) + math.log(lam) + math.log(w))
-    if x == 0.0:
-        return 0.0
-    return h_stable(x)
+# 8-point Gauss-Legendre nodes t > 0 on [-1, 1] with their weights, and from them
+# (s, (1 - s) w / 4) for t and -t: the rule for int_0^1 (1 - s) g(s) ds at s = (1 + t) / 2
+_GAUSS_LEGENDRE = (
+    (0.1834346424956498049394761, 0.3626837833783619829651504),
+    (0.5255324099163289858177390, 0.3137066458778872873379622),
+    (0.7966664774136267395915539, 0.2223810344533744705443560),
+    (0.9602898564975362316835609, 0.1012285362903762591525314),
+)
+_BREGMAN_NODES = tuple((0.5 * (1.0 + t), 0.25 * wt * (1.0 - t))
+                       for r, wt in _GAUSS_LEGENDRE for t in (r, -r))
 
 
 def _jensen_gap(chain: StackChain, lam: float) -> float:
-    """sum_i h(2 lam w_i) - n h(2 lam wbar), the Jensen gap of h at scale lam.
+    """sum_i f(lam w_i) - n f(lam wbar), f(x) = log(sinh x / x), as sum_i D_f(lam w_i, lam wbar).
 
-    Mean of a convex function >= function of the mean; the few-ulp
-    negatives on near-equal chains are clipped so callers can rely on >= 0.
+    D_f(x, xbar) = f(x) - f(xbar) - L(xbar) (x - xbar) >= 0 is f's Bregman divergence.
+    Where d = x - xbar = lam (w_i - wbar) is within max(1, xbar) / 4 it is
+    d^2 int_0^1 (1 - s) q(z) / z^2 ds at z = xbar + s d, by _BREGMAN_NODES, whose
+    nodes all go into one _legendre_sums call; elsewhere (m(x) - m(xbar)) +
+    x ((1 - L(xbar)) - (1 - L(x))), in one call of each kernel over all such x.
+    0 on equal bounds (their float wbar may be an ulp off them) and where xbar
+    is below the normal range (every term underflows).  lam max(w) must be finite.
     """
     w, wbar = chain.weighted_bounds, chain._sums.wbar
-    gap = math.fsum(_h_scaled(lam, wi) for wi in w) - len(w) * _h_scaled(lam, wbar)
-    return gap if gap > 0.0 else 0.0
+    xbar = lam * wbar
+    if xbar < 2.0 ** -1022 or min(w) == max(w):
+        return 0.0
+    reach = 0.25 * max(1.0, xbar)
+    nodes, far = [], []
+    for wi in w:
+        d = lam * (wi - wbar)
+        if abs(d) > reach:
+            far.append(lam * wi)
+        elif d:
+            for s, c in _BREGMAN_NODES:
+                z = xbar + s * d
+                r = d / z
+                nodes.append((z, c * (r * r)))
+    gap = [_legendre_sums(1.0, nodes)[1]]
+    if far:
+        # where xbar and every far x are saturated, D_f depends only on x / xbar:
+        # scaled by 2^-e into [32, 64), m is small and its differences keep their bits
+        e = math.frexp(min(xbar, *far))[1] - 6
+        if e > 0:
+            xbar, far = math.ldexp(xbar, -e), [math.ldexp(x, -e) for x in far]
+        gap += [_legendre_sums(1.0, [*((x, 1) for x in far), (xbar, -len(far))])[0],
+                _langevin_sums(1.0, [(xbar, math.fsum(x / xbar for x in far)),
+                                     *((x, -1) for x in far)])[1]]
+    return math.fsum(gap)
 
 
 class BalanceReport(NamedTuple):
@@ -211,10 +239,10 @@ class BalanceReport(NamedTuple):
 
     mean, variance (population, /n) and abs_dev_sum are plain dispersion
     statistics of the weighted bounds.  s1 is the Jensen gap
-    sum_i [h(2 w_i) - h(2 wbar)] at unit exponent scale, clipped at 0: 0 on
-    equal bounds, and near balance it can cancel to 0 (it is 0.0 on
-    (1, 1 + 1e-9, 1 - 1e-9), where the true gap is 2.8e-19).  It is the
-    overhead the balance-agnostic bounds pay at lambda = 1.
+    sum_i [f(w_i) - f(wbar)] of f(x) = log(sinh x / x) at unit exponent scale,
+    formed as a sum of Bregman divergences (see s_lambda): 0 on equal bounds
+    and > 0 on any others unless the true gap underflows.  It is the overhead
+    the balance-agnostic bounds pay at lambda = 1.
     d_factor = (max w_i - wbar) / sum w_i is the dimensionless dominance of
     the largest contributor.
     """

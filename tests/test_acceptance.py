@@ -19,7 +19,6 @@ from stacktol import (
     airbus_t,
     chernov_t,
     gaussian_l,
-    h_stable,
     hoeffding_t,
     lipschitz_t,
     mc_prob,
@@ -35,6 +34,7 @@ from stacktol import (
     tolerance,
 )
 from stacktol.cli import main
+from stacktol.numerics import h_stable
 from conftest import CASE_BOUNDS, TABLE_BOUNDS, random_bounds
 from oracles import exact_abs_tail
 

@@ -31,10 +31,12 @@ each lam wbar of ``DUMP_LAMBDAS`` and ``phi``, ``psi`` and ``psi_tilde`` there a
 
 ``PYTHONPATH=src python tests/test_bits.py --compare OLD NEW`` reads two such dumps, of
 the same layout, and prints, for each kind of line (family t: every ``chernov``,
-``lipschitz``, ``quadratic`` and ``quadratic/6`` line; prob; study; Monte Carlo; other),
-how many lines differ and the largest relative change of a value in them.  It exits with
-status 1 if the dumps differ in length, or if any line differs other than a family line,
-a prob line, or a study line in its Chernoff-family t and f alone.
+``lipschitz``, ``quadratic`` and ``quadratic/6`` line; prob; balance: every ``balance`` and
+``s_lambda`` line, and the ``s1`` field of every study line; study: a study line's other
+fields; Monte Carlo; other), how many lines differ and the largest relative change of a
+value in them.  It exits with status 1 if the dumps differ in length, or if any line
+differs other than a family line, a prob line, or a study line in its Chernoff-family t
+and f alone: a balance kind is counted, never allowed.
 
 ``PYTHONPATH=src python tests/test_bits.py --kernels FILE`` writes, for the same chains, rho
 and fractions as ``--dump``, every kernel call of each Chernoff-family solve: a header line
@@ -238,15 +240,15 @@ ANALYZE_SHA = {
 BALANCE_SHA = {
     'single': 'e6ff9f4822c19c93',
     'pair': 'f643084bbe16292a',
-    'table': 'a73b79c4bc79e1fe',
-    'case': '4cf7d4b7b6803aec',
-    'long': '6fcb8ea2b81cdcdf',
+    'table': 'fbb3438554854b6e',
+    'case': 'ddada58dbe8ae21e',
+    'long': 'b672f6de76d99bb7',
     'tiny': 'd05482481014fa0e',
-    'huge': '20dfca465f3194d8',
-    'near': '433da69bc60e312e',
+    'huge': '2504c1ce1d913db3',
+    'near': 'bec1322a0b166c47',
     'decimal': '0f6fdd1ebbbb9e6f',
-    'catalogue': 'e0adef2bc59ccaa2',
-    'catalogue_long': '0d121408cf31afda',
+    'catalogue': '0c592e61b8b2a1cb',
+    'catalogue_long': '081eb7f3c23dcdf5',
 }
 
 # sample_output(CHAINS[MC_CHAIN], McConfig(draws=MC_DRAWS, seed=MC_SEED)), by workers
@@ -415,7 +417,8 @@ def kernels(path):
 
 
 FAMILY = ("chernov", "lipschitz", "quadratic", "quadratic/6")
-COMPARE_KINDS = ("family t", "prob", "study", "Monte Carlo", "other")
+COMPARE_KINDS = ("family t", "prob", "balance", "study", "Monte Carlo", "other")
+STUDY_S1 = 5  # the token of a study line's s1, past its 5 keys
 
 
 def _row_kind(tokens):
@@ -424,8 +427,8 @@ def _row_kind(tokens):
         return "study"
     if tokens[1] == "mc":
         return "Monte Carlo"
-    if tokens[1] == "prob":
-        return "prob"
+    if tokens[1] in ("prob", "balance", "s_lambda"):
+        return "prob" if tokens[1] == "prob" else "balance"
     return "family t" if tokens[2] in FAMILY else "other"
 
 
@@ -433,7 +436,7 @@ def _study_family_tokens():
     """The token positions of a study line's Chernoff-family t and f."""
     (row,) = run_study(StudySpec(n_chains=1, rho=0.5, seed=0))
     methods = [m.value for m in (*row.ts, *row.fs)]
-    return {7 + i for i, m in enumerate(methods) if m in FAMILY}  # past 5 keys, s1 and d
+    return {STUDY_S1 + 2 + i for i, m in enumerate(methods) if m in FAMILY}  # past s1 and d
 
 
 def _relative_change(old, new):
@@ -458,22 +461,31 @@ def compare(old_path, new_path):
     total = {k: 0 for k in COMPARE_KINDS}
     differ = {k: 0 for k in COMPARE_KINDS}
     largest = {k: 0.0 for k in COMPARE_KINDS}
+    lines_differ = 0
     for a, b in zip(old, new):
         ta, tb = a.split(), b.split()
         kind = _row_kind(ta)
-        total[kind] += 1
+        # a study line's s1 is counted with the balance lines, its other fields as study
+        fields = {kind: set(range(len(ta)))}
+        if kind == "study":
+            fields = {"balance": {STUDY_S1}, "study": fields[kind] - {STUDY_S1}}
+        for k in fields:
+            total[k] += 1
         if a == b:
             continue
-        differ[kind] += 1
+        lines_differ += 1
         moved = {i for i, (x, y) in enumerate(zip(ta, tb)) if x != y}
-        if len(ta) != len(tb):
-            largest[kind] = math.inf
-        else:
-            largest[kind] = max([largest[kind], *(_relative_change(ta[i], tb[i]) for i in moved)])
+        for k, tokens in fields.items():
+            if len(ta) != len(tb):
+                differ[k], largest[k] = differ[k] + 1, math.inf
+            elif moved & tokens:
+                differ[k] += 1
+                largest[k] = max([largest[k],
+                                  *(_relative_change(ta[i], tb[i]) for i in moved & tokens)])
         allowed = kind in ("family t", "prob") or (kind == "study" and moved <= study_family)
         if not allowed or len(ta) != len(tb):
             offending.append(f"- {a}\n+ {b}")
-    report = [f"{len(old)} lines, {sum(differ.values())} differ"]
+    report = [f"{len(old)} lines, {lines_differ} differ"]
     for k in COMPARE_KINDS:
         report.append(f"  {k:<12} {differ[k]:>7} of {total[k]:>7} differ, "
                       f"largest relative change {largest[k]:.2g}")
@@ -490,26 +502,39 @@ def test_compare_allows_only_family_and_prob_lines_to_move(tmp_path):
             tokens[i] = two
         return " ".join(tokens)
     old = ["single 0.1 chernov " + " ".join([one] * 4), "single prob 0.5 " + one,
-           "single 0.1 wc " + " ".join([one] * 4), study()]
+           "single 0.1 wc " + " ".join([one] * 4), study(),
+           "single balance " + " ".join([one] * 7), "single s_lambda 1.0 " + one]
     family_and_prob = [old[0].replace(one, two), old[1].replace(one, two)]
+    balance = ["single balance " + " ".join([one] * 5 + [two, one]), old[5].replace(one, two)]
     (tmp_path / "old").write_text("\n".join(old) + "\n")
     reports = []
     for new, offending in (
         ([*family_and_prob, *old[2:]], 0),
-        ([*family_and_prob, old[2], study(chernov_t=8, lipschitz_f=13)], 0),
-        ([*family_and_prob, old[2].replace(one, two, 1), old[3]], 1),
-        ([*family_and_prob, old[2], study(s1=5)], 1),
-        ([*family_and_prob, old[2], study(hoeffding_t=7)], 1),
+        ([*family_and_prob, old[2], study(chernov_t=8, lipschitz_f=13), *old[4:]], 0),
+        ([*family_and_prob, old[2].replace(one, two, 1), *old[3:]], 1),
+        ([*family_and_prob, old[2], study(s1=5), *old[4:]], 1),
+        ([*family_and_prob, old[2], study(hoeffding_t=7), *old[4:]], 1),
+        ([*old[:4], *balance], 2),
+        ([*old[:3], study(s1=5, chernov_t=8), *balance], 3),
         (old[:3], 1),
     ):
         (tmp_path / "new").write_text("\n".join(new) + "\n")
         report, found = compare(tmp_path / "old", tmp_path / "new")
         assert len(found) == offending, (new, found)
         reports.append(report)
-    assert reports[0][:3] == [
-        "4 lines, 2 differ",
+    assert reports[0][:4] == [
+        "6 lines, 2 differ",
         "  family t           1 of       1 differ, largest relative change 2.2e-16",
         "  prob               1 of       1 differ, largest relative change 2.2e-16",
+        "  balance            0 of       3 differ, largest relative change 0",
+    ]
+    # a study line's s1 is counted as balance, its t as study, the line once
+    assert reports[6][:5] == [
+        "6 lines, 3 differ",
+        "  family t           0 of       1 differ, largest relative change 0",
+        "  prob               0 of       1 differ, largest relative change 0",
+        "  balance            3 of       3 differ, largest relative change 2.2e-16",
+        "  study              1 of       1 differ, largest relative change 2.2e-16",
     ]
 
 if __name__ == "__main__":

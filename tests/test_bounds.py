@@ -155,6 +155,28 @@ class TestSLambda:
             assert s_lambda(chain, 1e-6) <= 1e-9
             assert s_lambda(chain, 0.3) >= 0.0
 
+    def test_against_the_bregman_sum_in_60_digits(self):
+        # the reference is sum_i D_f(lam w_i, lam wbar) at the float wbar: the plain
+        # sum_i f(lam w_i) - n f(lam wbar) there is off by about n ulp L(lam wbar),
+        # more than the gap itself at a spread of 1e-8
+        rng = np.random.default_rng(28)
+        for spread in (1e-8, 1e-6, 1e-4, 1e-2, 1.0, 10.0, 100.0):
+            for xbar in (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3):
+                for n in (2, int(rng.integers(3, 11))):
+                    chain = StackChain.from_bounds(1.0 + spread * rng.random(n))
+                    wbar = balance_report(chain).mean
+                    lam = xbar / wbar
+                    with mpmath.workdps(60):
+                        y = mpmath.mpf(lam) * mpmath.mpf(wbar)
+                        f = lambda x: mpmath.log(mpmath.sinh(x) / x)  # noqa: E731
+                        slope = mpmath.coth(y) - 1 / y
+                        ref = float(mpmath.fsum(
+                            f(x) - f(y) - slope * (x - y)
+                            for x in (mpmath.mpf(lam) * mpmath.mpf(w)
+                                      for w in chain.weighted_bounds)))
+                    got = s_lambda(chain, lam)
+                    assert got == pytest.approx(ref, rel=1e-11, abs=0.0), (spread, xbar, n)
+
     def test_zero_where_two_lambda_w_underflows(self):
         chain = StackChain.from_bounds((1e-200, 2e-200))
         assert s_lambda(chain, 1e-200) == 0.0  # h(0+) = 0 for every term
@@ -162,6 +184,8 @@ class TestSLambda:
     def test_lambda_domain(self, table_chain):
         with pytest.raises(ValueError):
             s_lambda(table_chain, 0.0)
+        with pytest.raises(ValueError):  # lam * max(w) overflows
+            s_lambda(table_chain, 1e308)
 
 
 class TestRelaxations:

@@ -2,6 +2,7 @@
 
 import math
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from stacktol import (
@@ -17,6 +18,8 @@ from stacktol import (
 # frozen 50-digit references for the (5,4,3,2,1) demonstration chain
 TABLE_RSS = 7.4161984870956629487
 TABLE_S1 = 0.55121719347114764696
+# sum_i D_f(w_i, wbar) on (1, 1 + 1e-9, 1 - 1e-9) at its float wbar, f(x) = log(sinh x / x)
+NEAR_S1 = 2.7593835406086195e-19
 CASE_RSS = 1.2259282197584000472
 CASE_D = 0.25087719298245614035
 
@@ -103,7 +106,7 @@ class TestClassicalStacks:
         assert t_wc(base) == pytest.approx(t_wc(perm), rel=1e-15)
         assert t_rss(base) == pytest.approx(t_rss(perm), rel=1e-15)
         rb, rp = balance_report(base), balance_report(perm)
-        assert rb.s1 == pytest.approx(rp.s1, rel=1e-12, abs=1e-15)
+        assert rb.s1 == rp.s1  # each term depends on (w_i, wbar) alone, and fsum is exact
         assert rb.d_factor == pytest.approx(rp.d_factor, rel=1e-15)
 
     def test_scaling(self, table_chain):
@@ -155,6 +158,27 @@ class TestBalanceReport:
             if max(w) - min(w) > 1e-6:
                 assert rep.s1 > 0.0
         assert balance_report(StackChain.from_bounds((1.7,) * 5)).s1 == 0.0
+
+    def test_s1_near_balance(self):
+        rep = balance_report(StackChain.from_bounds((1.0, 1.0 + 1e-9, 1.0 - 1e-9)))
+        assert rep.s1 == pytest.approx(NEAR_S1, rel=1e-11, abs=0.0)
+
+    # below about 1e-146 the gap of bounds a few ulps apart, ~ (w eps)^2 / 6, underflows
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(base=st.floats(1e-100, 1e100), n=st.integers(2, 10), ulps=st.integers(0, 8),
+           up=st.booleans())
+    def test_s1_positive_unless_the_bounds_are_equal(self, base, n, ulps, up):
+        moved = base
+        for _ in range(ulps):
+            moved = math.nextafter(moved, math.inf if up else 0.0)
+        s1 = balance_report(StackChain.from_bounds((moved,) + (base,) * (n - 1))).s1
+        assert s1 > 0.0 if ulps else s1 == 0.0
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.lists(st.floats(1e-100, 1e100), min_size=1, max_size=10))
+    def test_s1_positive_on_any_unequal_bounds(self, w):
+        s1 = balance_report(StackChain.from_bounds(w)).s1
+        assert s1 > 0.0 if len(set(w)) > 1 else s1 == 0.0
 
     def test_s1_single_bound_near_double_max(self):
         assert balance_report(StackChain.from_bounds((1e308,))).s1 == 0.0

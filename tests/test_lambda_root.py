@@ -370,19 +370,31 @@ def test_equal_bounds_are_one_group(gap_terms):
     assert gap_terms and {groups for _, groups in gap_terms} == {1}
 
 
-def test_analyze_all_calls_h_stable_never(monkeypatch):
-    # airbus needs only the dominance factor, so no Jensen gap is formed;
-    # balance_report's takes n + 1 calls, reached through chain's own binding
-    calls = []
-    original = numerics.h_stable
-    counted = lambda x: calls.append(x) or original(x)  # noqa: E731
-    monkeypatch.setattr(numerics, "h_stable", counted)
-    monkeypatch.setattr(chain_module, "h_stable", counted)
+def test_analyze_all_forms_no_balance_gap(monkeypatch):
+    # airbus needs only the dominance factor, so no Jensen gap is formed; the
+    # gap reaches the kernels through chain's own bindings.  On "long" (wbar =
+    # 2.99) balance_report's gap takes one call for the 74 bounds within
+    # wbar / 4 of wbar, at 8 nodes each, and one of each kernel for the 126
+    # others and wbar; it took 201 h_stable calls before the kernels formed it
+    calls, terms = [], []
+
+    def counted(kernel):
+        original = getattr(chain_module, kernel)
+
+        def call(lam, groups):
+            calls.append(kernel)
+            terms.append(len(groups))
+            return original(lam, groups)
+        return call
+
+    for kernel in ("_legendre_sums", "_langevin_sums"):
+        monkeypatch.setattr(chain_module, kernel, counted(kernel))
     chain = StackChain.from_bounds(CHAINS["long"])
     analyze_all(chain, 0.0027)
-    assert len(calls) == 0
+    assert calls == []
     chain_module.balance_report(chain)
-    assert len(calls) == 201
+    assert calls == ["_legendre_sums", "_legendre_sums", "_langevin_sums"]
+    assert terms == [8 * 74, 126 + 1, 1 + 126]
 
 
 def test_newton_path_linear_root():

@@ -1,4 +1,8 @@
-"""Special functions and the 1-D solver: stability, calculus properties, solver contracts."""
+"""Special functions and the 1-D solver: stability, calculus properties, solver contracts.
+
+The kernels are checked through their one-term views: L(x) and x (1 - L(x)) from
+``_langevin_sums(x, _ONE_TERM)``, m(x) and q(x) from ``_legendre_sums(x, _ONE_TERM)``.
+"""
 
 import math
 import sys
@@ -10,13 +14,21 @@ import pytest
 from stacktol import (
     ConvergenceError,
     NonFiniteError,
-    h_stable,
-    langevin,
-    legendre_term,
-    log_sinh_over_x,
-    x2_langevin_prime,
+    StackChain,
+    chernov_prob,
+    phi,
+    psi,
+    psi_tilde,
+    s_lambda,
 )
-from stacktol.numerics import _root
+from stacktol.numerics import (
+    _ONE_TERM,
+    _langevin_sums,
+    _legendre_sums,
+    _root,
+    h_stable,
+    log_sinh_over_x,
+)
 
 # 50-digit reference evaluations of log((1 - e^-x)/x), frozen
 H_AT_2 = -0.83856063842880436639
@@ -110,6 +122,23 @@ class TestLogSinhOverX:
             log_sinh_over_x(bad)
 
 
+def langevin(x):
+    return _langevin_sums(x, _ONE_TERM)[0]
+
+
+def co_slope(x):
+    """1 - L(x): the kernel's c v (1 - L(lam v)) at lam = x, v = 1."""
+    return _langevin_sums(x, _ONE_TERM)[1]
+
+
+def legendre_term(x):
+    return _legendre_sums(x, _ONE_TERM)[0]
+
+
+def x2_langevin_prime(x):
+    return _legendre_sums(x, _ONE_TERM)[1]
+
+
 SWEEP = [float(x) for x in np.logspace(-300, 17, 400)]
 
 
@@ -125,8 +154,10 @@ class TestLangevinAndLegendreTerm:
                 mx = mpmath.mpf(x)
                 coth_term = mpmath.coth(mx) - 1 / mx
                 ref_l = float(coth_term)
+                ref_co = float(1 - coth_term)
                 ref_m = float(mpmath.log(mpmath.sinh(mx) / mx) - mx * coth_term)
             assert langevin(x) == pytest.approx(ref_l, rel=1e-13, abs=0.0)
+            assert co_slope(x) == pytest.approx(ref_co, rel=1e-13, abs=0.0)
             assert legendre_term(x) == pytest.approx(ref_m, rel=1e-13, abs=0.0)
 
     def test_branches_agree_at_switch(self):
@@ -147,9 +178,11 @@ class TestLangevinAndLegendreTerm:
 
     @pytest.mark.parametrize("bad", [-1e-300, -2.0, math.nan, math.inf])
     def test_domain_errors(self, bad):
-        for f in (langevin, legendre_term):
+        # the kernels are unchecked: the public functions that reach them at lam refuse it
+        chain = StackChain.from_bounds((1.0, 2.0))
+        for f in (phi, psi, psi_tilde):
             with pytest.raises(ValueError):
-                f(bad)
+                f(chain, bad, 1.0)
 
 
 class TestX2LangevinPrime:
@@ -173,8 +206,11 @@ class TestX2LangevinPrime:
 
     @pytest.mark.parametrize("bad", [-1e-300, -2.0, math.nan, math.inf])
     def test_domain_errors(self, bad):
-        with pytest.raises(ValueError):
-            x2_langevin_prime(bad)
+        # the kernels are unchecked: s_lambda (q) refuses a bad lam, chernov_prob a bad t
+        chain = StackChain.from_bounds((1.0, 2.0))
+        for f in (s_lambda, chernov_prob):
+            with pytest.raises(ValueError):
+                f(chain, bad)
 
 
 @pytest.mark.parametrize("x", [2.0 ** 1022, 2.0 ** 1023, 1e308, sys.float_info.max])
