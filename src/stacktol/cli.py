@@ -9,14 +9,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from .bounds import Method, _check_rho, tolerance
 from .io import CurvePoint, read_chain, write_results
-
-if TYPE_CHECKING:
-    from .montecarlo import McConfig
 
 __all__ = ["main"]
 
@@ -81,26 +77,13 @@ def cmd_sweep(args: argparse.Namespace) -> None:
     write_results(curve, "csv", sys.stdout)
 
 
-def _mc_config(draws: int, seed: int) -> McConfig:
-    """``McConfig(draws=draws, seed=seed)``, its low-draws warning printed as one plain line."""
-    from .montecarlo import McConfig
-
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            return McConfig(draws=draws, seed=seed)
-    finally:  # the warning comes before a bad seed's error, as McConfig checks draws first
-        for w in caught:
-            print(f"stacktol: warning: {w.message}", file=sys.stderr)
-
-
 def cmd_study(args: argparse.Namespace) -> None:
     """Run a random-chain study and write its CSV to the --out path."""
     from .montecarlo import McConfig
     from .study import StudySpec, run_study
 
     mc_draws = getattr(args, "mc_draws", McConfig._field_defaults["draws"])
-    mc_cfg = _mc_config(mc_draws, args.seed) if mc_draws else None  # McConfig rejects < 0
+    mc_cfg = McConfig(draws=mc_draws, seed=args.seed) if mc_draws else None  # rejects < 0
     defaults = StudySpec._field_defaults
     spec = StudySpec(
         n_inputs=getattr(args, "n", defaults["n_inputs"]),
@@ -118,7 +101,7 @@ def cmd_mc(args: argparse.Namespace) -> None:
     """Monte Carlo quantile (given --rho) or exceedance probability (given --t)."""
     from .montecarlo import McConfig, mc_prob, mc_quantile
 
-    cfg = _mc_config(getattr(args, "draws", McConfig._field_defaults["draws"]), args.seed)
+    cfg = McConfig(draws=getattr(args, "draws", McConfig._field_defaults["draws"]), seed=args.seed)
     chain = read_chain(args.chain_file)
     if args.rho is not None:
         est, label = mc_quantile(chain, args.rho, cfg), "t_hat"

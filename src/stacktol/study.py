@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .bounds import Method, _check_rho, tolerance
 from .chain import StackChain, balance_report
-from .montecarlo import McConfig, _KeywordOnly, _check_count, _check_seed, _map, _mc_quantile
+from .montecarlo import McConfig, _KeywordOnly, _check_count, _check_seed, _map, mc_quantile
 
 if TYPE_CHECKING:
     import numpy as np
@@ -113,7 +113,7 @@ def _one_row(spec: StudySpec, chain_id: int) -> StudyRow:
     mc_t = None
     if spec.mc_cfg is not None:
         seed = _mc_seed(spec.mc_cfg.seed, chain_id)
-        mc_t = _mc_quantile(chain, spec.rho, spec.mc_cfg.draws, seed).value
+        mc_t = mc_quantile(chain, spec.rho, McConfig(draws=spec.mc_cfg.draws, seed=seed)).value
     return StudyRow(
         chain_id=chain_id,
         s1=rep.s1,

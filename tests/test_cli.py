@@ -40,11 +40,6 @@ def chain_csv(tmp_path):
     return p
 
 
-# the low-draws warning as the command prints it: one plain line on stderr
-_LOW_DRAWS = ("stacktol: warning: draws={} is low for tail estimation; "
-              "expect noisy quantiles below 1e4 draws\n")
-
-
 def _run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -317,20 +312,14 @@ class TestStudy:
             mc_t = float(row["mc_t"])
             assert 0.0 < mc_t <= float(row["chernov_t"])
 
-    def test_low_draws_warns_once(self, tmp_path):
-        # the warning comes from the McConfig the command builds, not again
-        # from each row of the study
-        root = Path(__file__).resolve().parent.parent
-        env = dict(os.environ, PYTHONPATH=str(root / "src"))
-        argv = ["study", "--chains", "2", "--seed", "1", "--mc-draws", "5000",
-                "-o", str(tmp_path / "s.csv")]
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys; from stacktol.cli import main; "
-             "sys.exit(main(sys.argv[1:]))", *argv],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stderr == _LOW_DRAWS.format(5000)
+    def test_mc_below_the_tail_guard_exits_2(self, capsys, tmp_path):
+        # rho N = 0.06 draws expected in the tail: refused, and no CSV written
+        out = tmp_path / "s.csv"
+        code, stdout, err = _run(capsys, ["study", "--chains", "2", "--seed", "1", "--rho", "1e-6",
+                                          "--mc-draws", "60000", "-o", str(out)])
+        assert code == 2 and stdout == ""
+        assert err.startswith("stacktol: rho=1e-06 with draws=60000 expects fewer than 10 ")
+        assert not out.exists()
 
     def test_defaults_are_the_library_defaults(self, capsys, tmp_path):
         # flags left out take StudySpec's and McConfig's defaults
@@ -395,15 +384,41 @@ class TestMc:
              "--seed", "1"],
         )
         assert code == 0 and out.startswith("p_hat=0.0 ")
-        assert err == _LOW_DRAWS.format(1000)
+        assert err == ""
 
-    def test_low_draws_warning_precedes_a_bad_seed_error(self, capsys, chain_csv):
+    def test_prob_with_no_hit_exits_1(self, capsys, chain_csv):
+        # the exact tail at 14.9 is 4.34e-11: no draw of 200 000 reaches it
+        code, out, err = _run(capsys, ["mc", str(chain_csv), "--t", "14.9", "--seed", "1"])
+        assert code == 1 and out == ""
+        assert err == ("stacktol: numeric failure: no draw of 200000 reached t=14.9; "
+                       "P(|Y| >= t) is below 3/draws = 1.5e-05 at 95 % confidence\n")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--rho", "1e-12"], "rho=1e-12 with draws=200000 expects fewer than 10 draws in the "
+                             "tail; draws >= 10000000000001 would pass"),
+        (["--rho", "0.0027", "--draws", "1000"], "rho=0.0027 with draws=1000 expects fewer "
+                                                  "than 10 draws in the tail; draws >= 3704 "
+                                                  "would pass"),
+    ], ids=["rho_1e-12", "draws_1000"])
+    def test_quantile_below_the_tail_guard_exits_2(self, capsys, chain_csv, argv, message):
+        code, out, err = _run(capsys, ["mc", str(chain_csv), *argv, "--seed", "1"])
+        assert code == 2 and out == ""
+        assert err == f"stacktol: {message}\n"
+
+    def test_low_draws_above_the_tail_guard_print_no_warning(self, capsys, chain_csv):
+        # rho N = 250: 5000 draws are enough, whatever their count alone
+        code, out, err = _run(capsys, ["mc", str(chain_csv), "--draws", "5000", "--rho", "0.05",
+                                       "--seed", "1"])
+        assert code == 0 and err == ""
+        est = mc_quantile(StackChain.from_bounds(TABLE_BOUNDS), 0.05, McConfig(draws=5000, seed=1))
+        assert out == f"t_hat={est.value!r} stderr={est.stderr!r}\n"
+
+    def test_bad_seed_at_low_draws_exits_2(self, capsys, chain_csv):
         code, out, err = _run(
             capsys, ["mc", str(chain_csv), "--rho", "0.05", "--draws", "9999", "--seed", "-1"]
         )
         assert code == 2 and out == ""
-        assert err == (_LOW_DRAWS.format(9999)
-                       + "stacktol: seed must be a 64-bit unsigned integer, got -1\n")
+        assert err == "stacktol: seed must be a 64-bit unsigned integer, got -1\n"
 
     def test_repeat_runs_identical(self, capsys, chain_csv):
         argv = ["mc", str(chain_csv), "--rho", "0.0027", "--draws", "20000",

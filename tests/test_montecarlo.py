@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,27 +29,6 @@ class TestMcConfig:
     def test_too_few_draws(self):
         with pytest.raises(ValueError):
             McConfig(draws=999, seed=1)
-
-    def test_low_draws_warn(self):
-        with pytest.warns(UserWarning):
-            McConfig(draws=2000, seed=1)
-
-    def test_low_draws_warning_names_the_caller(self):
-        with pytest.warns(UserWarning) as record:
-            McConfig(draws=2000, seed=1)
-        assert record[0].filename == __file__
-
-    @pytest.mark.parametrize("build", [
-        lambda: McConfig(seed=1)._replace(draws=5000),
-        lambda: McConfig._make([5000, 1]),
-        lambda: McConfig(draws=10_000, seed=1)._replace(draws=5000, seed=2),
-    ], ids=["replace", "make", "replace_both"])
-    def test_low_draws_warning_names_the_caller_through_builders(self, build):
-        # _replace goes through _make, which goes through __new__: the
-        # warning skips both frames and names this file
-        with pytest.warns(UserWarning) as record:
-            build()
-        assert len(record) == 1 and record[0].filename == __file__
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_range(self, seed):
@@ -130,7 +110,6 @@ def _reference_sample(chain, cfg):
     return np.concatenate(parts)
 
 
-@pytest.mark.filterwarnings("ignore:draws=")
 class TestStreamDefinition:
     @pytest.mark.parametrize("bounds", [(0.3,), (2.0, 1e-3), (5.0, 1.0, 0.5, 3.0, 1e6, 0.25, 7.0)])
     @pytest.mark.parametrize("draws", [1000, 50_000, 123_457])
@@ -334,17 +313,22 @@ def _mc_oracle(chain, rho, cfg):
     return (q.hex(), stderr.hex()), float(np.mean(y >= q)).hex()
 
 
-@pytest.mark.filterwarnings("ignore:draws=")
 class TestStreamedTail:
     """Streamed ``mc_quantile`` and ``mc_prob`` against the whole sample, by float.hex."""
 
     @pytest.mark.parametrize("draws", [1000, 50_000, 50_001, 123_457])
     @pytest.mark.parametrize("rho", QUANTILE_RHOS)
     def test_bit_identical(self, draws, rho):
+        # below the tail-count guard (9 of these cases) mc_quantile refuses,
+        # and mc_prob still matches at the whole sample's quantile
         chain = StackChain.from_bounds((1.5, 1.0, 0.25))
         cfg = McConfig(draws=draws, seed=draws)
         est_bits, prob_bits = _mc_oracle(chain, rho, cfg)
         for workers in (1, 2, 3):
+            if min(rho, 1.0 - rho) * draws < 10:
+                with pytest.raises(ValueError, match="expects fewer than 10 draws in the tail"):
+                    mc_quantile(chain, rho, cfg, workers=workers)
+                continue
             est = mc_quantile(chain, rho, cfg, workers=workers)
             assert (est.value.hex(), est.stderr.hex()) == est_bits, workers
         assert mc_prob(chain, float.fromhex(est_bits[0]), cfg).value.hex() == prob_bits
@@ -384,12 +368,61 @@ class TestStreamedTail:
         assert peak(0.0027, 2) <= 2.43 * 2**20
 
 
+class TestTailGuard:
+    """``mc_quantile`` refuses where min(rho, 1-rho) N, the draws expected in the tail, is < 10."""
+
+    CHAIN = StackChain.from_bounds((1.0, 1.0))
+
+    @pytest.mark.parametrize("rho,draws", [(2.0**-10, 10_240), (1.0 - 2.0**-10, 10_240),
+                                           (0.0027, 3704)], ids=["tail", "near_one", "0.0027"])
+    def test_at_the_threshold_and_one_draw_below(self, rho, draws):
+        # near rho = 1 the upper tail holds min(rho, 1-rho) = 1-rho of the draws
+        est = mc_quantile(self.CHAIN, rho, McConfig(draws=draws, seed=1))
+        assert est.stderr > 0.0
+        message = (f"^rho={rho!r} with draws={draws - 1} expects fewer than 10 draws in the "
+                   f"tail; draws >= {draws} would pass$")
+        with pytest.raises(ValueError, match=message):
+            mc_quantile(self.CHAIN, rho, McConfig(draws=draws - 1, seed=1))
+
+    @pytest.mark.parametrize("rho", [0.005, 0.0027, 1e-4, 3e-6, 0.9999, 1.0 - 2.0**-17])
+    def test_names_the_least_draws_that_pass(self, rho):
+        # on this chain a draw overflows at once, so a missing guard fails fast
+        need = math.ceil(Fraction(10) / Fraction(min(rho, 1.0 - rho)))
+        cfg = McConfig(draws=max(1000, need - 1), seed=1)
+        with pytest.raises(ValueError, match=f"; draws >= {need} would pass$"):
+            mc_quantile(StackChain.from_bounds((1e308,)), rho, cfg)
+
+    def test_smallest_rho(self):
+        # 10 / 5e-324 is past the doubles: no count of draws passes
+        with pytest.raises(ValueError, match="; draws >= inf would pass$"):
+            mc_quantile(self.CHAIN, 5e-324, CFG)
+
+    def test_refused_before_any_draw(self):
+        # a draw on this chain raises OverflowError
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match="^rho=1e-12 with draws=200000 expects "):
+                mc_quantile(StackChain.from_bounds((1e308,)), 1e-12, CFG, workers=workers)
+
+
 class TestProb:
     def test_edges(self):
         chain = StackChain.from_bounds((1.0, 1.0))
         assert mc_prob(chain, 0.0, CFG).value == 1.0
         assert mc_prob(chain, 2.0, CFG).value == 0.0
         assert mc_prob(chain, 5.0, CFG).value == 0.0
+
+    def test_at_the_worst_case_without_a_draw(self):
+        # the tail at and past the worst case is empty; a draw on this chain
+        # raises OverflowError
+        chain = StackChain.from_bounds((1e308,))
+        assert mc_prob(chain, 1e308, CFG) == (0.0, 0.0)
+
+    def test_no_hit_below_the_worst_case_raises(self):
+        # the exact tail at 14.9 on (5, 4, 3, 2, 1) is 4.34e-11, not 0
+        chain = StackChain.from_bounds((5.0, 4.0, 3.0, 2.0, 1.0))
+        with pytest.raises(ArithmeticError, match=r"^no draw of 10000 reached t=14\.9; "
+                           r"P\(\|Y\| >= t\) is below 3/draws = 0\.0003 at 95 % confidence$"):
+            mc_prob(chain, 14.9, McConfig(draws=10_000, seed=1))
 
     def test_triangular_quarter(self):
         est = mc_prob(StackChain.from_bounds((1.0, 1.0)), 1.0, CFG)

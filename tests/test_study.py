@@ -1,7 +1,5 @@
 """Random-chain studies: generation, determinism, row consistency."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -164,21 +162,19 @@ class TestRunStudy:
         monkeypatch.setattr(study, "_cores", lambda: cores)
         assert [_row_hex(r) for r in run_study(spec)] == [_row_hex(r) for r in rows]
 
-    def test_rows_do_not_repeat_the_low_draws_warning(self):
-        # McConfig warns once, where the caller builds it; the rows sample
-        # with its draws and their own seeds, and warn no more
-        with pytest.warns(UserWarning, match="draws=5000"):
-            spec = StudySpec(n_chains=3, rho=0.05, seed=1, mc_cfg=McConfig(draws=5000, seed=1))
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            rows = run_study(spec)
-        assert [str(w.message) for w in record] == []
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for r in rows:
-                cfg = McConfig(draws=5000, seed=_mc_seed_for(1, r.chain_id))
-                chain = random_chain(5, 1.0, 5.0, _rng_for(1, r.chain_id))
-                assert r.mc_t.hex() == mc_quantile(chain, 0.05, cfg).value.hex()
+    def test_rows_are_mc_quantile_at_their_seeds(self):
+        # each row samples with the config's draws and its own seed
+        spec = StudySpec(n_chains=3, rho=0.05, seed=1, mc_cfg=McConfig(draws=5000, seed=1))
+        for r in run_study(spec):
+            cfg = McConfig(draws=5000, seed=_mc_seed_for(1, r.chain_id))
+            chain = random_chain(5, 1.0, 5.0, _rng_for(1, r.chain_id))
+            assert r.mc_t.hex() == mc_quantile(chain, 0.05, cfg).value.hex()
+
+    def test_mc_below_the_tail_guard_is_refused(self):
+        # rho N = 0.06 expected draws in the tail: mc_quantile's guard refuses the study
+        spec = StudySpec(n_chains=3, rho=1e-6, seed=1, mc_cfg=McConfig(draws=60_000, seed=1))
+        with pytest.raises(ValueError, match="^rho=1e-06 with draws=60000 expects "):
+            run_study(spec)
 
     def test_balance_fields_match_chain(self):
         spec = StudySpec(n_chains=3, rho=0.05, seed=2)
