@@ -52,7 +52,7 @@ from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 from .chain import StackChain, _jensen_gap
-from .numerics import NonFiniteError, _langevin_sums, _legendre_sums, _root
+from .numerics import NonFiniteError, _co_langevin_sum, _langevin_sum, _legendre_sums, _root
 
 __all__ = [
     "Method",
@@ -189,17 +189,17 @@ def _check_t(t: float) -> float:
 # its gap g = K - lam K' decreases from 0 and is concave in log lam, with
 # dg/dlog lam = -lam^2 K''; all are sums over (v, c) of c times L(x) = coth x - 1/x,
 # m(x) = log(sinh x / x) - x L(x) or q(x) = x^2 L'(x) at x = lam v, from the kernels
-# _langevin_sums (L) and _legendre_sums (m and q), plus the price's part.
-# n - K' where b = 0 is _langevin_sums(lam, groups)[1], without cancellation.
+# _langevin_sum (L) and _legendre_sums (m and q), plus the price's part.
+# n - K' where b = 0 is _co_langevin_sum(lam, groups), without cancellation.
 class _Member(NamedTuple):
     wbar: float
-    groups: tuple[tuple[float, int], ...]  # the (v, c) pairs of the scaled chain
+    groups: tuple[tuple[float, float], ...]  # the (v, c) pairs of the scaled chain, c a float
     n: int  # the number of bounds, sum c
     a: float  # linear price: K' gains a
     b: float  # quadratic price: g <= -b lam^2
     curv: float  # K''(0): g >= -curv lam^2 / 2
     limit: float  # t(inf), in the chain's own units (inf where b > 0): t is clamped to it
-    top: tuple[float, int]  # the largest group (v1, c1): max(groups)
+    top: tuple[float, float]  # the largest group (v1, c1): max(groups)
 
 
 def _member(chain: StackChain, method: Method, curvature: float = 0.5) -> _Member:
@@ -208,11 +208,11 @@ def _member(chain: StackChain, method: Method, curvature: float = 0.5) -> _Membe
     n, groups, curv, a, b, limit = s.n, s.groups, s.curv, 0.0, 0.0, s.wc
     if method is Method.LIPSCHITZ:
         # a linear price cancels from the gap, so t(inf) is finite
-        groups, curv, a, limit = ((1.0, n),), n / 3.0, s.abs_dev, s.wc + s.wbar * s.abs_dev
+        groups, curv, a, limit = ((1.0, float(n)),), n / 3.0, s.abs_dev, s.wc + s.wbar * s.abs_dev
     elif method is Method.QUADRATIC:
         if not 1.0 / 6.0 <= curvature < math.inf:  # NaN fails this too
             raise ValueError(f"curvature must be finite and >= 1/6, got {curvature}")
-        groups, curv, b = ((1.0, n),), n / 3.0, curvature * s.sq_dev
+        groups, curv, b = ((1.0, float(n)),), n / 3.0, curvature * s.sq_dev
         limit = math.inf if b else s.wc
     return _new(_Member, (s.wbar, groups, n, a, b, curv + 2.0 * b, limit,
                           s.top if method is Method.CHERNOV else groups[0]))
@@ -228,7 +228,7 @@ def _gap(m: _Member, lam: float) -> tuple[float, float]:
 
 def _slope(m: _Member, lam: float) -> float:
     """The slope t(lam) = K'(lam) of member ``m``."""
-    return _langevin_sums(lam, m.groups)[0] + m.a + 2.0 * m.b * lam
+    return _langevin_sum(lam, m.groups) + m.a + 2.0 * m.b * lam
 
 
 def _exponent(chain: StackChain, method: Method, lam: float, t: float,
@@ -401,7 +401,7 @@ def chernov_prob(chain: StackChain, t: float) -> float:
 
     def co_slope(x: float) -> tuple[float, float, float]:
         # (n - K', its derivative in log lam, g): the root steps on the first two
-        co, (g, dg) = _langevin_sums(x, m.groups)[1], _gap(m, x)
+        co, (g, dg) = _co_langevin_sum(x, m.groups), _gap(m, x)
         return co, dg / x, g
 
     lam, (co, _, g) = _root(co_slope, rest, hi, lo, hi)

@@ -26,7 +26,7 @@ import math
 from collections import Counter
 from typing import Iterable, NamedTuple, Sequence
 
-from .numerics import _langevin_sums, _legendre_sums
+from .numerics import _co_langevin_sum, _legendre_sums
 
 __all__ = [
     "Contributor",
@@ -79,11 +79,11 @@ class _Sums(NamedTuple):
     wc: float  # sum w_i, inf past the largest double
     wbar: float  # the mean bound, always finite
     rss: float  # T_RSS
-    groups: tuple[tuple[float, int], ...]  # the u_i as (value, count), in first-occurrence order
+    groups: tuple[tuple[float, float], ...]  # (u_i, float count), in first-occurrence order
     curv: float  # sum u_i^2 / 3
     abs_dev: float  # sum |u_i - 1|
     sq_dev: float  # sum (u_i - 1)^2
-    top: tuple[float, int]  # the largest u_i and its count: max(groups)
+    top: tuple[float, float]  # the largest u_i and its count: max(groups)
     d: float  # D = (max w_i - wbar) / wc, with n wbar standing in for wc where it overflows
 
 
@@ -121,7 +121,7 @@ class StackChain:
             wc, wbar = math.inf, math.ldexp(math.fsum(math.ldexp(wi, -e) for wi in w) / n, e)
         u = [wi / wbar for wi in w]
         counts, wmax = Counter(u), max(w)
-        groups = tuple(counts.items())  # fsum is exact, so the groups' order is moot
+        groups = tuple((v, float(c)) for v, c in counts.items())  # fsum is exact: order is moot
         top = wmax / wbar  # division is monotone, so this is max(u)
         object.__setattr__(self, "contributors", kept)
         object.__setattr__(self, "weighted_bounds", w)
@@ -130,7 +130,7 @@ class StackChain:
             math.fsum(c * (v * v) for v, c in groups) / 3.0,
             math.fsum(abs(ui - 1.0) for ui in u),
             math.fsum((ui - 1.0) * (ui - 1.0) for ui in u),
-            (top, counts[top]),
+            (top, float(counts[top])),
             (wmax - wbar) / wc if wc < math.inf else (wmax - wbar) / wbar / n,
         ))
 
@@ -228,9 +228,9 @@ def _jensen_gap(chain: StackChain, lam: float) -> float:
         e = math.frexp(min(xbar, *far))[1] - 6
         if e > 0:
             xbar, far = math.ldexp(xbar, -e), [math.ldexp(x, -e) for x in far]
-        gap += [_legendre_sums(1.0, [*((x, 1) for x in far), (xbar, -len(far))])[0],
-                _langevin_sums(1.0, [(xbar, math.fsum(x / xbar for x in far)),
-                                     *((x, -1) for x in far)])[1]]
+        gap += [_legendre_sums(1.0, [*((x, 1.0) for x in far), (xbar, -float(len(far)))])[0],
+                _co_langevin_sum(1.0, [(xbar, math.fsum(x / xbar for x in far)),
+                                       *((x, -1.0) for x in far)])]
     return math.fsum(gap)
 
 

@@ -16,7 +16,7 @@ reads upwards, each worker in its own region of one buffer, and selects
 among those.
 
 ``mc_quantile`` refuses a run that expects fewer than ``_MIN_TAIL`` draws in
-the tail, and ``mc_prob`` one where no draw below the worst case reaches t.
+the tail, and ``mc_prob`` one where none or all of its draws reach 0 < t < wc.
 
 numpy is needed only here and in ``study``; it is imported on first use,
 so the analytic path never loads it.
@@ -282,13 +282,13 @@ def mc_quantile(chain: StackChain, rho: float, cfg: McConfig, workers: int = 1) 
 def mc_prob(chain: StackChain, t: float, cfg: McConfig) -> McEstimate:
     """Empirical P(|Y| >= t) with binomial standard error sqrt(p(1-p)/N).
 
-    Returns 0, with no draw, for t at or past the worst case.  Raises
-    ``ArithmeticError`` where no draw reaches t below it: the tail is then
-    only known to lie under 3/N at 95 % confidence.
+    Returns 0, with no draw, for t at or past the worst case, and 1 at t = 0.
+    Raises ``ArithmeticError`` where none or all of the draws reach t between:
+    P(|Y| >= t), or P(|Y| < t), is then only known to lie under 3/N at 95 %.
     """
     t = _check_t(t)
-    if t >= t_wc(chain):
-        return McEstimate(value=0.0, stderr=0.0)
+    if t >= t_wc(chain) or t == 0.0:
+        return McEstimate(value=0.0 if t else 1.0, stderr=0.0)
     import numpy as np
 
     buf = np.empty(min(cfg.draws, _CHUNK))
@@ -299,8 +299,9 @@ def mc_prob(chain: StackChain, t: float, cfg: McConfig) -> McEstimate:
         _fill_chunk(chain, cfg.seed, k, y, scratch)
         np.abs(y, out=y)
         hits += int(np.count_nonzero(y >= t))
-    if not hits:
-        raise ArithmeticError(f"no draw of {cfg.draws} reached t={t!r}; P(|Y| >= t) is below "
+    if hits in (0, cfg.draws):
+        which, event = ("no", "|Y| >= t") if not hits else ("every", "|Y| < t")
+        raise ArithmeticError(f"{which} draw of {cfg.draws} reached t={t!r}; P({event}) is below "
                               f"3/draws = {3 / cfg.draws:.3g} at 95 % confidence")
     p = hits / cfg.draws
     stderr = math.sqrt(p * (1.0 - p) / cfg.draws)

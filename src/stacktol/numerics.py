@@ -4,9 +4,10 @@ Every analytic bound and the balance gap are sums over (v, c) pairs, at
 x = lam v, of c times L(x) = coth(x) - 1/x (the derivative of
 log(sinh(x) / x), rising from 0 to 1), its co-slope 1 - L(x),
 m(x) = log(sinh(x) / x) - x L(x) (falling from 0) or q(x) = x^2 L'(x)
-(rising from 0 to 1).  Two kernels form them for every finite x >= 0
-without overflow or cancellation: ``_legendre_sums`` c m and c q,
-``_langevin_sums`` c v L and c v (1 - L).
+(rising from 0 to 1).  Three kernels form them for every finite x >= 0
+without overflow or cancellation, each only the sums its callers read:
+``_legendre_sums`` c m and c q, ``_langevin_sum`` c v L and
+``_co_langevin_sum`` c v (1 - L).  The counts c are integer-valued floats.
 
 ``_root`` is the one lambda-root of the Chernoff family: Newton steps in
 log x, on g left of the root and on log |g| right of it, with a halving
@@ -65,30 +66,42 @@ def log_sinh_over_x(x: float) -> float:
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise ValueError(f"log_sinh_over_x requires finite x > 0, got {x!r}")
-    return _legendre_sums(x, _ONE_TERM)[0] + x * _langevin_sums(x, _ONE_TERM)[0]
+    return _legendre_sums(x, _ONE_TERM)[0] + x * _langevin_sum(x, _ONE_TERM)
 
 
-_ONE_TERM = ((1.0, 1),)
+_ONE_TERM = ((1.0, 1.0),)
 
 
-def _langevin_sums(lam: float, groups: Iterable[tuple[float, float]]) -> tuple[float, float]:
-    """(sum c v L(lam v), sum c v (1 - L(lam v))) over (v, c) pairs, for lam v >= 0.
-
-    L(x) = coth x - 1/x is 1 - 1/x + (coth x - 1) above the series switch; above 1,
-    1 - L is 1/x - (coth x - 1), which does not cancel where L rounds to 1.
-    """
-    ls, cos = [], []
+def _langevin_sum(lam: float, groups: Iterable[tuple[float, float]]) -> float:
+    """sum c v L(lam v) over (v, c) pairs, lam v >= 0; past the switch 1 - 1/x + (coth x - 1)."""
+    ls = []
     for v, c in groups:
         x = lam * v
         if x < _LANGEVIN_SERIES_SWITCH:
             x2 = x * x
             lx = x * (1 / 3 - x2 * (1 / 45 - x2 * (2 / 945 - x2 * (1 / 4725 - x2 * 2 / 93555))))
         else:
-            cm1 = 2.0 * math.exp(-2.0 * x) / -math.expm1(-2.0 * x)
-            lx = 1.0 - 1.0 / x + cm1
+            y = -2.0 * x
+            lx = 1.0 - 1.0 / x + 2.0 * math.exp(y) / -math.expm1(y)
         ls.append(c * (v * lx))
-        cos.append(c * (v * (1.0 / x - cm1 if x > 1.0 else 1.0 - lx)))
-    return math.fsum(ls), math.fsum(cos)
+    return math.fsum(ls)
+
+
+def _co_langevin_sum(lam: float, groups: Iterable[tuple[float, float]]) -> float:
+    """sum c v (1 - L(lam v)) over (v, c) pairs, lam v >= 0; past x = 1 as 1/x - (coth x - 1)."""
+    cos = []
+    for v, c in groups:
+        x = lam * v
+        if x < _LANGEVIN_SERIES_SWITCH:
+            x2 = x * x
+            co = 1.0 - x * (1 / 3 - x2 * (1 / 45 - x2 * (2 / 945 - x2 * (
+                1 / 4725 - x2 * 2 / 93555))))
+        else:
+            y = -2.0 * x
+            cm1 = 2.0 * math.exp(y) / -math.expm1(y)
+            co = 1.0 / x - cm1 if x > 1.0 else 1.0 - (1.0 - 1.0 / x + cm1)
+        cos.append(c * (v * co))
+    return math.fsum(cos)
 
 
 def _legendre_sums(lam: float, groups: Iterable[tuple[float, float]]) -> tuple[float, float]:
@@ -109,8 +122,9 @@ def _legendre_sums(lam: float, groups: Iterable[tuple[float, float]]) -> tuple[f
             q = x2 * (1 / 3 - x2 * (1 / 15 - x2 * (2 / 189 - x2 * (1 / 675 - x2 * (
                 2 / 10395 - x2 * 1382 / 58046625)))))
         else:
-            d = -math.expm1(-2.0 * x)
-            m = 1.0 + math.log(d / 2.0 / x) - x * (2.0 * math.exp(-2.0 * x) / d)
+            y = -2.0 * x
+            d = -math.expm1(y)
+            m = 1.0 + math.log(d / 2.0 / x) - x * (2.0 * math.exp(y) / d)
             r = 2.0 * (x * math.exp(-x)) / d
             q = 1.0 - r * r
         ms.append(c * m)

@@ -43,9 +43,10 @@ and f alone: a balance kind is counted, never allowed.
 ``PYTHONPATH=src python tests/test_bits.py --kernels FILE`` writes, for the same chains, rho
 and fractions as ``--dump``, every kernel call of each Chernoff-family solve: a header line
 per solve (``chernov_t``, ``lipschitz_t``, ``quadratic_t`` at curvature 0.5 and 1/6, and
-``chernov_prob``), then one line per ``_legendre_sums`` or ``_langevin_sums`` call with the
-kernel's name, the ``float.hex`` of its lambda and its group count.  ``diff`` of two such
-files shows whether two trees make the same kernel calls at the same lambda.
+``chernov_prob``), then one line per ``_legendre_sums``, ``_langevin_sum`` or
+``_co_langevin_sum`` call with the kernel's name, the ``float.hex`` of its lambda and its
+group count.  ``diff`` of two such files shows whether two trees make the same kernel calls
+at the same lambda.
 """
 
 import argparse
@@ -392,7 +393,7 @@ def dump(path):
                                   f"{fields}\n")
 
 
-KERNELS = ("_legendre_sums", "_langevin_sums")
+KERNELS = ("_legendre_sums", "_langevin_sum", "_co_langevin_sum")
 
 
 def kernels(path):

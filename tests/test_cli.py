@@ -393,6 +393,17 @@ class TestMc:
         assert err == ("stacktol: numeric failure: no draw of 200000 reached t=14.9; "
                        "P(|Y| >= t) is below 3/draws = 1.5e-05 at 95 % confidence\n")
 
+    def test_prob_with_every_hit_exits_1(self, capsys, chain_csv):
+        # P(|Y| < 1e-6) is about 1.8e-7: every draw of 200 000 reaches t
+        code, out, err = _run(capsys, ["mc", str(chain_csv), "--t", "1e-6", "--seed", "1"])
+        assert code == 1 and out == ""
+        assert err == ("stacktol: numeric failure: every draw of 200000 reached t=1e-06; "
+                       "P(|Y| < t) is below 3/draws = 1.5e-05 at 95 % confidence\n")
+
+    def test_prob_at_zero_is_one(self, capsys, chain_csv):
+        code, out, err = _run(capsys, ["mc", str(chain_csv), "--t", "0", "--seed", "1"])
+        assert (code, out, err) == (0, "p_hat=1.0 stderr=0.0\n", "")
+
     @pytest.mark.parametrize("argv,message", [
         (["--rho", "1e-12"], "rho=1e-12 with draws=200000 expects fewer than 10 draws in the "
                              "tail; draws >= 10000000000001 would pass"),

@@ -189,17 +189,22 @@ def test_contributor_order_is_moot(name):
             assert _analyze_bits(shuffled, rho) == ref, w
 
 
-@pytest.fixture
-def gap_terms(monkeypatch):
-    """(lambda, group count) of every gap evaluation: each is one call of the m-and-q kernel."""
+def _kernel_spy(monkeypatch, kernel):
+    """(lambda, group count) of every call of bounds' ``kernel``, in order."""
     calls = []
-    original = bounds._legendre_sums
+    original = getattr(bounds, kernel)
 
     def counted(lam, groups):
         calls.append((lam, len(groups)))
         return original(lam, groups)
-    monkeypatch.setattr(bounds, "_legendre_sums", counted)
+    monkeypatch.setattr(bounds, kernel, counted)
     return calls
+
+
+@pytest.fixture
+def gap_terms(monkeypatch):
+    """(lambda, group count) of every gap evaluation: each is one call of the m-and-q kernel."""
+    return _kernel_spy(monkeypatch, "_legendre_sums")
 
 
 @pytest.mark.parametrize("name", ["single", "pair", "table", "long"])
@@ -387,14 +392,43 @@ def test_analyze_all_forms_no_balance_gap(monkeypatch):
             return original(lam, groups)
         return call
 
-    for kernel in ("_legendre_sums", "_langevin_sums"):
+    for kernel in ("_legendre_sums", "_co_langevin_sum"):
         monkeypatch.setattr(chain_module, kernel, counted(kernel))
     chain = StackChain.from_bounds(CHAINS["long"])
     analyze_all(chain, 0.0027)
     assert calls == []
     chain_module.balance_report(chain)
-    assert calls == ["_legendre_sums", "_legendre_sums", "_langevin_sums"]
+    assert calls == ["_legendre_sums", "_legendre_sums", "_co_langevin_sum"]
     assert terms == [8 * 74, 126 + 1, 1 + 126]
+
+
+def test_kernel_counts_are_floats(monkeypatch):
+    # the kernels multiply each term by its count c: CPython 3.11 specializes
+    # float * float but sends int * float down its generic path, which cost the
+    # long-chain solves about 5 %.  Every count is an integer below 2^53, so a float
+    # count gives the same bits; an int one put back fails here, not in a timing
+    seen = []
+
+    def counted(kernel):
+        original = getattr(chain_module, kernel)
+
+        def call(lam, groups):
+            seen.extend(c for _, c in groups)
+            return original(lam, groups)
+        return call
+
+    for kernel in ("_legendre_sums", "_co_langevin_sum"):
+        monkeypatch.setattr(chain_module, kernel, counted(kernel))
+    for w in [*CHAINS.values(), *catalogue_chains(20)]:
+        chain = StackChain.from_bounds(w)
+        s = chain._sums
+        counts = [c for _, c in s.groups] + [s.top[1]]
+        for method in (bounds.Method.CHERNOV, bounds.Method.LIPSCHITZ, bounds.Method.QUADRATIC):
+            m = bounds._member(chain, method)
+            counts += [c for _, c in m.groups] + [m.top[1]]
+        assert all(type(c) is float and c.is_integer() for c in counts), w
+        chain_module.balance_report(chain)  # the Jensen gap's node weights and far counts
+    assert seen and all(type(c) is float for c in seen)
 
 
 def test_newton_path_linear_root():
@@ -425,32 +459,33 @@ def test_prob_one_ulp_below_wc():
 
 @pytest.fixture
 def slope_terms(monkeypatch):
-    """(lambda, group count) of every slope or n - K' evaluation: one Langevin kernel call each."""
-    calls = []
-    original = bounds._langevin_sums
+    """(lambda, group count) of every slope evaluation: one ``_langevin_sum`` call each."""
+    return _kernel_spy(monkeypatch, "_langevin_sum")
 
-    def counted(lam, groups):
-        calls.append((lam, len(groups)))
-        return original(lam, groups)
-    monkeypatch.setattr(bounds, "_langevin_sums", counted)
-    return calls
+
+@pytest.fixture
+def co_slope_terms(monkeypatch):
+    """(lambda, group count) of every n - K' evaluation: one ``_co_langevin_sum`` call each."""
+    return _kernel_spy(monkeypatch, "_co_langevin_sum")
 
 
 @pytest.mark.parametrize("t", [0.0, 1e-300, 1e-120, 1e-20, 0.1])
-def test_prob_is_one_at_small_t_without_a_solve(slope_terms, gap_terms, t):
+def test_prob_is_one_at_small_t_without_a_solve(slope_terms, co_slope_terms, gap_terms, t):
     # the optimal lambda is at most 2 wc / (wc - t), about 2 here, and K >= 0
     assert chernov_prob(StackChain.from_bounds((1.0, 2.0)), t) == 1.0
     assert chernov_prob(StackChain.from_bounds(CHAINS["long"]), t) == 1.0
-    assert slope_terms == [] and gap_terms == []
+    assert slope_terms == co_slope_terms == gap_terms == []
 
 
 @pytest.mark.parametrize("name", ["single", "pair", "table", "long"])
-def test_few_co_slope_evaluations_per_prob(slope_terms, name):
+def test_few_co_slope_evaluations_per_prob(slope_terms, co_slope_terms, name):
+    # chernov_prob steps on n - K' alone: it forms no slope
     chain = StackChain.from_bounds(CHAINS[name])
     for frac in (0.3, 0.5, 0.9, 0.99, 1.0 - 1e-9, 1.0 - 1e-15):
-        slope_terms.clear()
+        co_slope_terms.clear()
         chernov_prob(chain, frac * t_wc(chain))
-        assert 1 <= len(slope_terms) <= 20, frac
+        assert 1 <= len(co_slope_terms) <= 20, frac
+    assert slope_terms == []
 
 
 def _mean_kernel_calls_per_prob(terms):
@@ -466,15 +501,15 @@ def _mean_kernel_calls_per_prob(terms):
     return calls / (len(CHAINS) * len(fracs))
 
 
-def test_mean_co_slope_evaluations_per_prob(slope_terms):
+def test_mean_co_slope_evaluations_per_prob(co_slope_terms):
     # the root takes n - K' from its last evaluation, where the bound is formed
-    assert _mean_kernel_calls_per_prob(slope_terms) <= 6.5
+    assert _mean_kernel_calls_per_prob(co_slope_terms) <= 6.5
 
 
-def test_mean_co_slope_evaluations_per_prob_in_log_co(slope_terms):
+def test_mean_co_slope_evaluations_per_prob_in_log_co(co_slope_terms):
     # the root starts right of the root, where n - K' ~ n / lambda is a power
     # of lambda: a step in log (n - K') lands next to the root
-    assert _mean_kernel_calls_per_prob(slope_terms) <= 4.0
+    assert _mean_kernel_calls_per_prob(co_slope_terms) <= 4.0
 
 
 def test_mean_gap_evaluations_per_prob(gap_terms):
@@ -529,10 +564,11 @@ def test_prob_against_high_precision_optimum(w):
         assert -(1e-14 + 2.0 * sys.float_info.epsilon * abs(k)) <= rel <= 5e-13, (frac, rel)
 
 
-def test_chernov_t_takes_one_slope_evaluation(slope_terms):
-    # the slope is evaluated once, at the root, over all the chain's groups
+def test_chernov_t_takes_one_slope_evaluation(slope_terms, co_slope_terms):
+    # the slope is evaluated once, at the root, over all the chain's groups; no n - K'
     chernov_t(StackChain.from_bounds(CHAINS["long"]), 0.0027)
     assert [groups for _, groups in slope_terms] == [200]
+    assert co_slope_terms == []
 
 
 # from near the double range's floor of rho down to its last subnormal

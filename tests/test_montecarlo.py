@@ -424,6 +424,19 @@ class TestProb:
                            r"P\(\|Y\| >= t\) is below 3/draws = 0\.0003 at 95 % confidence$"):
             mc_prob(chain, 14.9, McConfig(draws=10_000, seed=1))
 
+    def test_at_zero_without_a_draw(self):
+        # every |Y| >= 0; a draw on this chain raises OverflowError
+        assert mc_prob(StackChain.from_bounds((1e308,)), 0.0, CFG) == (1.0, 0.0)
+
+    def test_every_hit_above_zero_raises(self):
+        # P(|Y| < 1e-6) on (5, 4, 3, 2, 1) is about 1.8e-7, not 0: the tail is not 1
+        chain = StackChain.from_bounds((5.0, 4.0, 3.0, 2.0, 1.0))
+        with pytest.raises(ArithmeticError, match=r"^every draw of 10000 reached t=1e-06; "
+                           r"P\(\|Y\| < t\) is below 3/draws = 0\.0003 at 95 % confidence$"):
+            mc_prob(chain, 1e-6, McConfig(draws=10_000, seed=1))
+        with pytest.raises(ArithmeticError, match=r"^every draw of 200000 reached t=5e-324; "):
+            mc_prob(chain, 5e-324, McConfig(seed=1))
+
     def test_triangular_quarter(self):
         est = mc_prob(StackChain.from_bounds((1.0, 1.0)), 1.0, CFG)
         assert abs(est.value - 0.25) <= 3.0 * est.stderr

@@ -1,12 +1,15 @@
 """Special functions and the 1-D solver: stability, calculus properties, solver contracts.
 
-The kernels are checked through their one-term views: L(x) and x (1 - L(x)) from
-``_langevin_sums(x, _ONE_TERM)``, m(x) and q(x) from ``_legendre_sums(x, _ONE_TERM)``.
+The kernels are checked through their one-term views: L(x) from
+``_langevin_sum(x, _ONE_TERM)``, 1 - L(x) from ``_co_langevin_sum(x, _ONE_TERM)``, m(x)
+and q(x) from ``_legendre_sums(x, _ONE_TERM)``; and the two Langevin kernels against
+each other on random groups.
 """
 
 import math
 import sys
 
+from hypothesis import given, settings, strategies as st
 import mpmath
 import numpy as np
 import pytest
@@ -23,7 +26,8 @@ from stacktol import (
 )
 from stacktol.numerics import (
     _ONE_TERM,
-    _langevin_sums,
+    _co_langevin_sum,
+    _langevin_sum,
     _legendre_sums,
     _root,
     h_stable,
@@ -123,12 +127,12 @@ class TestLogSinhOverX:
 
 
 def langevin(x):
-    return _langevin_sums(x, _ONE_TERM)[0]
+    return _langevin_sum(x, _ONE_TERM)
 
 
 def co_slope(x):
     """1 - L(x): the kernel's c v (1 - L(lam v)) at lam = x, v = 1."""
-    return _langevin_sums(x, _ONE_TERM)[1]
+    return _co_langevin_sum(x, _ONE_TERM)
 
 
 def legendre_term(x):
@@ -183,6 +187,36 @@ class TestLangevinAndLegendreTerm:
         for f in (phi, psi, psi_tilde):
             with pytest.raises(ValueError):
                 f(chain, bad, 1.0)
+
+
+# lam from 1e-300 to 1e300, or near 1 / v, where the kernels switch between branches
+_LAMBDAS = st.one_of(st.floats(-300.0, 300.0), st.floats(-3.0, 3.0)).map(lambda e: 10.0 ** e)
+# scaled bounds from 2^-20 to 2^20, so lam v stays finite, with float counts
+_GROUPS = st.lists(st.tuples(st.floats(2.0 ** -20, 2.0 ** 20), st.integers(1, 1000).map(float)),
+                   min_size=1, max_size=12)
+
+
+class TestLangevinPair:
+    """_langevin_sum and _co_langevin_sum each form one of sum c v L and sum c v (1 - L)."""
+
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(groups=_GROUPS, lam=_LAMBDAS)
+    def test_sums_split_the_total(self, groups, lam):
+        total = math.fsum(c * v for v, c in groups)
+        slope, co = _langevin_sum(lam, groups), _co_langevin_sum(lam, groups)
+        assert 0.0 <= slope <= total and 0.0 <= co <= total
+        assert abs((slope + co) - total) <= 4.0 * math.ulp(total)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(x=_LAMBDAS)
+    def test_one_term_views_against_high_precision(self, x):
+        # 1 - (coth x - 1/x) cancels about log10(x) digits too
+        with mpmath.workdps(_sweep_digits(x) + int(max(0.0, math.log10(x)))):
+            mx = mpmath.mpf(x)
+            coth_term = mpmath.coth(mx) - 1 / mx
+            ref_l, ref_co = float(coth_term), float(1 - coth_term)
+        assert langevin(x) == pytest.approx(ref_l, rel=1e-13, abs=0.0)
+        assert co_slope(x) == pytest.approx(ref_co, rel=1e-13, abs=0.0)
 
 
 class TestX2LangevinPrime:
