@@ -13,26 +13,25 @@ convention for the rho-free methods):
 * HOEFFDING  3 * l_rho * T_RSS, the sub-Gaussian bound with parameter
              w_i per input.  Guaranteed, often very conservative.
 * CHERNOV    exact optimized exponential bound, the tightest of the family.
-* LIPSCHITZ  CHERNOV of the balanced chain plus a linear imbalance price.
+* LIPSCHITZ  CHERNOV of the balanced chain plus sum|w_i - wbar|.
 * QUADRATIC  CHERNOV of the balanced chain plus a quadratic imbalance price.
 * AIRBUS     industrial balance-corrected RSS rule, no rho attached.
 
-The Chernoff family is one formula.  On the chain scaled to u_i = w_i/wbar
-each member's log-MGF is K(lam) = sum_(v, c) c log(sinh(lam v)/(lam v))
-+ a lam + b lam^2 over distinct bounds v with their counts c, and its bound
-is 2 exp(inf_lam K(lam) - lam t).  CHERNOV is the chain's own K (the u_i
-grouped by value); the relaxations are the K of the balanced chain, n
-bounds of 1 ((v, c) = (1, n)), plus a = sum|u_i - 1| (LIPSCHITZ) or
-b = curvature sum (u_i - 1)^2 (QUADRATIC).  The infimum sits where
-K'(lam) = t, so every inversion is one monotone root in lam, driven by
-the slope K' and the gap K - lam K'; K = gap + lam K' gives the exponents
-phi, psi and psi_tilde.  Every quantile and chernov_prob run that root
-through numerics._root, a quantile from a start that follows g from its
-Gaussian regime to its saturated one (on a member with more than
-_SPLIT_GROUPS groups, a start that gives its largest bound its own
-curvature), chernov_prob from right of the root,
-and report their bound at the lam where it stops, as that bound holds at
-every lam: a quantile (K - log(rho / 2)) / lam (see _quantile),
+The Chernoff family is one formula with two member shapes.  On the chain
+scaled to u_i = w_i/wbar a member's log-MGF is K(lam) = b lam^2 +
+sum_(v, c) c log(sinh(lam v)/(lam v)) over distinct bounds v with counts c,
+and its bound is 2 exp(inf_lam K(lam) - lam t).  CHERNOV is the chain's own
+groups with b = 0; the relaxations are n bounds of 1, with
+b = curvature sum (u_i - 1)^2 (QUADRATIC) or 0.  LIPSCHITZ's price a lam,
+a = sum|u_i - 1|, cancels from the gap g = K - lam K', so its t is the
+balanced chain's plus wbar a = sum|w_i - wbar|.  The infimum sits where
+K'(lam) = t: every inversion is one monotone root in lam, driven by K' and
+g; K = g + lam K' gives phi, psi and psi_tilde.  Every quantile and
+chernov_prob run that root through numerics._root, each quantile from one
+start that follows g from its Gaussian regime to its saturated one (on a
+member with more than _SPLIT_GROUPS groups, a start that gives its largest
+bound its own curvature), chernov_prob from right of the root, and report
+their bound at the lam where it stops, as that bound holds at every lam: a quantile (K - log(rho / 2)) / lam (see _quantile),
 chernov_prob 2 exp(K - lam t).  Each forms it from the g the root hands
 back with that lam, so no gap is evaluated twice.
 
@@ -189,13 +188,14 @@ def _check_t(t: float) -> float:
 # its gap g = K - lam K' decreases from 0 and is concave in log lam, with
 # dg/dlog lam = -lam^2 K''; all are sums over (v, c) of c times L(x) = coth x - 1/x,
 # m(x) = log(sinh x / x) - x L(x) or q(x) = x^2 L'(x) at x = lam v, from the kernels
-# _langevin_sum (L) and _legendre_sums (m and q), plus the price's part.
+# _langevin_sum (L) and _legendre_sums (m and q), plus the quadratic price's part.
 # n - K' where b = 0 is _co_langevin_sum(lam, groups), without cancellation.
+# A member is the chain's own groups (CHERNOV) or n bounds of 1 with a price b >= 0.
+# LIPSCHITZ is the latter at b = 0: its linear price moves only the slope, by a.
 class _Member(NamedTuple):
     wbar: float
     groups: tuple[tuple[float, float], ...]  # the (v, c) pairs of the scaled chain, c a float
     n: int  # the number of bounds, sum c
-    a: float  # linear price: K' gains a
     b: float  # quadratic price: g <= -b lam^2
     curv: float  # K''(0): g >= -curv lam^2 / 2
     limit: float  # t(inf), in the chain's own units (inf where b > 0): t is clamped to it
@@ -203,19 +203,16 @@ class _Member(NamedTuple):
 
 
 def _member(chain: StackChain, method: Method, curvature: float = 0.5) -> _Member:
-    """The Chernoff-family member ``method`` on ``chain``: its ((v, c) groups, a, b, limit)."""
+    """The Chernoff-family member ``method`` on ``chain``: its ((v, c) groups, b, limit)."""
     s = chain._sums
-    n, groups, curv, a, b, limit = s.n, s.groups, s.curv, 0.0, 0.0, s.wc
-    if method is Method.LIPSCHITZ:
-        # a linear price cancels from the gap, so t(inf) is finite
-        groups, curv, a, limit = ((1.0, float(n)),), n / 3.0, s.abs_dev, s.wc + s.wbar * s.abs_dev
-    elif method is Method.QUADRATIC:
-        if not 1.0 / 6.0 <= curvature < math.inf:  # NaN fails this too
-            raise ValueError(f"curvature must be finite and >= 1/6, got {curvature}")
-        groups, curv, b = ((1.0, float(n)),), n / 3.0, curvature * s.sq_dev
-        limit = math.inf if b else s.wc
-    return _new(_Member, (s.wbar, groups, n, a, b, curv + 2.0 * b, limit,
-                          s.top if method is Method.CHERNOV else groups[0]))
+    if method is Method.CHERNOV:
+        return _new(_Member, (s.wbar, s.groups, s.n, 0.0, s.curv, s.wc, s.top))
+    if not 1.0 / 6.0 <= curvature < math.inf:  # NaN fails this too
+        raise ValueError(f"curvature must be finite and >= 1/6, got {curvature}")
+    b = curvature * s.sq_dev if method is Method.QUADRATIC else 0.0
+    groups = ((1.0, float(s.n)),)
+    return _new(_Member, (s.wbar, groups, s.n, b, s.n / 3.0 + 2.0 * b,
+                          math.inf if b else s.wc, groups[0]))
 
 
 def _gap(m: _Member, lam: float) -> tuple[float, float]:
@@ -228,16 +225,16 @@ def _gap(m: _Member, lam: float) -> tuple[float, float]:
 
 def _slope(m: _Member, lam: float) -> float:
     """The slope t(lam) = K'(lam) of member ``m``."""
-    return _langevin_sum(lam, m.groups) + m.a + 2.0 * m.b * lam
+    return _langevin_sum(lam, m.groups) + 2.0 * m.b * lam
 
 
 def _exponent(chain: StackChain, method: Method, lam: float, t: float,
-              curvature: float = 0.5) -> float:
+              curvature: float = 0.5, a: float = 0.0) -> float:
     lam = _check_lambda(lam)
     t = _check_t(t)
     m = _member(chain, method, curvature)
     x = lam * m.wbar
-    gap, tangent = _gap(m, x)[0], x * _slope(m, x)
+    gap, tangent = _gap(m, x)[0], x * (_slope(m, x) + a)  # a: psi's linear price
     # K = gap + x K' cancels at most one bit: K' is concave from K'(0) >= 0,
     # so K >= x K' / 2.  Where psi_tilde's penalty overflows, gap = -inf, K = +inf.
     k = math.inf if gap == -math.inf else gap + tangent
@@ -275,9 +272,9 @@ def psi(chain: StackChain, lam: float, t: float) -> float:
 
     An upper bound on phi because K exceeds phi's K by
     lam sum|w_i - wbar| - S_lambda >= 0 (h is 1/2-Lipschitz).  Equals phi
-    exactly on all-equal chains.
+    exactly on all-equal chains.  Its price enters only the slope, by sum|u_i - 1|.
     """
-    return _exponent(chain, Method.LIPSCHITZ, lam, t)
+    return _exponent(chain, Method.LIPSCHITZ, lam, t, a=chain._sums.abs_dev)
 
 
 def psi_tilde(chain: StackChain, lam: float, t: float, curvature: float = 0.5) -> float:
@@ -337,33 +334,31 @@ def _quantile(m: _Member, rho: float) -> float:
 
     The bound holds at every lam > 0 and is least where g(lam) = log(rho / 2).
     g is concave in log lam, -curv lam^2 / 2 near 0 and -n log lam + O(1)
-    once every bound saturates.  Without a quadratic price numerics._root
-    starts at the root of -(n / 2) log(1 + curv lam^2 / n), which follows
-    both regimes and is the Gaussian point sqrt(-2 log(rho / 2) / curv)
-    while |log rho| << n; with one (b > 0), at that Gaussian point, left of
-    the root as g >= -curv lam^2 / 2.  That shared curvature lets the largest
-    bound saturate first, so on a member with more than _SPLIT_GROUPS groups
-    the start is moved, from there, to the root of the curve that splits that
-    bound off (_split_start): where one bound dominates the plain start lies
-    0.8 to 1.2 left of the root in log lam.  The start only moves the
-    iterates; the bound holds wherever they stop.  Each step is cut at the root of
-    -b lam^2 or at _LAM_MAX.  t is formed from the g that the root hands back
-    and the slope at the lam where it stops.  As lam K'' <= K', it exceeds
-    the optimum by at most about step^2 / 2 <= 5e-15 of itself.  t is
-    clamped to the member's limit t(inf), so it never falls as rho falls;
-    where the root lies past _LAM_MAX it is that limit, with no slope formed.
+    once every bound saturates, each less b lam^2.  Every member's
+    numerics._root starts at the root of -(n / 2) log(1 + curv lam^2 / n),
+    which follows both regimes and is the Gaussian point
+    sqrt(-2 log(rho / 2) / curv) while |log rho| << n, cut at the root of
+    -b lam^2.  That shared curvature lets the largest bound saturate first,
+    so on a member with more than _SPLIT_GROUPS groups the start is moved,
+    from there, to the root of the curve that splits that bound off
+    (_split_start): where one bound dominates the plain start lies 0.8 to
+    1.2 left of the root in log lam.  The start only moves the iterates,
+    which may stop on either side of the root; the bound holds wherever
+    they stop.  Each step is cut at the root of -b lam^2 or at _LAM_MAX.
+    t is formed from the g that the root hands back and the slope at the
+    lam where it stops.  As lam K'' <= K', it exceeds the optimum by at most
+    about step^2 / 2 <= 5e-15 of itself.  t is clamped to the member's limit
+    t(inf), so it never falls as rho falls; where the root lies past
+    _LAM_MAX it is that limit, with no slope formed.
     """
     target = math.log(rho) - math.log(2.0)
     cap = min(math.sqrt(-target / m.b) if m.b else math.inf, _LAM_MAX)
-    if m.b:
-        start = math.sqrt(-2.0 * target / m.curv)
-    else:
-        try:
-            start = min(math.sqrt(m.n * math.expm1(-2.0 * target / m.n) / m.curv), cap)
-        except OverflowError:  # past expm1's range: n = 1 below rho ~ 1e-154, n = 2 below ~ 1e-308
-            start = cap
-        if len(m.groups) > _SPLIT_GROUPS:
-            start = _split_start(m, target, start, cap)
+    try:
+        start = min(math.sqrt(m.n * math.expm1(-2.0 * target / m.n) / m.curv), cap)
+    except OverflowError:  # past expm1's range: n = 1 below rho ~ 1e-154, n = 2 below ~ 1e-308
+        start = cap
+    if len(m.groups) > _SPLIT_GROUPS:
+        start = _split_start(m, target, start, cap)
     lam, (g, _) = _root(partial(_gap, m), target, start, 0.0, cap)
     # the root stops at _LAM_MAX only where b = 0 and the limit is finite; there
     # n - K' <= n / lam (each c v (1 - L(lam v)) is at most c / lam) puts t(lam)
@@ -413,6 +408,8 @@ def _family(method: Method, chain: StackChain, rho: float, l_rho: float,
             curvature: float = 0.5) -> ToleranceResult:
     """The body of CHERNOV, LIPSCHITZ and QUADRATIC: the member's quantile at rho."""
     t = _quantile(_member(chain, method, curvature), rho)
+    if method is Method.LIPSCHITZ:  # plus its linear price: the balanced t + sum|w_i - wbar|
+        t += chain._sums.wbar * chain._sums.abs_dev
     return _result(method, chain, t, rho, l_rho)
 
 
@@ -428,8 +425,9 @@ def chernov_t(chain: StackChain, rho: float) -> ToleranceResult:
 def lipschitz_t(chain: StackChain, rho: float) -> ToleranceResult:
     """Half-width from inverting the imbalance-linear relaxation (psi) at rho.
 
-    t tends to wc + sum|w_i - wbar| as rho goes to 0.  May exceed the worst
-    case on unbalanced chains; both raw and clamped values are reported.
+    t is CHERNOV's on n bounds of wbar plus sum|w_i - wbar|, so it tends to
+    wc + sum|w_i - wbar| as rho goes to 0.  May exceed the worst case on
+    unbalanced chains; both raw and clamped values are reported.
     """
     return _family(Method.LIPSCHITZ, chain, *_level(rho))
 

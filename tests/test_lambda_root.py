@@ -135,10 +135,24 @@ def test_agrees_with_bisection_from_below(name, rho):
         assert old * (1.0 - 2e-9) <= t <= old * (1.0 + 1e-12), solver.__name__
 
 
-@pytest.mark.parametrize("name", [k for k, w in CHAINS.items() if len(w) <= 5])
+def _exact_tail_chains():
+    """CHAINS of at most 5 bounds, and the first two ulp-balanced chains of each n in 2 to 10."""
+    chains = {k: w for k, w in CHAINS.items() if len(w) <= 5}
+    balanced = ulp_balanced_chains(40)
+    for n in (2, 3, 5, 10):
+        for i, w in enumerate([w for w in balanced if len(w) == n][:2]):
+            chains[f"ulp{n}_{i}"] = w
+    return chains
+
+
+# the exact tail's inclusion-exclusion sums 2^n terms: at most 10 bounds
+EXACT_TAIL_CHAINS = _exact_tail_chains()
+
+
+@pytest.mark.parametrize("name", list(EXACT_TAIL_CHAINS))
 @pytest.mark.parametrize("rho", RHOS)
 def test_never_below_the_exact_quantile(name, rho):
-    w = CHAINS[name]
+    w = EXACT_TAIL_CHAINS[name]
     chain = StackChain.from_bounds(w)
     for solver in SOLVERS:
         assert exact_abs_tail(w, solver(chain, rho).t) <= rho, solver.__name__
@@ -577,20 +591,21 @@ LIMIT_RHOS = (1e-20, 1e-50, 1e-100, 1e-150, 1e-200, 1e-250, 1e-300, 1e-320, 5e-3
 
 def test_t_rises_to_the_limit_as_rho_falls():
     # on chains balanced to a few ulps t saturates: clamping it to t(inf)
-    # keeps it nondecreasing as rho falls, where a rounded-up slope would not
+    # keeps it nondecreasing as rho falls, where a rounded-up slope would not.
+    # LIPSCHITZ's limit is wc plus its linear price wbar sum|u_i - 1| = sum|w_i - wbar|
     solves = (
-        (chernov_t, bounds.Method.CHERNOV),
-        (lipschitz_t, bounds.Method.LIPSCHITZ),
+        (chernov_t, lambda s: s.wc),
+        (lipschitz_t, lambda s: s.wc + s.wbar * s.abs_dev),
         (quadratic_t, None),
         (lambda c, r: quadratic_t(c, r, 1.0 / 6.0), None),
     )
     for w in ulp_balanced_chains(240):
         chain = StackChain.from_bounds(w)
-        for solve, method in solves:
+        for solve, limit in solves:
             ts = [solve(chain, rho).t for rho in LIMIT_RHOS]
             assert ts == sorted(ts), (w, ts)
-            if method is not None:
-                assert ts[-1] <= bounds._member(chain, method).limit, (w, method)
+            if limit is not None:
+                assert ts[-1] <= limit(chain._sums), (w, solve)
 
 
 def test_prob_nonincreasing_in_the_last_ulps_below_wc():
