@@ -257,13 +257,15 @@ class BalanceReport(NamedTuple):
 def balance_report(chain: StackChain) -> BalanceReport:
     """Dispersion and dominance diagnostics of the weighted bounds."""
     w, mean = chain.weighted_bounds, chain._sums.wbar
-    # d * d goes to inf where d ** 2 would raise OverflowError
-    variance = math.fsum((wi - mean) * (wi - mean) for wi in w) / len(w)
-    abs_dev_sum = math.fsum(abs(wi - mean) for wi in w)
+    # summed on the bounds scaled by 2^-e into [1, 2), exactly, so that no square or sum
+    # overflows; scaled back by 2^e, once or twice, each product rounding once or giving
+    # inf, where a square, fsum or math.ldexp would raise.  A sum of 0 stays 0
+    e = math.frexp(max(w))[1] - 1
+    scale, d = 2.0 ** e, [math.ldexp(wi, -e) - math.ldexp(mean, -e) for wi in w]
     return BalanceReport(
         mean=mean,
-        variance=variance,
-        abs_dev_sum=abs_dev_sum,
+        variance=math.fsum(x * x for x in d) / len(w) * scale * scale,
+        abs_dev_sum=math.fsum(abs(x) for x in d) * scale,
         s1=_jensen_gap(chain, 1.0),
         d_factor=chain._sums.d,
     )

@@ -1,6 +1,7 @@
 """Chain construction, classical stacks, and balance diagnostics."""
 
 import math
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 import pytest
@@ -137,6 +138,23 @@ class TestBalanceReport:
     def test_all_equal_chain(self):
         rep = balance_report(StackChain.from_bounds((3.0, 3.0, 3.0, 3.0)))
         assert rep == BalanceReport(mean=3.0, variance=0.0, abs_dev_sum=0.0, s1=0.0, d_factor=0.0)
+
+    def test_dispersion_past_the_largest_double(self):
+        # the squared deviations, or their sum, pass the largest double where the
+        # variance does not: OverflowError from fsum on the first chain, inf on the second
+        for w in ((2.5e154, 1.0), (1e170,) * 3 + (1.0000000000000002e170,)):
+            rep = balance_report(StackChain.from_bounds(w))
+            mean = Fraction(rep.mean)
+            variance = sum((Fraction(x) - mean) ** 2 for x in w) / len(w)
+            assert rep.variance == pytest.approx(float(variance), rel=1e-15), w
+            assert rep.abs_dev_sum == pytest.approx(float(sum(abs(Fraction(x) - mean) for x in w)),
+                                                    rel=1e-15), w
+        # inf only where the variance itself overflows, and 0, never 0 inf = NaN, at the top
+        rep = balance_report(StackChain.from_bounds((1e308, 9e307)))
+        assert rep.variance == math.inf and rep.abs_dev_sum == pytest.approx(1e307, rel=1e-15)
+        for w in ((1e308,), (1e308, 1e308)):
+            rep = balance_report(StackChain.from_bounds(w))
+            assert rep.variance == rep.abs_dev_sum == 0.0, w
 
     def test_table_chain(self, table_chain):
         rep = balance_report(table_chain)

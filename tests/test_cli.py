@@ -300,6 +300,15 @@ class TestStudy:
         assert len(lines) == 4
         assert all(line.endswith(",") for line in lines[1:])  # mc_t empty
 
+    def test_bounds_whose_squares_sum_past_the_largest_double(self, capsys, tmp_path):
+        # the balance report's variance sum overflowed inside fsum: the study exited 1
+        out = tmp_path / "s.csv"
+        code, _, err = _run(capsys, ["study", "--n", "2", "--lo", "1e154", "--hi", "1e155",
+                                     "--chains", "20", "--seed", "3", "--mc-draws", "0",
+                                     "-o", str(out)])
+        assert code == 0 and err == ""
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 21
+
     def test_mc_column_filled(self, capsys, tmp_path):
         out = tmp_path / "s.csv"
         code = main(["study", "--chains", "2", "--seed", "7", "--rho", "0.05",
