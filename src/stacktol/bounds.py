@@ -30,10 +30,10 @@ g; K = g + lam K' gives phi, psi and psi_tilde.  Every quantile and
 chernov_prob run that root through numerics._root, each quantile from one
 start that follows g from its Gaussian regime to its saturated one (on a
 member with more than _SPLIT_GROUPS groups, a start that gives its largest
-bound its own curvature), chernov_prob from right of the root, and report
-their bound at the lam where it stops, as that bound holds at every lam: a quantile (K - log(rho / 2)) / lam (see _quantile),
-chernov_prob 2 exp(K - lam t).  Each forms it from the g the root hands
-back with that lam, so no gap is evaluated twice.
+bound its own curvature), chernov_prob from right of the root.  Each reports
+its bound at the lam where the root stops, as it holds at every lam: a
+quantile (K - log(rho / 2)) / lam (see _quantile), chernov_prob
+2 exp(K - lam t), from the g the root hands back, so no gap is evaluated twice.
 
 Each method has one body, in the solver table _SOLVERS.  analyze_all and
 tolerance check rho and form l_rho once per call and pass both down; the
@@ -190,8 +190,7 @@ def _check_t(t: float) -> float:
 # m(x) = log(sinh x / x) - x L(x) or q(x) = x^2 L'(x) at x = lam v, from the kernels
 # _langevin_sum (L) and _legendre_sums (m and q), plus the quadratic price's part.
 # n - K' where b = 0 is _co_langevin_sum(lam, groups), without cancellation.
-# A member is the chain's own groups (CHERNOV) or n bounds of 1 with a price b >= 0.
-# LIPSCHITZ is the latter at b = 0: its linear price moves only the slope, by a.
+# A member is the chain's own groups or n bounds of 1 with a price b >= 0 (0: LIPSCHITZ).
 class _Member(NamedTuple):
     wbar: float
     groups: tuple[tuple[float, float], ...]  # the (v, c) pairs of the scaled chain, c a float
@@ -271,8 +270,8 @@ def psi(chain: StackChain, lam: float, t: float) -> float:
     K = n log(sinh(lam wbar)/(lam wbar)) + lam sum|w_i - wbar|.
 
     An upper bound on phi because K exceeds phi's K by
-    lam sum|w_i - wbar| - S_lambda >= 0 (h is 1/2-Lipschitz).  Equals phi
-    exactly on all-equal chains.  Its price enters only the slope, by sum|u_i - 1|.
+    lam sum|w_i - wbar| - S_lambda >= 0 (h is 1/2-Lipschitz); the linear
+    term enters only the slope.  Equals phi exactly on all-equal chains.
     """
     return _exponent(chain, Method.LIPSCHITZ, lam, t, a=chain._sums.abs_dev)
 

@@ -77,7 +77,7 @@ class _Sums(NamedTuple):
 
     n: int  # the number of bounds
     wc: float  # sum w_i, inf past the largest double
-    wbar: float  # the mean bound, always finite
+    wbar: float  # the mean bound, always finite and within [min w, max w]
     rss: float  # T_RSS
     groups: tuple[tuple[float, float], ...]  # (u_i, float count), in first-occurrence order
     curv: float  # sum u_i^2 / 3
@@ -119,8 +119,10 @@ class StackChain:
         except OverflowError:  # sum the bounds scaled by 2^-e <= 1/n, which is exact
             e = n.bit_length()
             wc, wbar = math.inf, math.ldexp(math.fsum(math.ldexp(wi, -e) for wi in w) / n, e)
+        wmax = max(w)
+        wbar = min(max(wbar, min(w)), wmax)  # the rounded mean can leave [min w, max w]
         u = [wi / wbar for wi in w]
-        counts, wmax = Counter(u), max(w)
+        counts = Counter(u)
         groups = tuple((v, float(c)) for v, c in counts.items())  # fsum is exact: order is moot
         top = wmax / wbar  # division is monotone, so this is max(u)
         object.__setattr__(self, "contributors", kept)
@@ -203,7 +205,7 @@ def _jensen_gap(chain: StackChain, lam: float) -> float:
     d^2 int_0^1 (1 - s) q(z) / z^2 ds at z = xbar + s d, by _BREGMAN_NODES, whose
     nodes all go into one _legendre_sums call; elsewhere (m(x) - m(xbar)) +
     x ((1 - L(xbar)) - (1 - L(x))), in one call of each kernel over all such x.
-    0 on equal bounds (their float wbar may be an ulp off them) and where xbar
+    0 on equal bounds (their wbar is their bound) and where xbar
     is below the normal range (every term underflows).  lam max(w) must be finite.
     """
     w, wbar = chain.weighted_bounds, chain._sums.wbar
@@ -257,9 +259,8 @@ class BalanceReport(NamedTuple):
 def balance_report(chain: StackChain) -> BalanceReport:
     """Dispersion and dominance diagnostics of the weighted bounds."""
     w, mean = chain.weighted_bounds, chain._sums.wbar
-    # summed on the bounds scaled by 2^-e into [1, 2), exactly, so that no square or sum
-    # overflows; scaled back by 2^e, once or twice, each product rounding once or giving
-    # inf, where a square, fsum or math.ldexp would raise.  A sum of 0 stays 0
+    # summed on the bounds scaled by 2^-e into [1, 2), exactly, so that nothing overflows or
+    # raises there; scaled back by 2^e per power: inf only where the value overflows, 0 stays 0
     e = math.frexp(max(w))[1] - 1
     scale, d = 2.0 ** e, [math.ldexp(wi, -e) - math.ldexp(mean, -e) for wi in w]
     return BalanceReport(

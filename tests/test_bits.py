@@ -162,11 +162,11 @@ T_BITS = {
     ('near', 1e-06): ('0x1.ffbc76a72415cp+0', '0x1.ffbd1e6cd0592p+0', '0x1.ffbc7775854b9p+0', '0x1.ffbc76ebef6aap+0'),
     ('near', 1e-12): ('0x1.00004b285341cp+1', '0x1.00009f0b29655p+1', '0x1.0000bed3e61c9p+1', '0x1.000081ff76247p+1'),
     ('near', 1e-300): ('0x1.000053e2d6239p+1', '0x1.0000a7c5ac472p+1', '0x1.0008bd9d97893p+1', '0x1.00052e4ead7ddp+1'),
-    ('decimal', 0.1): ('0x1.bfc1c170af280p-3', '0x1.bfc1c170af282p-3', '0x1.bfc1c170af281p-3', '0x1.bfc1c170af281p-3'),
-    ('decimal', 0.0027): ('0x1.1a383071a64ecp-2', '0x1.1a383071a64edp-2', '0x1.1a383071a64ecp-2', '0x1.1a383071a64ecp-2'),
-    ('decimal', 1e-06): ('0x1.3167f21093a53p-2', '0x1.3167f21093a55p-2', '0x1.3167f21093a54p-2', '0x1.3167f21093a54p-2'),
-    ('decimal', 1e-12): ('0x1.332e9b8236ba1p-2', '0x1.332e9b8236ba3p-2', '0x1.332e9b8236ba2p-2', '0x1.332e9b8236ba2p-2'),
-    ('decimal', 1e-300): ('0x1.3333333333334p-2', '0x1.3333333333335p-2', '0x1.333333333334ap-2', '0x1.3333333333345p-2'),
+    ('decimal', 0.1): ('0x1.bfc1c170af280p-3', '0x1.bfc1c170af280p-3', '0x1.bfc1c170af280p-3', '0x1.bfc1c170af280p-3'),
+    ('decimal', 0.0027): ('0x1.1a383071a64ecp-2', '0x1.1a383071a64ecp-2', '0x1.1a383071a64ecp-2', '0x1.1a383071a64ecp-2'),
+    ('decimal', 1e-06): ('0x1.3167f21093a53p-2', '0x1.3167f21093a53p-2', '0x1.3167f21093a53p-2', '0x1.3167f21093a53p-2'),
+    ('decimal', 1e-12): ('0x1.332e9b8236ba1p-2', '0x1.332e9b8236ba1p-2', '0x1.332e9b8236ba1p-2', '0x1.332e9b8236ba1p-2'),
+    ('decimal', 1e-300): ('0x1.3333333333334p-2', '0x1.3333333333334p-2', '0x1.3333333333334p-2', '0x1.3333333333334p-2'),
 }
 
 # chernov_prob at PROB_FRACTIONS of the worst case
@@ -179,7 +179,7 @@ PROB_BITS = {
     'tiny': ('0x1.e3ac824fbf568p-1', '0x1.b3d302dd28343p-12'),
     'huge': ('0x1.e3ac824fbf568p-1', '0x1.b3d302dd2835fp-12'),
     'near': ('0x1.c43b420a956c5p-1', '0x1.83663b6f69cc8p-12'),
-    'decimal': ('0x1.2c8846f402358p-1', '0x1.50fab965acdfep-18'),
+    'decimal': ('0x1.2c8846f402359p-1', '0x1.50fab965acdfep-18'),
 }
 
 # every analyze_all field, hashed
@@ -224,11 +224,11 @@ ANALYZE_SHA = {
     ('near', 1e-06): '0dcdbcb48bfe44e4',
     ('near', 1e-12): 'e273138aa9fa4fd4',
     ('near', 1e-300): '55b4c4923b247a1f',
-    ('decimal', 0.1): '521fc11b1821f004',
-    ('decimal', 0.0027): '5a26a9cf1e7305db',
-    ('decimal', 1e-06): '2c8e84ba22b037db',
-    ('decimal', 1e-12): '1767d472ebcfc3c3',
-    ('decimal', 1e-300): '9bb5eb45a0747dd6',
+    ('decimal', 0.1): 'faf01b8b512f5691',
+    ('decimal', 0.0027): 'fbd9093fee2ae7bd',
+    ('decimal', 1e-06): 'ae045ae34f7208e7',
+    ('decimal', 1e-12): '1d6981875f851e8d',
+    ('decimal', 1e-300): '718339b13b2a03f2',
     ('catalogue', 0.1): '351da52ff17eadad',
     ('catalogue', 0.0027): 'c4903ed6dc28c17f',
     ('catalogue', 1e-06): '9f69b6b2f6849b40',
@@ -251,7 +251,7 @@ BALANCE_SHA = {
     'tiny': 'd05482481014fa0e',
     'huge': '2504c1ce1d913db3',
     'near': 'bec1322a0b166c47',
-    'decimal': '0f6fdd1ebbbb9e6f',
+    'decimal': '88e1c01513142a5c',
     'catalogue': '0c592e61b8b2a1cb',
     'catalogue_long': '081eb7f3c23dcdf5',
 }

@@ -2,6 +2,7 @@
 
 import math
 
+from hypothesis import given, settings, strategies as st
 import mpmath
 import numpy as np
 import pytest
@@ -456,6 +457,35 @@ class TestExtremeRho:
             assert math.isfinite(tolerance(chain, method, rho).t)
         l_rho = math.sqrt(2.0 * (math.log(2.0) - math.log(rho))) / 3.0
         assert hoeffding_t(chain, rho).t == pytest.approx(3.0 * l_rho * t_rss(chain), rel=1e-12)
+
+
+# n from 1 to 40 bounds e^U[-3, 3], rho log-uniform from 1e-14 to 0.3
+_BOUNDS = st.lists(st.floats(-3.0, 3.0).map(math.exp), min_size=1, max_size=40)
+_RHOS = st.floats(math.log(1e-14), math.log(0.3)).map(math.exp)
+
+
+class TestBalancedChain:
+    """The relaxations are the balanced chain's bound plus a price for imbalance."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(bounds=_BOUNDS, rho=_RHOS)
+    def test_lipschitz_is_the_balanced_t_plus_the_absolute_deviation(self, bounds, rho):
+        chain = StackChain.from_bounds(bounds)
+        rep = balance_report(chain)
+        t_balanced = chernov_t(StackChain.from_bounds([rep.mean] * len(bounds)), rho).t
+        t_chernov, t_lipschitz = chernov_t(chain, rho).t, lipschitz_t(chain, rho).t
+        assert t_balanced <= t_chernov <= t_lipschitz
+        assert t_lipschitz == pytest.approx(t_balanced + rep.abs_dev_sum, rel=4e-15)
+
+    # the float mean of equal bounds, which is clamped into [min w, max w], is the bound
+    # itself, so every member is the same balanced chain with no price
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(w=st.floats(-3.0, 3.0).map(math.exp), n=st.integers(1, 40), rho=_RHOS)
+    def test_equal_bounds_agree_bit_for_bit(self, w, n, rho):
+        chain = StackChain.from_bounds([w] * n)
+        ts = {chernov_t(chain, rho).t, lipschitz_t(chain, rho).t, quadratic_t(chain, rho).t,
+              quadratic_t(chain, rho, 1.0 / 6.0).t}
+        assert len(ts) == 1, ts
 
 
 class TestMonotonicity:

@@ -72,9 +72,9 @@ def ulp_balanced_chains(count, seed=17):
 # (chernov, lipschitz, quadratic) t from the bisection in lambda that this
 # solver replaced; bisection stopped at the upper edge of a bracket 1e-9 wide.
 # On ("pair", 0.0027) the gap rounds just above the target at the last
-# Newton iterates, where the bound there still holds.  "near" and "decimal"
-# (whose bounds differ from their mean in the last bit) have a quadratic
-# penalty that overflows far right of the root.
+# Newton iterates, where the bound there still holds.  "near" (and "decimal",
+# while its float mean lay an ulp off its bounds) have a quadratic penalty
+# that overflows far right of the root.
 BISECTION_T = {
     ("single", 0.1): (0.9632120558950119, 0.9632120558950119, 0.9632120558950119),
     ("single", 0.0027): (0.9990067255088534, 0.9990067255088534, 0.9990067255088534),
