@@ -259,10 +259,9 @@ class BalanceReport(NamedTuple):
 def balance_report(chain: StackChain) -> BalanceReport:
     """Dispersion and dominance diagnostics of the weighted bounds."""
     w, mean = chain.weighted_bounds, chain._sums.wbar
-    # summed on the bounds scaled by 2^-e into [1, 2), exactly, so that nothing overflows or
-    # raises there; scaled back by 2^e per power: inf only where the value overflows, 0 stays 0
+    # summed on the deviations scaled by 2^-e, max w 2^-e in [1, 2), exactly: inf only on overflow
     e = math.frexp(max(w))[1] - 1
-    scale, d = 2.0 ** e, [math.ldexp(wi, -e) - math.ldexp(mean, -e) for wi in w]
+    scale, d = 2.0 ** e, [math.ldexp(wi - mean, -e) for wi in w]
     return BalanceReport(
         mean=mean,
         variance=math.fsum(x * x for x in d) / len(w) * scale * scale,
