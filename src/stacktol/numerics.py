@@ -10,8 +10,8 @@ without overflow or cancellation, each only the sums its callers read:
 ``_co_langevin_sum`` c v (1 - L).  The counts c are integer-valued floats.
 
 ``_root`` is the one lambda-root of the Chernoff family: Newton steps in
-log x, on g left of the root and on log |g| right of it, with a halving
-safeguard, stopped at the first x whose own step is small, on either side
+log x, on g left of the root and on log |g| right of it, with halving
+safeguards, stopped at the first x whose own step is small, on either side
 of the root.  It hands back that x with the whole evaluation made there.
 Its two errors, ArithmeticErrors, are the module's only public names.
 Everything in this module is pure and stateless.
@@ -142,7 +142,9 @@ def _root(
     stops.  The root hands back that whole evaluation, so no caller
     evaluates there again.  Newton steps in log x run from x, each cut at
     cap, and one that would leave the bracket of the points seen so far,
-    which starts as (lo, inf), is halved in log x.  Left of the root the
+    which starts as (lo, inf), is halved in log x; so is the bracket where
+    the side has changed twice in a row and the bracket has not halved in
+    log x over those two steps.  Left of the root the
     step is Newton's on g; right of it, where g has the target's sign, it
     is Newton's on log |g|, log(target / g) g / (x g'), which lands on the
     root in one step where |g| is a power of x: the gap -curv x^2 / 2 while
@@ -151,7 +153,9 @@ def _root(
     it is cap where the root lies past cap.  Raises NonFiniteError where g
     or x g' is not finite, and ConvergenceError after 256 steps.
     """
-    hi = math.inf
+    # left: the side of the last x; flips: side changes in a row; span, old, older:
+    # hi / lo after the last three steps (inf while an end is open)
+    hi, left, flips, span, old, older = math.inf, None, -1, math.inf, math.inf, math.inf
     for _ in range(_MAX_ITER):
         fx = f(x)
         g, dg = fx[0], fx[1]
@@ -160,10 +164,19 @@ def _root(
         step = (target - g) / dg
         if abs(step) <= _STEP_TOL or (x == cap and step > 0.0):
             return x, fx
-        lo, hi = (x, hi) if step > 0.0 else (lo, x)
-        if step < 0.0 and g * target > 0.0:  # right of the root: a step in log |g|
+        flips = flips + 1 if (step > 0.0) is not left else 0
+        left = step > 0.0
+        lo, hi = (x, hi) if left else (lo, x)
+        older, old, span = old, span, hi / lo if lo else math.inf
+        if flips >= 2 and span * span > older:
+            # the side changed twice in a row and the bracket did not halve in log:
+            # Newton from one side and log |g| from the other can creep toward the
+            # root from both ends, so take the bracket's geometric midpoint
+            x = math.sqrt(lo) * math.sqrt(hi)
+            continue
+        if not left and g * target > 0.0:  # right of the root: a step in log |g|
             step = math.log(target / g) * g / dg
         # capped so that exp stays finite
         nxt = min(x * math.exp(min(step, 700.0)), cap)
-        x = nxt if lo < nxt < hi else math.sqrt(x) * math.sqrt(hi if step > 0.0 else lo)
+        x = nxt if lo < nxt < hi else math.sqrt(x) * math.sqrt(hi if left else lo)
     raise ConvergenceError(f"root not found after {_MAX_ITER} steps")

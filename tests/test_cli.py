@@ -192,6 +192,18 @@ class TestAnalyze:
         assert code == 0 and err == ""
         assert out == _run(capsys, ["analyze", str(chain_csv)])[1]
 
+    def test_root_that_used_to_ping_pong_exits_0(self, capsys, tmp_path):
+        # two bounds of 20 among ten of 0.1 at rho = 1e-9: the root once crept
+        # from both ends of its bracket and gave up after 256 steps (exit 1)
+        w = (20.0, 20.0) + (0.1,) * 10
+        path = tmp_path / "ping_pong.csv"
+        path.write_text("name,tolerance\n" + "".join(f"x{i},{x!r}\n" for i, x in enumerate(w)),
+                        encoding="utf-8")
+        code, out, err = _run(capsys, ["analyze", str(path), "--rho", "1e-9", "--format", "json"])
+        assert code == 0 and err == "", err
+        ts = {r["method"]: r["t"] for r in json.loads(out)}
+        assert ts["chernov"] == chernov_t(StackChain.from_bounds(w), 1e-9).t
+
     @pytest.mark.parametrize("error", [OverflowError, ConvergenceError, NonFiniteError])
     def test_solver_failure_exits_1(self, capsys, chain_csv, monkeypatch, error):
         def fail(*args):

@@ -463,6 +463,37 @@ def test_newton_step_out_of_the_bracket_is_replaced_by_bisection():
     assert abs(math.log(root) - math.atanh(0.9)) <= 2e-7
 
 
+# Two equal bounds far above ten or more small ones: from the left Newton overshoots
+# far right of the root, and from the right the step in log |g| lands just right of
+# the last left point, so both ends of the bracket crept toward the root, the halving
+# never fired, and the root gave up after 256 steps
+PING_PONG = (20.0, 20.0) + (0.1,) * 10
+
+
+def ping_pong_chains():
+    """Two bounds a in 60 to 999 among k bounds of 1, k in (10, 13, 16, 19)."""
+    return [(float(a),) * 2 + (1.0,) * k for k in (10, 13, 16, 19) for a in range(60, 1000)]
+
+
+def test_root_does_not_ping_pong(gap_terms):
+    chain = StackChain.from_bounds(PING_PONG)
+    t = chernov_t(chain, 1e-9).t
+    assert exact_abs_tail(PING_PONG, t) <= 1e-9
+    assert 1 <= len(gap_terms) <= 10
+    assert [r.t for r in analyze_all(chain, 1e-9)][4] == t
+
+
+@pytest.mark.parametrize("rho", [1e-6, 1e-7, 1e-9])
+def test_root_does_not_ping_pong_on_its_family(rho):
+    # 45 of these 11 280 (chain, rho) raised ConvergenceError before the
+    # midpoint, at rho = 1e-7 and 1e-9
+    for w in ping_pong_chains():
+        chain = StackChain.from_bounds(w)
+        rows = analyze_all(chain, rho)
+        assert all(math.isfinite(r.t) for r in rows), w
+        assert rows[4].t <= t_wc(chain), w
+
+
 def test_prob_one_ulp_below_wc():
     # the right end of the bracket, where K' >= n - n / lam, can round
     # below t there: any lambda still gives a valid bound
