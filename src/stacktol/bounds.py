@@ -29,8 +29,9 @@ K'(lam) = t: every inversion is one monotone root in lam, driven by K' and
 g; K = g + lam K' gives phi, psi and psi_tilde.  Every quantile and
 chernov_prob run that root through numerics._root, each quantile from one
 start that follows g from its Gaussian regime to its saturated one (on a
-member with more than _SPLIT_GROUPS groups, a start that gives its largest
-bound its own curvature), chernov_prob from right of the root.  Each reports
+member with more than _SPLIT_GROUPS groups, moved from there to the root of a
+three-bound surrogate: its largest bound exact, the rest as their two-node
+Gauss rule), chernov_prob from right of the root.  Each reports
 its bound at the lam where the root stops, as it holds at every lam: a
 quantile (K - log(rho / 2)) / lam (see _quantile), chernov_prob
 2 exp(K - lam t), from the g the root hands back, so no gap is evaluated twice.
@@ -199,19 +200,20 @@ class _Member(NamedTuple):
     curv: float  # K''(0): g >= -curv lam^2 / 2
     limit: float  # t(inf), in the chain's own units (inf where b > 0): t is clamped to it
     top: tuple[float, float]  # the largest group (v1, c1): max(groups)
+    rest: tuple[tuple[float, float], ...]  # the two-node Gauss rule of the other groups
 
 
 def _member(chain: StackChain, method: Method, curvature: float = 0.5) -> _Member:
     """The Chernoff-family member ``method`` on ``chain``: its ((v, c) groups, b, limit)."""
     s = chain._sums
     if method is Method.CHERNOV:
-        return _new(_Member, (s.wbar, s.groups, s.n, 0.0, s.curv, s.wc, s.top))
+        return _new(_Member, (s.wbar, s.groups, s.n, 0.0, s.curv, s.wc, s.top, s.rest))
     if not 1.0 / 6.0 <= curvature < math.inf:  # NaN fails this too
         raise ValueError(f"curvature must be finite and >= 1/6, got {curvature}")
     b = curvature * s.sq_dev if method is Method.QUADRATIC else 0.0
     groups = ((1.0, float(s.n)),)
     return _new(_Member, (s.wbar, groups, s.n, b, s.n / 3.0 + 2.0 * b,
-                          math.inf if b else s.wc, groups[0]))
+                          math.inf if b else s.wc, groups[0], ()))
 
 
 def _gap(m: _Member, lam: float) -> tuple[float, float]:
@@ -293,38 +295,31 @@ def psi_tilde(chain: StackChain, lam: float, t: float, curvature: float = 0.5) -
 _LAM_MAX = 2.0 ** 900
 
 
-# A member with more than this many groups starts its root on the curve that
-# splits off its largest bound (_split_start).  On a mix of uniform, log-uniform and
-# one-dominant chains that start pays from 12 bounds on and ties at 10 and 11: its
-# 2 to 16 curve steps cost about as much as the gap evaluations they save.  A
-# uniform chain alone never gains.  Measured by timing chernov_t with and without it
-# at n = 8 to 200 bounds, 6 seeds x rho in (0.1, 0.0027, 1e-6, 1e-12), 2 cores.
-_SPLIT_GROUPS = 11
+# A member with more than this many groups starts its root at the root of its
+# three-bound surrogate (_split_start).  Each surrogate step is a kernel pass over 3
+# groups, and the start takes 2 to 8 of them, so it pays only where the full passes
+# it saves cost more.  Timed with and without it by chernov_t on a mix of uniform,
+# log-uniform, one-dominant and two-dominant chains (6 seeds x rho in (0.1, 0.0027,
+# 1e-6, 1e-12), 2 cores), the start cost 3 % more at 12 groups and 2 % at 13, and
+# saved 3 % at 14, 8 % at 16 and 20 % at 24 (BENCH_32.json "crossover").  On
+# uniform chains alone it pays only from about 30 groups.
+_SPLIT_GROUPS = 13
 
 
 def _split_start(m: _Member, target: float, start: float, cap: float) -> float:
-    """The root of -(c1 / 2) log(1 + v1^2 lam^2 / 3) - (r / 2) log(1 + k_r lam^2 / r), from start.
+    """The root, from start, of the gap of the member's three-bound surrogate.
 
-    (v1, c1) is the member's largest group, r = n - c1 and k_r = curv - c1 v1^2 / 3
-    the curvature of the rest; r = 0 would give the plain start's curve.  Where a
-    term overflows, far past any bound's saturation, this root raises and start is
-    kept.
+    The surrogate keeps the largest group (v1, c1) exact and stands in for the
+    other r = n - c1 bounds by their two-node Gauss rule, which matches their
+    sum v^2, v^4 and v^6 (chain._gauss_rest): its gap follows the member's
+    through the Gaussian regime, the saturation of v1 and that of the rest.
+    Each of its steps is one kernel pass over 3 groups.  Where its root raises
+    an ArithmeticError, start is kept.
     """
-    v1, c1 = m.top
-    r = m.n - c1
-    k1, kr = v1 * v1 / 3.0, m.curv - c1 * (v1 * v1) / 3.0
-    if not kr > 2.0 ** -20 * m.curv:  # 20 bits or more cancelled: sum the rest itself
-        kr = math.fsum([c * (v * v) for v, c in m.groups if v != v1]) / 3.0
-    kr /= r
-
-    def curve(x: float) -> tuple[float, float]:
-        y, z = k1 * (x * x), kr * (x * x)
-        return (-0.5 * (c1 * math.log1p(y) + r * math.log1p(z)),
-                -(c1 * y / (1.0 + y) + r * z / (1.0 + z)))
-
     try:
-        return _root(curve, target, start, 0.0, cap)[0]
-    except NonFiniteError:
+        return _root(partial(_gap, m._replace(groups=(m.top, *m.rest))), target, start, 0.0,
+                     cap)[0]
+    except ArithmeticError:
         return start
 
 
@@ -337,11 +332,13 @@ def _quantile(m: _Member, rho: float) -> float:
     numerics._root starts at the root of -(n / 2) log(1 + curv lam^2 / n),
     which follows both regimes and is the Gaussian point
     sqrt(-2 log(rho / 2) / curv) while |log rho| << n, cut at the root of
-    -b lam^2.  That shared curvature lets the largest bound saturate first,
-    so on a member with more than _SPLIT_GROUPS groups the start is moved,
-    from there, to the root of the curve that splits that bound off
-    (_split_start): where one bound dominates the plain start lies 0.8 to
-    1.2 left of the root in log lam.  The start only moves the iterates,
+    -b lam^2.  That shared curvature lets the largest bound saturate first:
+    where one bound dominates, the plain start lies 0.8 to 1.2 left of the
+    root in log lam.  So on a member with more than _SPLIT_GROUPS groups the
+    start is moved, from there, to the root of its three-bound surrogate
+    (_split_start), which lies within about 1e-4 of the root in log lam on
+    200 bounds at rho >= 1e-12; where that root raises, the plain start is
+    kept.  The start only moves the iterates,
     which may stop on either side of the root; the bound holds wherever
     they stop.  Each step is cut at the root of -b lam^2 or at _LAM_MAX.
     t is formed from the g that the root hands back and the slope at the

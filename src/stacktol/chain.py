@@ -11,7 +11,8 @@ chain object is immutable.  So are the sums every method reads, formed
 once when the chain is built: the number of bounds n, the worst case
 wc = sum w_i, the mean bound wbar, T_RSS, the bounds scaled to mean 1
 (u_i = w_i / wbar) grouped by value, sum u_i^2, sum |u_i - 1|,
-sum (u_i - 1)^2, the largest u_i with its count, and the dominance D.
+sum (u_i - 1)^2, the largest u_i with its count, the two-node Gauss rule of
+the other u_i, and the dominance D.
 A contributor whose weighted bound is 0.0, from a zero influence or from
 a product |a_i| * T_i that underflows, is dropped at build time.
 
@@ -84,7 +85,38 @@ class _Sums(NamedTuple):
     abs_dev: float  # sum |u_i - 1|
     sq_dev: float  # sum (u_i - 1)^2
     top: tuple[float, float]  # the largest u_i and its count: max(groups)
+    rest: tuple[tuple[float, float], ...]  # the other groups' two-node Gauss rule (_gauss_rest)
     d: float  # D = (max w_i - wbar) / wc, with n wbar standing in for wc where it overflows
+
+
+def _gauss_rest(groups: tuple[tuple[float, float], ...], top: float) -> tuple[tuple[float, float], ...]:
+    """The two-node Gauss rule of the groups other than ``top``, as (v, c) pairs with float counts.
+
+    Its r = sum c bounds v match the rest's sum c, sum c v^2, sum c v^4 and sum c v^6
+    (Golub and Welsch 1969).  It is formed on w = v^2 of the bounds scaled by 2^-e,
+    max v 2^-e in [1/2, 1), so that no w underflows where the rest is far below top:
+    with m1 the mean of w and mu2, mu3 its central moments, the nodes are m1 + d,
+    d^2 - (mu3 / mu2) d - mu2 = 0, with counts r d' / (d' - d), d' the other root.
+    The counts need not be integers.  Where mu2 vanishes against m1^2, so that the
+    nodes would agree to half the double precision, the rule is one node at m1; where
+    top is every bound, it is empty.
+    """
+    rest = [(v, c) for v, c in groups if v != top]
+    if not rest:
+        return ()
+    e = math.frexp(max(rest)[0])[1]
+    ws = [(math.ldexp(v, -e) ** 2, c) for v, c in rest]
+    r = math.fsum(c for _, c in rest)
+    m1 = math.fsum(c * w for w, c in ws) / r
+    devs = [(w - m1, c) for w, c in ws]
+    mu2 = math.fsum(c * (d * d) for d, c in devs) / r
+    if not mu2 > 2.0 ** -52 * (m1 * m1):
+        return ((math.ldexp(math.sqrt(m1), e), r),)
+    skew = math.fsum(c * (d * d * d) for d, c in devs) / r / mu2
+    hi = 0.5 * (skew + math.sqrt(skew * skew + 4.0 * mu2))
+    lo = -mu2 / hi  # the roots' product is -mu2: no cancellation
+    return ((math.ldexp(math.sqrt(m1 + hi), e), r * -lo / (hi - lo)),
+            (math.ldexp(math.sqrt(max(m1 + lo, 0.0)), e), r * hi / (hi - lo)))
 
 
 class StackChain:
@@ -94,7 +126,8 @@ class StackChain:
     underflowed product, are dropped at build time: they cannot move the
     output and would only poison the log-based bounds with w_i = 0 terms.
     The sums of the kept bounds that the methods read (n, wc, wbar, T_RSS,
-    the scaled bounds' groups, their dispersion sums and D) are formed
+    the scaled bounds' groups, their dispersion sums, the largest group and
+    the Gauss rule of the rest, and D) are formed
     then too, once, in a private slot outside equality, hash and repr.
     Assigning to or deleting any attribute raises ``AttributeError``.
     """
@@ -133,6 +166,7 @@ class StackChain:
             math.fsum(abs(ui - 1.0) for ui in u),
             math.fsum((ui - 1.0) * (ui - 1.0) for ui in u),
             (top, float(counts[top])),
+            _gauss_rest(groups, top),
             (wmax - wbar) / wc if wc < math.inf else (wmax - wbar) / wbar / n,
         ))
 

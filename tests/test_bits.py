@@ -142,9 +142,9 @@ T_BITS = {
     ('case', 1e-06): ('0x1.3d7dfc922d294p+1', '0x1.0dfcaf873cb06p+2', '0x1.4e85250b336efp+2', '0x1.d5b5ed96cbd93p+1'),
     ('case', 1e-12): ('0x1.60eedacfa5320p+1', '0x1.258a195e60d4dp+2', '0x1.cf8e63fa5ae41p+2', '0x1.3ee7e5ce1e022p+2'),
     ('case', 1e-300): ('0x1.6cccccccccccdp+1', '0x1.2d70a3d70a3d7p+2', '0x1.0837b6dbf6149p+5', '0x1.4335c70e99b94p+4'),
-    ('long', 0.1): ('0x1.ff583e926fa26p+5', '0x1.03aaf81ee4d8cp+8', '0x1.1f5e1279f8c7ap+6', '0x1.ffe356c79a1dap+5'),
-    ('long', 0.0027): ('0x1.7ab4d48727483p+6', '0x1.20748aff2b9c0p+8', '0x1.aa6b0e353f47fp+6', '0x1.7b989a6b9bb99p+6'),
-    ('long', 1e-06): ('0x1.16f3c377ec384p+7', '0x1.4a8cbf766a9b4p+8', '0x1.3b570bca35e9ep+7', '0x1.18661c4889f0cp+7'),
+    ('long', 0.1): ('0x1.ff583e926fa3bp+5', '0x1.03aaf81ee4d8cp+8', '0x1.1f5e1279f8c7ap+6', '0x1.ffe356c79a1dap+5'),
+    ('long', 0.0027): ('0x1.7ab4d48727481p+6', '0x1.20748aff2b9c0p+8', '0x1.aa6b0e353f47fp+6', '0x1.7b989a6b9bb99p+6'),
+    ('long', 1e-06): ('0x1.16f3c377ec385p+7', '0x1.4a8cbf766a9b4p+8', '0x1.3b570bca35e9ep+7', '0x1.18661c4889f0cp+7'),
     ('long', 1e-12): ('0x1.81c61b43db295p+7', '0x1.7d1e5cbab61d2p+8', '0x1.b728596d8eb96p+7', '0x1.85b72004788d7p+7'),
     ('long', 1e-300): ('0x1.24a5ef3c2d273p+9', '0x1.88113b77ac028p+9', '0x1.df069edc47f33p+9', '0x1.80028b941ffb6p+9'),
     ('tiny', 0.1): ('0x1.f0ac3617c66e4p-664', '0x1.578d66ea73291p-663', '0x1.39084e09cbf30p-663', '0x1.10a0c872591aap-663'),
@@ -204,9 +204,9 @@ ANALYZE_SHA = {
     ('case', 1e-06): '4d06c29af754d341',
     ('case', 1e-12): '3fe9728a3e02bfbe',
     ('case', 1e-300): '5169bc90989204f8',
-    ('long', 0.1): '4eb52e40dc7f3711',
-    ('long', 0.0027): 'f48df6cedb26f01b',
-    ('long', 1e-06): 'ebdb2b7b5e56bea6',
+    ('long', 0.1): 'efeb5e87fbd5ba02',
+    ('long', 0.0027): '38e9387f315fb904',
+    ('long', 1e-06): '9032641ef86fe53f',
     ('long', 1e-12): '38765db1438ec2c5',
     ('long', 1e-300): '27a269cab1dacb90',
     ('tiny', 0.1): '365a55ffa5997c45',

@@ -213,3 +213,50 @@ class TestBalanceReport:
             n = int(rng.integers(1, 9))
             rep = balance_report(StackChain.from_bounds(rng.uniform(0.1, 10.0, n)))
             assert 0.0 <= rep.d_factor < (n - 1) / n + 1e-15
+
+
+class TestGaussRest:
+    """chain._Sums.rest: the two-node Gauss rule of the groups other than the largest."""
+
+    @staticmethod
+    def _moments(pairs, k):
+        return math.fsum(c * v ** (2 * k) for v, c in pairs)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(st.lists(st.floats(1e-3, 1e3), min_size=3, max_size=40))
+    def test_matches_the_rests_power_sums(self, w):
+        s = StackChain.from_bounds(w)._sums
+        rest = [(v, c) for v, c in s.groups if v != s.top[0]]
+        if not rest:
+            assert s.rest == ()
+            return
+        assert 1 <= len(s.rest) <= 2
+        assert all(type(c) is float and c > 0.0 for _, c in s.rest)
+        # the nodes lie within the rest's range, each w = v^2 to a few ulps of max w
+        lo, hi = min(v * v for v, _ in rest), max(v * v for v, _ in rest)
+        assert all(lo - 1e-12 * hi <= v * v <= hi * (1 + 1e-12) for v, _ in s.rest)
+        # count, sum v^2 and, with two nodes, sum v^4 and v^6
+        for k in range(4 if len(s.rest) == 2 else 2):
+            ref = self._moments(rest, k)
+            assert self._moments(s.rest, k) == pytest.approx(ref, rel=1e-9, abs=0.0), k
+
+    def test_one_node_where_the_rest_agrees(self):
+        # bounds that agree to 1e-12: two nodes would agree to half the double precision
+        rest = StackChain.from_bounds((50.0,) + tuple(1.0 + 5e-15 * i for i in range(199)))._sums.rest
+        ((v, c),) = rest
+        assert c == 199.0
+
+    def test_empty_where_top_is_every_bound(self):
+        assert StackChain.from_bounds((2.5,) * 7)._sums.rest == ()
+        assert StackChain.from_bounds((3.0, 1.0, 1.0))._sums.rest == ((1.0 / (5.0 / 3.0), 2.0),)
+
+    def test_no_node_underflows_far_below_top(self):
+        # the rest scaled to mean 1 is about 1e-198, whose squares underflow
+        s = StackChain.from_bounds((1e200,) + (1.0, 2.0, 3.0) * 10)._sums
+        assert len(s.rest) == 2 and all(1e-199 < v < 1e-197 for v, _ in s.rest), s.rest
+
+    def test_equivariant_under_powers_of_two(self):
+        w = (7.0, 0.3, 0.5, 0.11, 1.9, 2.2, 0.7)
+        ref = StackChain.from_bounds(w)._sums.rest
+        for e in (-1000, -3, 5, 900):
+            assert StackChain.from_bounds([math.ldexp(x, e) for x in w])._sums.rest == ref
