@@ -33,6 +33,10 @@ _LANGEVIN_SERIES_SWITCH = 0.1
 # _STEP_TOL, and raises after _MAX_ITER steps.
 _STEP_TOL = 1e-7
 _MAX_ITER = 256
+# From its step _WATCH_FROM on (counted from 0), _root watches for a bracket that
+# creeps toward the root from both ends.  A root from a good start stops before, and
+# the watch, run from the first step, cost an analyze round about 4 %.
+_WATCH_FROM = 6
 
 
 class NonFiniteError(ArithmeticError):
@@ -142,21 +146,21 @@ def _root(
     stops.  The root hands back that whole evaluation, so no caller
     evaluates there again.  Newton steps in log x run from x, each cut at
     cap, and one that would leave the bracket of the points seen so far,
-    which starts as (lo, inf), is halved in log x; so is the bracket where
-    the side has changed twice in a row and the bracket has not halved in
-    log x over those two steps.  Left of the root the
-    step is Newton's on g; right of it, where g has the target's sign, it
-    is Newton's on log |g|, log(target / g) g / (x g'), which lands on the
+    which starts as (lo, inf), is halved in log x.  From the seventh step
+    on, so is the bracket where the side of the root has changed twice in a
+    row and the bracket has not halved in log x over those two steps.  Left
+    of the root the step is Newton's on g; right of it, where g has the
+    target's sign, it is Newton's on log |g|, log(target / g) g / (x g'), which lands on the
     root in one step where |g| is a power of x: the gap -curv x^2 / 2 while
     no bound saturates, n - K' ~ n / x once all do.  The stop test is on g's own
     step either way.  The x returned may lie on either side of the root;
     it is cap where the root lies past cap.  Raises NonFiniteError where g
     or x g' is not finite, and ConvergenceError after 256 steps.
     """
-    # left: the side of the last x; flips: side changes in a row; span, old, older:
-    # hi / lo after the last three steps (inf while an end is open)
-    hi, left, flips, span, old, older = math.inf, None, -1, math.inf, math.inf, math.inf
-    for _ in range(_MAX_ITER):
+    # was: the side of the last watched step; ref: hi / lo before it, inf unless it
+    # changed side
+    hi, was, ref = math.inf, None, math.inf
+    for i in range(_MAX_ITER):
         fx = f(x)
         g, dg = fx[0], fx[1]
         if not (math.isfinite(g) and math.isfinite(dg)):
@@ -164,19 +168,25 @@ def _root(
         step = (target - g) / dg
         if abs(step) <= _STEP_TOL or (x == cap and step > 0.0):
             return x, fx
-        flips = flips + 1 if (step > 0.0) is not left else 0
-        left = step > 0.0
-        lo, hi = (x, hi) if left else (lo, x)
-        older, old, span = old, span, hi / lo if lo else math.inf
-        if flips >= 2 and span * span > older:
-            # the side changed twice in a row and the bracket did not halve in log:
-            # Newton from one side and log |g| from the other can creep toward the
-            # root from both ends, so take the bracket's geometric midpoint
-            x = math.sqrt(lo) * math.sqrt(hi)
-            continue
-        if not left and g * target > 0.0:  # right of the root: a step in log |g|
+        if i >= _WATCH_FROM:
+            left = step > 0.0
+            if left is was:
+                ref = math.inf
+            else:
+                before = hi / lo if lo else math.inf
+                lo, hi = (x, hi) if left else (lo, x)
+                after = hi / lo if lo else math.inf
+                # the side changed twice in a row and the bracket did not halve in
+                # log: Newton from one side and log |g| from the other creep toward
+                # the root from both ends, so take the bracket's geometric midpoint
+                creeping, was, ref = after * after > ref, left, before
+                if creeping:
+                    x = math.sqrt(lo) * math.sqrt(hi)
+                    continue
+        lo, hi = (x, hi) if step > 0.0 else (lo, x)
+        if step < 0.0 and g * target > 0.0:  # right of the root: a step in log |g|
             step = math.log(target / g) * g / dg
         # capped so that exp stays finite
         nxt = min(x * math.exp(min(step, 700.0)), cap)
-        x = nxt if lo < nxt < hi else math.sqrt(x) * math.sqrt(hi if left else lo)
+        x = nxt if lo < nxt < hi else math.sqrt(x) * math.sqrt(hi if step > 0.0 else lo)
     raise ConvergenceError(f"root not found after {_MAX_ITER} steps")

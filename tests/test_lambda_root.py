@@ -333,12 +333,12 @@ def family_chain(family, n, seed):
 # 3.08, 3.0 and 2.67; two-dominant 7.33, 7.08 and 5.75 (its second bound saturates
 # early too)
 MANY_GROUP_CEILINGS = {
-    ("dominant", 32): (2.0, 7.25), ("dominant", 64): (1.75, 6.84),
+    ("dominant", 32): (2.0, 7.75), ("dominant", 64): (1.75, 6.75),
     ("dominant", 200): (1.5, 6.5),
     ("loguniform", 32): (3.34, 4.09), ("loguniform", 64): (3.0, 3.84),
     ("loguniform", 200): (2.5, 3.5),
     ("uniform", 32): (2.5, 3.09), ("uniform", 64): (2.25, 3.0), ("uniform", 200): (1.75, 2.67),
-    ("two_dominant", 32): (2.84, 5.75), ("two_dominant", 64): (2.5, 5.42),
+    ("two_dominant", 32): (2.84, 5.75), ("two_dominant", 64): (2.5, 5.84),
     ("two_dominant", 200): (2.25, 6.0),
 }
 
@@ -516,7 +516,7 @@ def test_root_does_not_ping_pong(gap_terms):
     chain = StackChain.from_bounds(PING_PONG)
     t = chernov_t(chain, 1e-9).t
     assert exact_abs_tail(PING_PONG, t) <= 1e-9
-    assert 1 <= len(gap_terms) <= 10
+    assert 1 <= len(gap_terms) <= 12  # the midpoint is taken from the seventh step on
     assert [r.t for r in analyze_all(chain, 1e-9)][4] == t
 
 
