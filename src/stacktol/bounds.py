@@ -51,7 +51,7 @@ from enum import Enum
 from functools import partial
 from typing import Callable, NamedTuple, Optional
 
-from .chain import StackChain, _jensen_gap
+from .chain import _SPLIT_GROUPS, StackChain, _jensen_gap
 from .numerics import NonFiniteError, _co_langevin_sum, _langevin_sum, _legendre_sums, _root
 
 __all__ = [
@@ -293,17 +293,6 @@ def psi_tilde(chain: StackChain, lam: float, t: float, curvature: float = 0.5) -
 
 # Past this lam every gap is finite and no slope changes in double precision.
 _LAM_MAX = 2.0 ** 900
-
-
-# A member with more than this many groups starts its root at the root of its
-# three-bound surrogate (_split_start).  Each surrogate step is a kernel pass over 3
-# groups, and the start takes 2 to 8 of them, so it pays only where the full passes
-# it saves cost more.  Timed with and without it by chernov_t on a mix of uniform,
-# log-uniform, one-dominant and two-dominant chains (6 seeds x rho in (0.1, 0.0027,
-# 1e-6, 1e-12), 2 cores), the start cost 3 % more at 12 groups and 2 % at 13, and
-# saved 3 % at 14, 8 % at 16 and 20 % at 24 (BENCH_32.json "crossover").  On
-# uniform chains alone it pays only from about 30 groups.
-_SPLIT_GROUPS = 13
 
 
 def _split_start(m: _Member, target: float, start: float, cap: float) -> float:

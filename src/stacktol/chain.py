@@ -11,8 +11,9 @@ chain object is immutable.  So are the sums every method reads, formed
 once when the chain is built: the number of bounds n, the worst case
 wc = sum w_i, the mean bound wbar, T_RSS, the bounds scaled to mean 1
 (u_i = w_i / wbar) grouped by value, sum u_i^2, sum |u_i - 1|,
-sum (u_i - 1)^2, the largest u_i with its count, the two-node Gauss rule of
-the other u_i, and the dominance D.
+sum (u_i - 1)^2, the largest u_i with its count, on chains of more than
+_SPLIT_GROUPS distinct bounds the two-node Gauss rule of the other u_i, and
+the dominance D.
 A contributor whose weighted bound is 0.0, from a zero influence or from
 a product |a_i| * T_i that underflows, is dropped at build time.
 
@@ -73,6 +74,19 @@ class Contributor(_ContributorFields):
         return abs(self.influence) * self.half_width
 
 
+# A chain with more groups than this starts its Chernoff roots at the root of a
+# three-bound surrogate (bounds._split_start), and only such a chain forms the Gauss
+# rule that surrogate reads.  Each surrogate step is a kernel pass over 3 groups, and
+# the start takes 2 to 8 of them, so it pays only where the full passes it saves cost
+# more.  Timed with and without it by chernov_t on a mix of uniform, log-uniform,
+# one-dominant and two-dominant chains (6 seeds x rho in (0.1, 0.0027, 1e-6, 1e-12),
+# medians of 5 runs on 2 cores), the start cost 4 % more at 11 groups and 1 % at 12,
+# tied at 13, and saved 4 % at 14, 10 % at 16 and 24 % at 24 (BENCH_32.json
+# "crossover").  On one-dominant chains it pays from 10 groups; on uniform ones alone
+# only from about 32.
+_SPLIT_GROUPS = 13
+
+
 class _Sums(NamedTuple):
     """The sums of a chain's bounds w_i that every method reads, u_i = w_i / wbar."""
 
@@ -85,11 +99,14 @@ class _Sums(NamedTuple):
     abs_dev: float  # sum |u_i - 1|
     sq_dev: float  # sum (u_i - 1)^2
     top: tuple[float, float]  # the largest u_i and its count: max(groups)
-    rest: tuple[tuple[float, float], ...]  # the other groups' two-node Gauss rule (_gauss_rest)
+    # the other groups' two-node Gauss rule (_gauss_rest), () unless there are more than
+    # _SPLIT_GROUPS groups
+    rest: tuple[tuple[float, float], ...]
     d: float  # D = (max w_i - wbar) / wc, with n wbar standing in for wc where it overflows
 
 
-def _gauss_rest(groups: tuple[tuple[float, float], ...], top: float) -> tuple[tuple[float, float], ...]:
+def _gauss_rest(groups: tuple[tuple[float, float], ...],
+                top: float) -> tuple[tuple[float, float], ...]:
     """The two-node Gauss rule of the groups other than ``top``, as (v, c) pairs with float counts.
 
     Its r = sum c bounds v match the rest's sum c, sum c v^2, sum c v^4 and sum c v^6
@@ -166,7 +183,7 @@ class StackChain:
             math.fsum(abs(ui - 1.0) for ui in u),
             math.fsum((ui - 1.0) * (ui - 1.0) for ui in u),
             (top, float(counts[top])),
-            _gauss_rest(groups, top),
+            _gauss_rest(groups, top) if len(groups) > _SPLIT_GROUPS else (),
             (wmax - wbar) / wc if wc < math.inf else (wmax - wbar) / wbar / n,
         ))
 

@@ -15,6 +15,7 @@ from stacktol import (
     t_rss,
     t_wc,
 )
+from stacktol import chain as chain_module
 
 # frozen 50-digit references for the (5,4,3,2,1) demonstration chain
 TABLE_RSS = 7.4161984870956629487
@@ -216,7 +217,7 @@ class TestBalanceReport:
 
 
 class TestGaussRest:
-    """chain._Sums.rest: the two-node Gauss rule of the groups other than the largest."""
+    """chain._gauss_rest: the two-node Gauss rule of the groups other than the largest."""
 
     @staticmethod
     def _moments(pairs, k):
@@ -226,37 +227,44 @@ class TestGaussRest:
     @given(st.lists(st.floats(1e-3, 1e3), min_size=3, max_size=40))
     def test_matches_the_rests_power_sums(self, w):
         s = StackChain.from_bounds(w)._sums
+        rule = chain_module._gauss_rest(s.groups, s.top[0])
         rest = [(v, c) for v, c in s.groups if v != s.top[0]]
         if not rest:
-            assert s.rest == ()
+            assert rule == ()
             return
-        assert 1 <= len(s.rest) <= 2
-        assert all(type(c) is float and c > 0.0 for _, c in s.rest)
+        assert 1 <= len(rule) <= 2
+        assert all(type(c) is float and c > 0.0 for _, c in rule)
         # the nodes lie within the rest's range, each w = v^2 to a few ulps of max w
         lo, hi = min(v * v for v, _ in rest), max(v * v for v, _ in rest)
-        assert all(lo - 1e-12 * hi <= v * v <= hi * (1 + 1e-12) for v, _ in s.rest)
+        assert all(lo - 1e-12 * hi <= v * v <= hi * (1 + 1e-12) for v, _ in rule)
         # count, sum v^2 and, with two nodes, sum v^4 and v^6
-        for k in range(4 if len(s.rest) == 2 else 2):
+        for k in range(4 if len(rule) == 2 else 2):
             ref = self._moments(rest, k)
-            assert self._moments(s.rest, k) == pytest.approx(ref, rel=1e-9, abs=0.0), k
+            assert self._moments(rule, k) == pytest.approx(ref, rel=1e-9, abs=0.0), k
+
+    def test_formed_only_above_the_gate(self):
+        # the start that reads it runs only on chains of more than _SPLIT_GROUPS groups
+        n = chain_module._SPLIT_GROUPS
+        assert StackChain.from_bounds(range(1, n + 1))._sums.rest == ()
+        assert len(StackChain.from_bounds(range(1, n + 2))._sums.rest) == 2
 
     def test_one_node_where_the_rest_agrees(self):
         # bounds that agree to 1e-12: two nodes would agree to half the double precision
-        rest = StackChain.from_bounds((50.0,) + tuple(1.0 + 5e-15 * i for i in range(199)))._sums.rest
-        ((v, c),) = rest
+        agree = (50.0,) + tuple(1.0 + 5e-15 * i for i in range(199))
+        ((v, c),) = StackChain.from_bounds(agree)._sums.rest
         assert c == 199.0
 
     def test_empty_where_top_is_every_bound(self):
-        assert StackChain.from_bounds((2.5,) * 7)._sums.rest == ()
-        assert StackChain.from_bounds((3.0, 1.0, 1.0))._sums.rest == ((1.0 / (5.0 / 3.0), 2.0),)
+        assert chain_module._gauss_rest(((1.0, 7.0),), 1.0) == ()
 
     def test_no_node_underflows_far_below_top(self):
         # the rest scaled to mean 1 is about 1e-198, whose squares underflow
-        s = StackChain.from_bounds((1e200,) + (1.0, 2.0, 3.0) * 10)._sums
-        assert len(s.rest) == 2 and all(1e-199 < v < 1e-197 for v, _ in s.rest), s.rest
+        s = StackChain.from_bounds((1e200,) + tuple(range(1, 31)))._sums
+        assert len(s.rest) == 2 and all(1e-199 < v < 1e-196 for v, _ in s.rest), s.rest
 
     def test_equivariant_under_powers_of_two(self):
-        w = (7.0, 0.3, 0.5, 0.11, 1.9, 2.2, 0.7)
+        w = (7.0, 0.3, 0.5, 0.11, 1.9, 2.2, 0.7) + tuple(0.01 * i for i in range(1, 20))
         ref = StackChain.from_bounds(w)._sums.rest
+        assert ref
         for e in (-1000, -3, 5, 900):
             assert StackChain.from_bounds([math.ldexp(x, e) for x in w])._sums.rest == ref
