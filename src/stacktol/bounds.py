@@ -325,9 +325,9 @@ def _quantile(m: _Member, rho: float) -> float:
     where one bound dominates, the plain start lies 0.8 to 1.2 left of the
     root in log lam.  So on a member with more than _SPLIT_GROUPS groups the
     start is moved, from there, to the root of its three-bound surrogate
-    (_split_start), which lies within about 1e-4 of the root in log lam on
-    200 bounds at rho >= 1e-12; where that root raises, the plain start is
-    kept.  The start only moves the iterates,
+    (_split_start), which lies within 6e-5 of the root in log lam on the
+    benchmark's 200-bound chains at rho >= 1e-12; where that root raises, the
+    plain start is kept.  The start only moves the iterates,
     which may stop on either side of the root; the bound holds wherever
     they stop.  Each step is cut at the root of -b lam^2 or at _LAM_MAX.
     t is formed from the g that the root hands back and the slope at the

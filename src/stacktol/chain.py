@@ -77,8 +77,8 @@ class Contributor(_ContributorFields):
 # A chain with more groups than this starts its Chernoff roots at the root of a
 # three-bound surrogate (bounds._split_start), and only such a chain forms the Gauss
 # rule that surrogate reads.  Each surrogate step is a kernel pass over 3 groups, and
-# the start takes 2 to 8 of them, so it pays only where the full passes it saves cost
-# more.  Timed with and without it by chernov_t on a mix of uniform, log-uniform,
+# the start takes 2 to 13 of them (6 to 8 on average where one bound dominates), so
+# it pays only where the full passes it saves cost more.  Timed with and without it by chernov_t on a mix of uniform, log-uniform,
 # one-dominant and two-dominant chains (6 seeds x rho in (0.1, 0.0027, 1e-6, 1e-12),
 # medians of 5 runs on 2 cores), the start cost 4 % more at 11 groups and 1 % at 12,
 # tied at 13, and saved 4 % at 14, 10 % at 16 and 24 % at 24 (BENCH_32.json

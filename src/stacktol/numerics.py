@@ -150,10 +150,10 @@ def _root(
     on, so is the bracket where the side of the root has changed twice in a
     row and the bracket has not halved in log x over those two steps.  Left
     of the root the step is Newton's on g; right of it, where g has the
-    target's sign, it is Newton's on log |g|, log(target / g) g / (x g'), which lands on the
-    root in one step where |g| is a power of x: the gap -curv x^2 / 2 while
-    no bound saturates, n - K' ~ n / x once all do.  The stop test is on g's own
-    step either way.  The x returned may lie on either side of the root;
+    target's sign, it is Newton's on log |g|, log(target / g) g / (x g'),
+    which lands on the root in one step where |g| is a power of x: the gap
+    -curv x^2 / 2 while no bound saturates, n - K' ~ n / x once all do.  The
+    stop test is on g's own step either way.  The x returned may lie on either side of the root;
     it is cap where the root lies past cap.  Raises NonFiniteError where g
     or x g' is not finite, and ConvergenceError after 256 steps.
     """
