@@ -52,7 +52,7 @@ from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 from .chain import _SPLIT_GROUPS, StackChain, _jensen_gap
-from .numerics import NonFiniteError, _co_langevin_sum, _langevin_sum, _legendre_sums, _root
+from .numerics import _co_langevin_sum, _langevin_sum, _legendre_sums, _root
 
 __all__ = [
     "Method",
@@ -199,21 +199,20 @@ class _Member(NamedTuple):
     b: float  # quadratic price: g <= -b lam^2
     curv: float  # K''(0): g >= -curv lam^2 / 2
     limit: float  # t(inf), in the chain's own units (inf where b > 0): t is clamped to it
-    top: tuple[float, float]  # the largest group (v1, c1): max(groups)
-    rest: tuple[tuple[float, float], ...]  # the two-node Gauss rule of the other groups
+    surrogate: tuple[tuple[float, float], ...]  # _split_start's groups: chain._Sums.surrogate
 
 
 def _member(chain: StackChain, method: Method, curvature: float = 0.5) -> _Member:
     """The Chernoff-family member ``method`` on ``chain``: its ((v, c) groups, b, limit)."""
     s = chain._sums
     if method is Method.CHERNOV:
-        return _new(_Member, (s.wbar, s.groups, s.n, 0.0, s.curv, s.wc, s.top, s.rest))
+        return _new(_Member, (s.wbar, s.groups, s.n, 0.0, s.curv, s.wc, s.surrogate))
     if not 1.0 / 6.0 <= curvature < math.inf:  # NaN fails this too
         raise ValueError(f"curvature must be finite and >= 1/6, got {curvature}")
     b = curvature * s.sq_dev if method is Method.QUADRATIC else 0.0
     groups = ((1.0, float(s.n)),)
     return _new(_Member, (s.wbar, groups, s.n, b, s.n / 3.0 + 2.0 * b,
-                          math.inf if b else s.wc, groups[0], ()))
+                          math.inf if b else s.wc, ()))
 
 
 def _gap(m: _Member, lam: float) -> tuple[float, float]:
@@ -306,8 +305,7 @@ def _split_start(m: _Member, target: float, start: float, cap: float) -> float:
     an ArithmeticError, start is kept.
     """
     try:
-        return _root(partial(_gap, m._replace(groups=(m.top, *m.rest))), target, start, 0.0,
-                     cap)[0]
+        return _root(partial(_gap, m._replace(groups=m.surrogate)), target, start, 0.0, cap)[0]
     except ArithmeticError:
         return start
 

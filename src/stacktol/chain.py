@@ -11,8 +11,8 @@ chain object is immutable.  So are the sums every method reads, formed
 once when the chain is built: the number of bounds n, the worst case
 wc = sum w_i, the mean bound wbar, T_RSS, the bounds scaled to mean 1
 (u_i = w_i / wbar) grouped by value, sum u_i^2, sum |u_i - 1|,
-sum (u_i - 1)^2, the largest u_i with its count, on chains of more than
-_SPLIT_GROUPS distinct bounds the two-node Gauss rule of the other u_i, and
+sum (u_i - 1)^2, on chains of more than _SPLIT_GROUPS distinct bounds the
+largest u_i with its count and the two-node Gauss rule of the other u_i, and
 the dominance D.
 A contributor whose weighted bound is 0.0, from a zero influence or from
 a product |a_i| * T_i that underflows, is dropped at build time.
@@ -78,12 +78,12 @@ class Contributor(_ContributorFields):
 # three-bound surrogate (bounds._split_start), and only such a chain forms the Gauss
 # rule that surrogate reads.  Each surrogate step is a kernel pass over 3 groups, and
 # the start takes 2 to 13 of them (6 to 8 on average where one bound dominates), so
-# it pays only where the full passes it saves cost more.  Timed with and without it by chernov_t on a mix of uniform, log-uniform,
-# one-dominant and two-dominant chains (6 seeds x rho in (0.1, 0.0027, 1e-6, 1e-12),
-# medians of 5 runs on 2 cores), the start cost 4 % more at 11 groups and 1 % at 12,
-# tied at 13, and saved 4 % at 14, 10 % at 16 and 24 % at 24 (BENCH_32.json
-# "crossover").  On one-dominant chains it pays from 10 groups; on uniform ones alone
-# only from about 32.
+# it pays only where the full passes it saves cost more.  Timed with and without it by
+# chernov_t on a mix of uniform, log-uniform, one-dominant and two-dominant chains (6
+# seeds x rho in (0.1, 0.0027, 1e-6, 1e-12), medians of 5 runs on 2 cores), the start
+# cost 4 % more at 11 groups and 1 % at 12, tied at 13, and saved 4 % at 14, 10 % at 16
+# and 24 % at 24 (BENCH_32.json "crossover").  On one-dominant chains it pays from 10
+# groups; on uniform ones alone only from about 32.
 _SPLIT_GROUPS = 13
 
 
@@ -98,10 +98,10 @@ class _Sums(NamedTuple):
     curv: float  # sum u_i^2 / 3
     abs_dev: float  # sum |u_i - 1|
     sq_dev: float  # sum (u_i - 1)^2
-    top: tuple[float, float]  # the largest u_i and its count: max(groups)
-    # the other groups' two-node Gauss rule (_gauss_rest), () unless there are more than
-    # _SPLIT_GROUPS groups
-    rest: tuple[tuple[float, float], ...]
+    # the Chernoff start's three-bound surrogate (bounds._split_start): the largest u_i
+    # and its count, then the other groups' two-node Gauss rule (_gauss_rest); () unless
+    # there are more than _SPLIT_GROUPS groups
+    surrogate: tuple[tuple[float, float], ...]
     d: float  # D = (max w_i - wbar) / wc, with n wbar standing in for wc where it overflows
 
 
@@ -182,8 +182,8 @@ class StackChain:
             math.fsum(c * (v * v) for v, c in groups) / 3.0,
             math.fsum(abs(ui - 1.0) for ui in u),
             math.fsum((ui - 1.0) * (ui - 1.0) for ui in u),
-            (top, float(counts[top])),
-            _gauss_rest(groups, top) if len(groups) > _SPLIT_GROUPS else (),
+            ((top, float(counts[top])), *_gauss_rest(groups, top))
+            if len(groups) > _SPLIT_GROUPS else (),
             (wmax - wbar) / wc if wc < math.inf else (wmax - wbar) / wbar / n,
         ))
 

@@ -153,9 +153,10 @@ def _root(
     target's sign, it is Newton's on log |g|, log(target / g) g / (x g'),
     which lands on the root in one step where |g| is a power of x: the gap
     -curv x^2 / 2 while no bound saturates, n - K' ~ n / x once all do.  The
-    stop test is on g's own step either way.  The x returned may lie on either side of the root;
-    it is cap where the root lies past cap.  Raises NonFiniteError where g
-    or x g' is not finite, and ConvergenceError after 256 steps.
+    stop test is on g's own step either way.  The x returned may lie on
+    either side of the root; it is cap where the root lies past cap.  Raises
+    NonFiniteError where g or x g' is not finite, and ConvergenceError after
+    256 steps.
     """
     # was: the side of the last watched step; ref: hi / lo before it, inf unless it
     # changed side

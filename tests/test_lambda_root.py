@@ -364,7 +364,7 @@ def test_split_start_at_the_extremes(monkeypatch, rho):
               for w in (CHAINS["long"], family_chain("dominant", 200, 1), (1e200,) + rest,
                         (50.0,) + agree, (50.0, 1e-6) + rest[1:])]
     assert all(len(c._sums.groups) > bounds._SPLIT_GROUPS for c in chains)
-    assert [len(c._sums.rest) for c in chains] == [2, 2, 2, 1, 2]
+    assert [len(c._sums.surrogate) for c in chains] == [3, 3, 3, 2, 3]
     ts = [chernov_t(c, rho).t for c in chains]
     assert all(math.isfinite(t) and t <= t_wc(c) for c, t in zip(chains, ts)), ts
     monkeypatch.setattr(bounds, "_SPLIT_GROUPS", 200)  # every chain on the plain start
@@ -472,12 +472,12 @@ def test_kernel_counts_are_floats(monkeypatch):
     for w in [*CHAINS.values(), *catalogue_chains(20)]:
         chain = StackChain.from_bounds(w)
         s = chain._sums
-        counts = [c for _, c in s.groups] + [s.top[1]]
+        counts = [c for _, c in s.groups]
         for method in (bounds.Method.CHERNOV, bounds.Method.LIPSCHITZ, bounds.Method.QUADRATIC):
             m = bounds._member(chain, method)
-            counts += [c for _, c in m.groups] + [m.top[1]]
+            counts += [c for _, c in m.groups]
         assert all(type(c) is float and c.is_integer() for c in counts), w
-        assert all(type(c) is float for _, c in s.rest), w
+        assert all(type(c) is float for _, c in s.surrogate), w
         chain_module.balance_report(chain)  # the Jensen gap's node weights and far counts
     assert seen and all(type(c) is float for c in seen)
 
