@@ -29,12 +29,13 @@ K'(lam) = t: every inversion is one monotone root in lam, driven by K' and
 g; K = g + lam K' gives phi, psi and psi_tilde.  Every quantile and
 chernov_prob run that root through numerics._root, each quantile from one
 start that follows g from its Gaussian regime to its saturated one (on a
-member with more than _SPLIT_GROUPS groups, moved from there to the root of a
-three-bound surrogate: its largest bound exact, the rest as their two-node
-Gauss rule), chernov_prob from right of the root.  Each reports
-its bound at the lam where the root stops, as it holds at every lam: a
-quantile (K - log(rho / 2)) / lam (see _quantile), chernov_prob
-2 exp(K - lam t), from the g the root hands back, so no gap is evaluated twice.
+member that carries the chain's three-bound surrogate, moved from there to
+its root: its largest bound exact, the rest as their two-node Gauss rule;
+chain decides which chains carry one), chernov_prob from right of the root.
+Each reports its bound at the lam where the root stops, as it holds at every
+lam: a quantile (K - log(rho / 2)) / lam clamped to the member's limit
+t(inf) (see _quantile), chernov_prob 2 exp(K - lam t), from the g the root
+hands back, so no gap is evaluated twice.
 
 Each method has one body, in the solver table _SOLVERS.  analyze_all and
 tolerance check rho and form l_rho once per call and pass both down; the
@@ -51,7 +52,7 @@ from enum import Enum
 from functools import partial
 from typing import Callable, NamedTuple, Optional
 
-from .chain import _SPLIT_GROUPS, StackChain, _jensen_gap
+from .chain import StackChain, _jensen_gap
 from .numerics import _co_langevin_sum, _langevin_sum, _legendre_sums, _root
 
 __all__ = [
@@ -199,7 +200,8 @@ class _Member(NamedTuple):
     b: float  # quadratic price: g <= -b lam^2
     curv: float  # K''(0): g >= -curv lam^2 / 2
     limit: float  # t(inf), in the chain's own units (inf where b > 0): t is clamped to it
-    surrogate: tuple[tuple[float, float], ...]  # _split_start's groups: chain._Sums.surrogate
+    # _split_start's groups, chain._Sums.surrogate on CHERNOV; () where the root starts plainly
+    surrogate: tuple[tuple[float, float], ...]
 
 
 def _member(chain: StackChain, method: Method, curvature: float = 0.5) -> _Member:
@@ -234,11 +236,15 @@ def _exponent(chain: StackChain, method: Method, lam: float, t: float,
     t = _check_t(t)
     m = _member(chain, method, curvature)
     x = lam * m.wbar
-    gap, tangent = _gap(m, x)[0], x * (_slope(m, x) + a)  # a: psi's linear price
+    gap = _gap(m, x)[0]
+    if gap == -math.inf:
+        # psi_tilde's penalty b x^2 overflows, and lam t may too: K - lam t is
+        # lam (K / lam - t), K / lam = wbar (L + b x + m / x).  m / x <= 0 is below
+        # 1e-300 of b x and dropped; L and b x are >= 0, so no inf - inf is formed
+        return lam * (m.wbar * (_langevin_sum(x, m.groups) + m.b * x) - t)
     # K = gap + x K' cancels at most one bit: K' is concave from K'(0) >= 0,
-    # so K >= x K' / 2.  Where psi_tilde's penalty overflows, gap = -inf, K = +inf.
-    k = math.inf if gap == -math.inf else gap + tangent
-    return k - lam * t
+    # so K >= x K' / 2
+    return gap + x * (_slope(m, x) + a) - lam * t  # a: psi's linear price
 
 
 def phi(chain: StackChain, lam: float, t: float) -> float:
@@ -285,7 +291,9 @@ def psi_tilde(chain: StackChain, lam: float, t: float, curvature: float = 0.5) -
     from sup h'' = 1/12); the conservative default is 0.5.  Equals phi
     exactly on all-equal chains.  The penalty is formed on the scaled
     chain, as curvature (lam wbar)^2 sum (w_i / wbar - 1)^2, so it stays
-    finite at any scale.
+    finite at any scale where it does not overflow; where it does, the
+    exponent is formed as lam (K / lam - t), which is finite, +inf or -inf
+    as the true value is, and never NaN.
     """
     return _exponent(chain, Method.QUADRATIC, lam, t, curvature)
 
@@ -321,18 +329,21 @@ def _quantile(m: _Member, rho: float) -> float:
     sqrt(-2 log(rho / 2) / curv) while |log rho| << n, cut at the root of
     -b lam^2.  That shared curvature lets the largest bound saturate first:
     where one bound dominates, the plain start lies 0.8 to 1.2 left of the
-    root in log lam.  So on a member with more than _SPLIT_GROUPS groups the
-    start is moved, from there, to the root of its three-bound surrogate
-    (_split_start), which lies within 6e-5 of the root in log lam on the
-    benchmark's 200-bound chains at rho >= 1e-12; where that root raises, the
-    plain start is kept.  The start only moves the iterates,
-    which may stop on either side of the root; the bound holds wherever
-    they stop.  Each step is cut at the root of -b lam^2 or at _LAM_MAX.
-    t is formed from the g that the root hands back and the slope at the
-    lam where it stops.  As lam K'' <= K', it exceeds the optimum by at most
-    about step^2 / 2 <= 5e-15 of itself.  t is clamped to the member's limit
-    t(inf), so it never falls as rho falls; where the root lies past
-    _LAM_MAX it is that limit, with no slope formed.
+    root in log lam.  So on a member that carries a three-bound surrogate
+    (chain._Sums.surrogate, which chain forms only on long chains) the start
+    is moved, from there, to the surrogate's root (_split_start), which lies
+    within 6e-5 of the root in log lam on the benchmark's 200-bound chains at
+    rho >= 1e-12; where that root raises, the plain start is kept.  The start
+    only moves the iterates, which may stop on either side of the root; the
+    bound holds wherever they stop.  Each step is cut at the root of -b lam^2
+    or at _LAM_MAX.  t is formed from the g that the root hands back and the
+    slope at the lam where it stops.  As lam K'' <= K', it exceeds the
+    optimum by at most about step^2 / 2 <= 5e-15 of itself.  t is clamped to
+    the member's limit t(inf), so it never falls as rho falls.  The root
+    stops at _LAM_MAX only where b = 0 and the limit is finite; there
+    n - K' <= n / lam (each c v (1 - L(lam v)) is at most c / lam) puts
+    t(lam) within 2^-900 of t(inf), relative, far inside _ROUND_UP, so the
+    clamp gives the limit itself.
     """
     target = math.log(rho) - math.log(2.0)
     cap = min(math.sqrt(-target / m.b) if m.b else math.inf, _LAM_MAX)
@@ -340,15 +351,9 @@ def _quantile(m: _Member, rho: float) -> float:
         start = min(math.sqrt(m.n * math.expm1(-2.0 * target / m.n) / m.curv), cap)
     except OverflowError:  # past expm1's range: n = 1 below rho ~ 1e-154, n = 2 below ~ 1e-308
         start = cap
-    if len(m.groups) > _SPLIT_GROUPS:
+    if m.surrogate:
         start = _split_start(m, target, start, cap)
     lam, (g, _) = _root(partial(_gap, m), target, start, 0.0, cap)
-    # the root stops at _LAM_MAX only where b = 0 and the limit is finite; there
-    # n - K' <= n / lam (each c v (1 - L(lam v)) is at most c / lam) puts t(lam)
-    # within 2^-900 of t(inf), relative: far inside _ROUND_UP, so the clamp would
-    # give the limit, and the slope is not formed
-    if lam == _LAM_MAX:
-        return m.limit
     return min(m.wbar * (_slope(m, lam) + (g - target) / lam) * _ROUND_UP, m.limit)
 
 

@@ -74,9 +74,10 @@ class Contributor(_ContributorFields):
         return abs(self.influence) * self.half_width
 
 
-# A chain with more groups than this starts its Chernoff roots at the root of a
-# three-bound surrogate (bounds._split_start), and only such a chain forms the Gauss
-# rule that surrogate reads.  Each surrogate step is a kernel pass over 3 groups, and
+# Only a chain with more groups than this forms the three-bound surrogate
+# (_Sums.surrogate), and bounds starts a Chernoff root at the surrogate's root
+# (bounds._split_start) wherever its member carries one: this is the one place that
+# decides where that start runs.  Each surrogate step is a kernel pass over 3 groups, and
 # the start takes 2 to 13 of them (6 to 8 on average where one bound dominates), so
 # it pays only where the full passes it saves cost more.  Timed with and without it by
 # chernov_t on a mix of uniform, log-uniform, one-dominant and two-dominant chains (6

@@ -60,8 +60,10 @@ def _rho_grid(rho_min: float, rho_max: float, points: int, linear: bool) -> list
     if linear:
         step = (rho_max - rho_min) / (points - 1)
         return [*(rho_min + k * step for k in range(points - 1)), rho_max]
-    ratio = rho_max / rho_min
-    return [*(rho_min * ratio ** (k / (points - 1)) for k in range(points - 1)), rho_max]
+    # rho_min^(1 - s) rho_max^s at s = k / n: rho_max / rho_min would pass the largest
+    # double where the range spans more than about 308 decades
+    n = points - 1
+    return [*(rho_min ** ((n - k) / n) * rho_max ** (k / n) for k in range(n)), rho_max]
 
 
 def cmd_sweep(args: argparse.Namespace) -> None:

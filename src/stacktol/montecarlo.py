@@ -116,6 +116,13 @@ class McEstimate(NamedTuple):
     stderr: float
 
 
+def _stream(seed: int, key: tuple[int, ...]) -> np.random.Generator:
+    """The PCG64 generator of substream ``key`` of ``seed``, from numpy's SeedSequence."""
+    import numpy as np
+
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+
+
 def _fill_chunk(chain: StackChain, seed: int, chunk_index: int, out: np.ndarray,
                 scratch: np.ndarray) -> None:
     """Write one chunk of Y into ``out``: the first contributor, then each next one added.
@@ -136,9 +143,8 @@ def _fill_chunk(chain: StackChain, seed: int, chunk_index: int, out: np.ndarray,
             span = w - -w
             if not math.isfinite(span):
                 raise OverflowError("high - low range exceeds valid bounds")
-            ss = np.random.SeedSequence(entropy=seed, spawn_key=(i, chunk_index))
             u = out if i == 0 else scratch[:out.size]
-            np.random.Generator(np.random.PCG64(ss)).random(out=u)
+            _stream(seed, (i, chunk_index)).random(out=u)
             u *= span
             u += -w
             if i > 0:

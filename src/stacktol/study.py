@@ -22,7 +22,8 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .bounds import Method, _check_rho, tolerance
 from .chain import StackChain, balance_report
-from .montecarlo import McConfig, _KeywordOnly, _check_count, _check_seed, _map, mc_quantile
+from .montecarlo import (McConfig, _KeywordOnly, _check_count, _check_seed, _map, _stream,
+                         mc_quantile)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -90,13 +91,6 @@ def random_chain(n: int, lo: float, hi: float, rng: np.random.Generator) -> Stac
     return StackChain.from_bounds(rng.uniform(lo, hi, n))
 
 
-def _chain_rng(seed: int, chain_id: int) -> np.random.Generator:
-    import numpy as np
-
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(0, chain_id))
-    return np.random.Generator(np.random.PCG64(ss))
-
-
 def _mc_seed(base_seed: int, chain_id: int) -> int:
     import numpy as np
 
@@ -106,7 +100,7 @@ def _mc_seed(base_seed: int, chain_id: int) -> int:
 
 def _one_row(spec: StudySpec, chain_id: int) -> StudyRow:
     chain = random_chain(
-        spec.n_inputs, spec.bound_lo, spec.bound_hi, _chain_rng(spec.seed, chain_id)
+        spec.n_inputs, spec.bound_lo, spec.bound_hi, _stream(spec.seed, (0, chain_id))
     )
     rep = balance_report(chain)
     results = [tolerance(chain, m, spec.rho) for m in _METHODS]

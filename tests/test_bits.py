@@ -47,9 +47,17 @@ per solve (``chernov_t``, ``lipschitz_t``, ``quadratic_t`` at curvature 0.5 and 
 ``_co_langevin_sum`` call with the kernel's name, the ``float.hex`` of its lambda and its
 group count.  ``diff`` of two such files shows whether two trees make the same kernel calls
 at the same lambda.
+
+``PYTHONPATH=src python tests/test_bits.py --compare-kernels OLD NEW`` reads two such files
+and prints, for each solve kind (``chernov_t``, ``lipschitz_t``, ``quadratic_t``,
+``quadratic_t/6``, ``chernov_prob``, then ``all`` of them) and each kernel, how many calls
+the new file adds and how many it removes, solve by solve as ``diff`` would match them: a call at another lambda,
+group count or place counts as one removed and one added.  It exits with status 1 if the
+files' solve headers differ.
 """
 
 import argparse
+import difflib
 import hashlib
 import math
 import random
@@ -428,6 +436,90 @@ def kernels(path):
                 setattr(bounds, name, kernel)
 
 
+SOLVE_KINDS = ("chernov_t", "lipschitz_t", "quadratic_t", "quadratic_t/6", "chernov_prob")
+
+
+def _solves(path):
+    """[(header, [kernel call lines])] of a kernels() file, in order."""
+    solves = []
+    with open(path) as f:
+        for line in f.read().splitlines():
+            if line.split()[0] in KERNELS:
+                solves[-1][1].append(line)
+            else:
+                solves.append((line, []))
+    return solves
+
+
+def _solve_kind(header):
+    """The solve kind of a kernels() header: "label rho solve" or "label chernov_prob f"."""
+    tokens = header.split()
+    return tokens[1] if tokens[1] == "chernov_prob" else tokens[2]
+
+
+def compare_kernels(old_path, new_path):
+    """(report lines, offending lines) of two kernels() files; see the module docstring."""
+    old, new = _solves(old_path), _solves(new_path)
+    offending = [f"- {a}\n+ {b}" for (a, _), (b, _) in zip(old, new) if a != b]
+    if len(old) != len(new):
+        offending.append(f"{len(old)} solves against {len(new)}")
+    added = {(k, kernel): 0 for k in SOLVE_KINDS for kernel in KERNELS}
+    removed = dict(added)
+    solves_differ = 0
+    for (header, a), (_, b) in zip(old, new):
+        if a == b:
+            continue
+        solves_differ += 1
+        kind = _solve_kind(header)
+        ops = difflib.SequenceMatcher(None, a, b, autojunk=False).get_opcodes()
+        for op, i1, i2, j1, j2 in ops:
+            if op in ("delete", "replace"):
+                for line in a[i1:i2]:
+                    removed[kind, line.split()[0]] += 1
+            if op in ("insert", "replace"):
+                for line in b[j1:j2]:
+                    added[kind, line.split()[0]] += 1
+    for kernel in KERNELS:
+        added["all", kernel] = sum(added[k, kernel] for k in SOLVE_KINDS)
+        removed["all", kernel] = sum(removed[k, kernel] for k in SOLVE_KINDS)
+    report = [f"{len(old)} solves, {solves_differ} differ"]
+    for key in added:
+        report.append(f"  {key[0]:<13} {key[1]:<17} {added[key]:>7} added "
+                      f"{removed[key]:>7} removed")
+    return report, offending
+
+
+def test_compare_kernels_counts_calls_per_kind_and_kernel(tmp_path):
+    old = ["single 0.1 chernov_t", "_legendre_sums 0x1.0p+0 1", "_langevin_sum 0x1.0p+0 1",
+           "single 0.1 quadratic_t/6", "_legendre_sums 0x1.0p+1 1",
+           "single chernov_prob 0.5", "_co_langevin_sum 0x1.0p+2 1", "_legendre_sums 0x1.0p+2 1"]
+    (tmp_path / "old").write_text("\n".join(old) + "\n")
+
+    def report(new):
+        (tmp_path / "new").write_text("\n".join(new) + "\n")
+        lines, offending = compare_kernels(tmp_path / "old", tmp_path / "new")
+        counts = {tuple(line.split()[:2]): (int(line.split()[2]), int(line.split()[4]))
+                  for line in lines[1:]}
+        return lines[0], {k: v for k, v in counts.items() if v != (0, 0)}, len(offending)
+    assert report(old) == ("3 solves, 0 differ", {}, 0)
+    # a slope formed where the last call was: one call added, none removed
+    added = old[:3] + ["_langevin_sum 0x1.0p+900 1"] + old[3:]
+    assert report(added) == ("3 solves, 1 differ", {("chernov_t", "_langevin_sum"): (1, 0),
+                                                    ("all", "_langevin_sum"): (1, 0)}, 0)
+    # a call at another lambda is one removed and one added; each kind apart
+    moved = old[:4] + ["_legendre_sums 0x1.8p+1 1"] + old[5:7]
+    assert report(moved) == ("3 solves, 2 differ", {
+        ("quadratic_t/6", "_legendre_sums"): (1, 1),
+        ("chernov_prob", "_legendre_sums"): (0, 1),
+        ("all", "_legendre_sums"): (1, 2)}, 0)
+    # two calls swapped: one of them moved, not only added
+    swapped = [old[0], old[2], old[1], *old[3:]]
+    assert list(report(swapped)[1].values()) == [(1, 1), (1, 1)]  # its kind's and the total
+    # the solve headers must agree: another rho, or a solve missing
+    assert report([old[0].replace("0.1", "0.2"), *old[1:]])[2] == 1
+    assert report(old[:5])[2] == 1
+
+
 FAMILY = ("chernov", "lipschitz", "quadratic", "quadratic/6")
 FAMILY_KINDS = tuple(f"{m} t" for m in FAMILY)
 COMPARE_KINDS = (*FAMILY_KINDS, "prob", "balance", "study", "Monte Carlo", "other")
@@ -579,6 +671,8 @@ if __name__ == "__main__":
                         help="compare two dumps instead")
     parser.add_argument("--kernels", metavar="FILE",
                         help="write the kernel calls of each solve to FILE instead")
+    parser.add_argument("--compare-kernels", nargs=2, metavar=("OLD", "NEW"),
+                        help="compare the kernel calls of two such files instead")
     args = parser.parse_args()
     if args.dump is not None:
         dump(args.dump)
@@ -586,6 +680,12 @@ if __name__ == "__main__":
     if args.kernels is not None:
         kernels(args.kernels)
         raise SystemExit
+    if args.compare_kernels is not None:
+        report, offending = compare_kernels(*args.compare_kernels)
+        print("\n".join(report))
+        if offending:
+            print(f"{len(offending)} solve headers differ; the first:", *offending[:5], sep="\n")
+        raise SystemExit(1 if offending else 0)
     if args.compare is not None:
         report, offending = compare(*args.compare)
         print("\n".join(report))

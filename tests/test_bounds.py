@@ -256,6 +256,36 @@ class TestRelaxations:
         # (lam wbar)^2 alone overflows here, the penalty 0.04 (lam wbar)^2 does not
         assert psi_tilde(chain, 2e154, 0.0) == pytest.approx(0.04 * 2e154 * 2e154, rel=1e-12)
 
+    @pytest.mark.parametrize("bounds", [TABLE_BOUNDS, (1.0, 2.0), (50.0,) + (1.0,) * 7,
+                                        tuple(1.0 + 0.02 * i for i in range(200))])
+    def test_sign_of_high_precision_where_lambda_t_overflows(self, bounds):
+        # where lam t and psi_tilde's penalty both overflow, the exponent is the
+        # signed infinity (or the finite value) that it is, never inf - inf = NaN
+        chain = StackChain.from_bounds(bounds)
+        grid = (1.0, 1e100, 1e160, 1e200, 1e300)
+        with mpmath.workdps(40):
+            w = [mpmath.mpf(b) for b in bounds]
+            wbar = sum(w) / len(w)
+
+            def log_sinh_over_x(y):  # log(sinh y / y) without forming sinh y
+                return y - mpmath.log(2 * y) + mpmath.log1p(-mpmath.exp(-2 * y))
+
+            for lam in grid:
+                ml = mpmath.mpf(lam)
+                base = len(w) * log_sinh_over_x(ml * wbar)
+                refs = {
+                    phi: sum(log_sinh_over_x(ml * wi) for wi in w),
+                    psi: base + ml * sum(abs(wi - wbar) for wi in w),
+                    psi_tilde: base + ml * ml * sum((wi - wbar) ** 2 for wi in w) / 2,
+                }
+                for t in grid:
+                    for f, k in refs.items():
+                        got, ref = f(chain, lam, t), k - ml * t
+                        assert not math.isnan(got), (f.__name__, lam, t)
+                        assert (got > 0) - (got < 0) == mpmath.sign(ref), (f.__name__, lam, t)
+                        if math.isfinite(got):
+                            assert got == pytest.approx(float(ref), rel=1e-9), (f, lam, t)
+
     @pytest.mark.parametrize("bounds", [(1.0,), (2.5, 2.5, 2.5, 2.5)])
     @pytest.mark.parametrize("x", [1e156, 1e200, 1e300])
     def test_no_penalty_on_all_equal_chains_where_lambda_squared_overflows(self, bounds, x):

@@ -254,6 +254,16 @@ class TestSweep:
         rows = list(csv.DictReader(out.splitlines()))
         assert rows[0]["rho"] == rho_min and rows[-1]["rho"] == rho_max
 
+    @pytest.mark.parametrize("rho_min, rho_max", [("5e-324", "0.5"), ("1e-310", "0.9")])
+    def test_range_past_308_decades(self, capsys, chain_csv, rho_min, rho_max):
+        # rho_max / rho_min passes the largest double here
+        code, out, err = _run(capsys, ["sweep", str(chain_csv), "--rho-min", rho_min,
+                                       "--rho-max", rho_max, "--points", "3", "--methods", "wc"])
+        assert code == 0, err
+        rhos = [float(r["rho"]) for r in csv.DictReader(out.splitlines())]
+        assert rhos[0] == float(rho_min) and rhos[-1] == float(rho_max)
+        assert all(0.0 < a < b < 1.0 for a, b in zip(rhos, rhos[1:])), rhos
+
     def test_chernov_below_relaxations_pointwise(self, capsys, chain_csv):
         code, out, _ = _run(
             capsys,

@@ -363,12 +363,32 @@ def test_split_start_at_the_extremes(monkeypatch, rho):
     chains = [StackChain.from_bounds(w)
               for w in (CHAINS["long"], family_chain("dominant", 200, 1), (1e200,) + rest,
                         (50.0,) + agree, (50.0, 1e-6) + rest[1:])]
-    assert all(len(c._sums.groups) > bounds._SPLIT_GROUPS for c in chains)
+    assert all(len(c._sums.groups) > chain_module._SPLIT_GROUPS for c in chains)
     assert [len(c._sums.surrogate) for c in chains] == [3, 3, 3, 2, 3]
     ts = [chernov_t(c, rho).t for c in chains]
     assert all(math.isfinite(t) and t <= t_wc(c) for c, t in zip(chains, ts)), ts
-    monkeypatch.setattr(bounds, "_SPLIT_GROUPS", 200)  # every chain on the plain start
+    # every chain on the plain start
+    monkeypatch.setattr(bounds, "_split_start", lambda m, target, start, cap: start)
     assert ts == pytest.approx([chernov_t(c, rho).t for c in chains], rel=1e-14, abs=0.0)
+
+
+def test_split_start_entered_only_above_the_gate(monkeypatch):
+    # chain alone decides which chains carry the surrogate; the quantile starts on
+    # it wherever the member carries one, and the balanced members never do
+    entered = []
+    split_start = bounds._split_start
+
+    def start(m, *args):
+        entered.append(len(m.groups))
+        return split_start(m, *args)
+    monkeypatch.setattr(bounds, "_split_start", start)
+    n = chain_module._SPLIT_GROUPS
+    for size, expect in ((n, []), (n + 1, [n + 1])):
+        chain = StackChain.from_bounds(range(1, size + 1))
+        for solver, want in ((chernov_t, expect), (lipschitz_t, []), (quadratic_t, [])):
+            entered.clear()
+            solver(chain, 0.0027)
+            assert entered == want, (size, solver.__name__)
 
 
 @pytest.mark.parametrize("rho", [5e-324, 1e-310])

@@ -23,7 +23,7 @@ from stacktol import (
     quadratic_t,
     tolerance,
 )
-from stacktol.bounds import _SPLIT_GROUPS
+from stacktol.chain import _SPLIT_GROUPS
 from test_lambda_root import CHAINS, RHOS
 
 ROUTES = {
