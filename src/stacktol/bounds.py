@@ -29,8 +29,8 @@ K'(lam) = t: every inversion is one monotone root in lam, driven by K' and
 g; K = g + lam K' gives phi, psi and psi_tilde.  Every quantile and
 chernov_prob run that root through numerics._root, each quantile from one
 start that follows g from its Gaussian regime to its saturated one (on a
-member that carries the chain's three-bound surrogate, moved from there to
-its root: its largest bound exact, the rest as their two-node Gauss rule;
+member that carries the chain's surrogate, moved from there to its root:
+its largest bound exact, the rest as their Gauss rule of at most four nodes;
 chain decides which chains carry one), chernov_prob from right of the root.
 Each reports its bound at the lam where the root stops, as it holds at every
 lam: a quantile (K - log(rho / 2)) / lam clamped to the member's limit
@@ -236,6 +236,11 @@ def _exponent(chain: StackChain, method: Method, lam: float, t: float,
     t = _check_t(t)
     m = _member(chain, method, curvature)
     x = lam * m.wbar
+    # the kernels take lam w_i, so lam max(w) on the chain and lam wbar on the
+    # balanced members must be finite, as s_lambda checks
+    if x * max(v for v, _ in m.groups) == math.inf:
+        reach = "max(w)" if method is Method.CHERNOV else "wbar"
+        raise ValueError(f"lambda * {reach} must be finite, got lambda={lam!r}")
     gap = _gap(m, x)[0]
     if gap == -math.inf:
         # psi_tilde's penalty b x^2 overflows, and lam t may too: K - lam t is
@@ -252,7 +257,7 @@ def phi(chain: StackChain, lam: float, t: float) -> float:
 
     P(|Y| >= t) <= 2 exp(phi(lam, t)) for every lam > 0.  Convex in lam,
     strictly decreasing in t, finite while lam * max(w) and lam * t stay
-    below ~1e307.
+    below ~1e307.  Raises ValueError where lam * max(w) overflows.
     """
     return _exponent(chain, Method.CHERNOV, lam, t)
 
@@ -279,6 +284,7 @@ def psi(chain: StackChain, lam: float, t: float) -> float:
     An upper bound on phi because K exceeds phi's K by
     lam sum|w_i - wbar| - S_lambda >= 0 (h is 1/2-Lipschitz); the linear
     term enters only the slope.  Equals phi exactly on all-equal chains.
+    Raises ValueError where lam * wbar overflows.
     """
     return _exponent(chain, Method.LIPSCHITZ, lam, t, a=chain._sums.abs_dev)
 
@@ -293,7 +299,8 @@ def psi_tilde(chain: StackChain, lam: float, t: float, curvature: float = 0.5) -
     chain, as curvature (lam wbar)^2 sum (w_i / wbar - 1)^2, so it stays
     finite at any scale where it does not overflow; where it does, the
     exponent is formed as lam (K / lam - t), which is finite, +inf or -inf
-    as the true value is, and never NaN.
+    as the true value is, and never NaN.  Raises ValueError where lam * wbar
+    overflows.
     """
     return _exponent(chain, Method.QUADRATIC, lam, t, curvature)
 
@@ -303,14 +310,14 @@ _LAM_MAX = 2.0 ** 900
 
 
 def _split_start(m: _Member, target: float, start: float, cap: float) -> float:
-    """The root, from start, of the gap of the member's three-bound surrogate.
+    """The root, from start, of the gap of the member's surrogate of at most five bounds.
 
     The surrogate keeps the largest group (v1, c1) exact and stands in for the
-    other r = n - c1 bounds by their two-node Gauss rule, which matches their
-    sum v^2, v^4 and v^6 (chain._gauss_rest): its gap follows the member's
-    through the Gaussian regime, the saturation of v1 and that of the rest.
-    Each of its steps is one kernel pass over 3 groups.  Where its root raises
-    an ArithmeticError, start is kept.
+    other r = n - c1 bounds by their Gauss rule of at most four nodes, which
+    matches their sum v^2, ..., v^14 (chain._gauss_rest): its gap follows the
+    member's through the Gaussian regime, the saturation of v1 and that of the
+    rest.  Each of its steps is one kernel pass over at most 5 groups.  Where
+    its root raises an ArithmeticError, start is kept.
     """
     try:
         return _root(partial(_gap, m._replace(groups=m.surrogate)), target, start, 0.0, cap)[0]
@@ -329,21 +336,22 @@ def _quantile(m: _Member, rho: float) -> float:
     sqrt(-2 log(rho / 2) / curv) while |log rho| << n, cut at the root of
     -b lam^2.  That shared curvature lets the largest bound saturate first:
     where one bound dominates, the plain start lies 0.8 to 1.2 left of the
-    root in log lam.  So on a member that carries a three-bound surrogate
+    root in log lam.  So on a member that carries a surrogate
     (chain._Sums.surrogate, which chain forms only on long chains) the start
     is moved, from there, to the surrogate's root (_split_start), which lies
-    within 6e-5 of the root in log lam on the benchmark's 200-bound chains at
-    rho >= 1e-12; where that root raises, the plain start is kept.  The start
-    only moves the iterates, which may stop on either side of the root; the
-    bound holds wherever they stop.  Each step is cut at the root of -b lam^2
-    or at _LAM_MAX.  t is formed from the g that the root hands back and the
-    slope at the lam where it stops.  As lam K'' <= K', it exceeds the
-    optimum by at most about step^2 / 2 <= 5e-15 of itself.  t is clamped to
-    the member's limit t(inf), so it never falls as rho falls.  The root
-    stops at _LAM_MAX only where b = 0 and the limit is finite; there
-    n - K' <= n / lam (each c v (1 - L(lam v)) is at most c / lam) puts
-    t(lam) within 2^-900 of t(inf), relative, far inside _ROUND_UP, so the
-    clamp gives the limit itself.
+    within 2e-8 of the root in log lam on the benchmark's 200-bound chains at
+    rho >= 1e-12, inside the root's stopping step of 1e-7, so that the first
+    full gap evaluation there is the last; where that root raises, the plain
+    start is kept.  The start only moves the iterates, which may stop on
+    either side of the root; the bound holds wherever they stop.  Each step
+    is cut at the root of -b lam^2 or at _LAM_MAX.  t is formed from the g
+    that the root hands back and the slope at the lam where it stops.  As
+    lam K'' <= K', it exceeds the optimum by at most about step^2 / 2 <=
+    5e-15 of itself.  t is clamped to the member's limit t(inf), so it never
+    falls as rho falls.  The root stops at _LAM_MAX only where b = 0 and the
+    limit is finite; there n - K' <= n / lam (each c v (1 - L(lam v)) is at
+    most c / lam) puts t(lam) within 2^-900 of t(inf), relative, far inside
+    _ROUND_UP, so the clamp gives the limit itself.
     """
     target = math.log(rho) - math.log(2.0)
     cap = min(math.sqrt(-target / m.b) if m.b else math.inf, _LAM_MAX)

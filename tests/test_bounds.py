@@ -1,8 +1,10 @@
 """Analytic methods: frozen references, dominations, equivariances, oracles."""
 
 import math
+import re
+from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import mpmath
 import numpy as np
 import pytest
@@ -286,6 +288,21 @@ class TestRelaxations:
                         if math.isfinite(got):
                             assert got == pytest.approx(float(ref), rel=1e-9), (f, lam, t)
 
+    def test_exponents_name_the_overflowing_range(self):
+        # lam wbar = 1.5e360 overflows on the first chain; on the second lam wbar =
+        # 5e307 is finite and lam max(w) = 2e308 is not, which only phi's kernels reach.
+        # Each raised a bare 'math domain error' from the kernels
+        big = StackChain.from_bounds((1e200, 2e200))
+        spread = StackChain.from_bounds((1.0, 1.0, 1.0, 2e300))
+        for f in (phi, psi, psi_tilde):
+            reach = re.escape("max(w)" if f is phi else "wbar")
+            with pytest.raises(ValueError, match=rf"lambda \* {reach} must be finite"):
+                f(big, 1e160, 1.0)
+        with pytest.raises(ValueError, match=r"lambda \* max\(w\) must be finite"):
+            phi(spread, 1e8, 1.0)
+        assert not math.isnan(psi(spread, 1e8, 1.0)) and not math.isnan(psi_tilde(spread, 1e8, 1.0))
+        assert math.isfinite(phi(big, 1e100, 1.0))
+
     @pytest.mark.parametrize("bounds", [(1.0,), (2.5, 2.5, 2.5, 2.5)])
     @pytest.mark.parametrize("x", [1e156, 1e200, 1e300])
     def test_no_penalty_on_all_equal_chains_where_lambda_squared_overflows(self, bounds, x):
@@ -499,12 +516,19 @@ class TestBalancedChain:
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(bounds=_BOUNDS, rho=_RHOS)
+    @example(bounds=[1.0, math.exp(1e-6)], rho=math.exp(-15.0))
     def test_lipschitz_is_the_balanced_t_plus_the_absolute_deviation(self, bounds, rho):
         chain = StackChain.from_bounds(bounds)
         rep = balance_report(chain)
         t_balanced = chernov_t(StackChain.from_bounds([rep.mean] * len(bounds)), rho).t
         t_chernov, t_lipschitz = chernov_t(chain, rho).t, lipschitz_t(chain, rho).t
-        assert t_balanced <= t_chernov <= t_lipschitz
+        # n bounds of the float mean sum to n wbar, which may pass wc: scaled exactly to
+        # the same worst case, the balanced optimum lies below the chain's, and each t
+        # exceeds its optimum by at most 5e-15 of itself.  On the example, t_balanced
+        # passes t_chernov by 1.1e-16 unscaled, as the exact optima do
+        scale = sum(map(Fraction, chain.weighted_bounds)) / (len(bounds) * Fraction(rep.mean))
+        assert Fraction(t_balanced) * scale <= Fraction(t_chernov) * (1 + Fraction(5, 10**15))
+        assert t_chernov <= t_lipschitz
         assert t_lipschitz == pytest.approx(t_balanced + rep.abs_dev_sum, rel=4e-15)
 
     # the float mean of equal bounds, which is clamped into [min w, max w], is the bound

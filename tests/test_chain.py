@@ -1,6 +1,7 @@
 """Chain construction, classical stacks, and balance diagnostics."""
 
 import math
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -217,13 +218,13 @@ class TestBalanceReport:
 
 
 class TestGaussRest:
-    """chain._gauss_rest: the two-node Gauss rule of the groups other than the largest."""
+    """chain._gauss_rest: the Gauss rule of at most four nodes of the groups but the largest."""
 
     @staticmethod
     def _moments(pairs, k):
         return math.fsum(c * v ** (2 * k) for v, c in pairs)
 
-    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(st.lists(st.floats(1e-3, 1e3), min_size=3, max_size=40))
     def test_matches_the_rests_power_sums(self, w):
         s = StackChain.from_bounds(w)._sums
@@ -233,27 +234,51 @@ class TestGaussRest:
         if not rest:
             assert rule == ()
             return
-        assert 1 <= len(rule) <= 2
+        k = len(rule)
+        assert 1 <= k <= min(chain_module._GAUSS_NODES, len(rest))
         assert all(type(c) is float and c > 0.0 for _, c in rule)
         # the nodes lie within the rest's range, each w = v^2 to a few ulps of max w
         lo, hi = min(v * v for v, _ in rest), max(v * v for v, _ in rest)
         assert all(lo - 1e-12 * hi <= v * v <= hi * (1 + 1e-12) for v, _ in rule)
-        # count, sum v^2 and, with two nodes, sum v^4 and v^6
-        for k in range(4 if len(rule) == 2 else 2):
-            ref = self._moments(rest, k)
-            assert self._moments(rule, k) == pytest.approx(ref, rel=1e-9, abs=0.0), k
+        # k nodes match the count and sum c v^(2j) for j < 2k
+        for j in range(2 * k):
+            ref = self._moments(rest, j)
+            assert self._moments(rule, j) == pytest.approx(ref, rel=1e-9, abs=0.0), j
+
+    def test_four_nodes_on_a_long_rest(self):
+        rng = random.Random(7)
+        s = StackChain.from_bounds(rng.uniform(0.5, 1.5) for _ in range(200))._sums
+        assert len(s.surrogate) == 1 + chain_module._GAUSS_NODES
 
     def test_formed_only_above_the_gate(self):
         # the start that reads it runs only on chains of more than _SPLIT_GROUPS groups
         n = chain_module._SPLIT_GROUPS
         assert StackChain.from_bounds(range(1, n + 1))._sums.surrogate == ()
-        assert len(StackChain.from_bounds(range(1, n + 2))._sums.surrogate) == 3
+        assert len(StackChain.from_bounds(range(1, n + 2))._sums.surrogate) == 5
+
+    @pytest.mark.parametrize("distinct", [1, 2, 3, 4])
+    def test_a_rest_of_at_most_four_values_is_its_own_rule(self, distinct):
+        groups = ((9.0, 1.0), *((float(v), float(v + 2)) for v in range(1, distinct + 1)))
+        rule = chain_module._gauss_rest(groups, 9.0)
+        assert rule == tuple(sorted(groups[1:], reverse=True))
 
     def test_one_node_where_the_rest_agrees(self):
         # bounds that agree to 1e-12: two nodes would agree to half the double precision
         agree = (50.0,) + tuple(1.0 + 5e-15 * i for i in range(199))
         (_, (v, c)) = StackChain.from_bounds(agree)._sums.surrogate
         assert c == 199.0
+
+    def test_fewer_nodes_where_the_recurrence_vanishes(self):
+        # two clusters, each of bounds that agree to 1e-12: a third node would sit
+        # within half the double precision of another
+        rest = tuple(1.0 + 5e-15 * i for i in range(99)) + tuple(
+            2.0 + 5e-15 * i for i in range(100))
+        s = StackChain.from_bounds((50.0,) + rest)._sums
+        rule = s.surrogate[1:]
+        assert len(rule) == 2
+        assert math.fsum(c for _, c in rule) == pytest.approx(199.0, rel=1e-12)
+        assert [round(v * s.wbar) for v, _ in rule] == [2, 1]
+        assert [c for _, c in rule] == pytest.approx([100.0, 99.0], rel=1e-9)
 
     def test_empty_where_top_is_every_bound(self):
         assert chain_module._gauss_rest(((1.0, 7.0),), 1.0) == ()
@@ -262,7 +287,7 @@ class TestGaussRest:
         # the rest scaled to mean 1 is about 1e-198, whose squares underflow
         s = StackChain.from_bounds((1e200,) + tuple(range(1, 31)))._sums
         rule = s.surrogate[1:]
-        assert len(rule) == 2 and all(1e-199 < v < 1e-196 for v, _ in rule), rule
+        assert len(rule) == 4 and all(1e-199 < v < 1e-196 for v, _ in rule), rule
 
     def test_equivariant_under_powers_of_two(self):
         w = (7.0, 0.3, 0.5, 0.11, 1.9, 2.2, 0.7) + tuple(0.01 * i for i in range(1, 20))

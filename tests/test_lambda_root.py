@@ -272,9 +272,10 @@ def _passes(terms, chain):
     """(gap evaluations over all of ``chain``'s groups, the rest) in ``terms``.
 
     On a chain with more than _SPLIT_GROUPS groups the rest are the start's, each
-    over the three-bound surrogate's at most 3 groups."""
+    over the surrogate's at most 1 + _GAUSS_NODES groups."""
     full = sum(groups == len(chain._sums.groups) for _, groups in terms)
-    assert all(groups <= 3 for _, groups in terms if groups != len(chain._sums.groups))
+    most = 1 + chain_module._GAUSS_NODES
+    assert all(groups <= most for _, groups in terms if groups != len(chain._sums.groups))
     return full, len(terms) - full
 
 
@@ -296,14 +297,15 @@ def test_mean_gap_evaluations_with_one_dominant_bound(gap_terms):
     # one bound of 50 among 199 of about 1 saturates long before the root: the
     # start on the surrogate that keeps it exact lands next to the root (5.58
     # full evaluations on one curvature shared by all bounds, 3.0 from the curve
-    # that split it off), and right of the root the steps are taken in log |g|,
-    # so the root does not crawl back from far right
+    # that split it off, 1.5 with the rest as a two-node Gauss rule, one with four
+    # nodes), and right of the root the steps are taken in log |g|, so the root
+    # does not crawl back from far right
     chains = []
     for seed in (1, 2, 3):
         rng = random.Random(seed)
         chains.append((50.0,) + tuple(rng.uniform(0.5, 1.5) for _ in range(199)))
     full, start = _mean_passes(gap_terms, chains, (0.1, 0.0027, 1e-6, 1e-12))
-    assert full <= 1.5 and start <= 5.59, (full, start)
+    assert full <= 1.0 and start <= 5.59, (full, start)
 
 
 # the four rho of the benchmark's workloads
@@ -325,21 +327,23 @@ def family_chain(family, n, seed):
 
 
 # mean (full, start) gap evaluations per chernov_t over seeds 1 to 3 x COUNT_RHOS:
-# the full ones are over all the chain's groups, the start's over the three-bound
-# surrogate's.  On one curvature shared by all bounds, the dominant family took
+# the full ones are over all the chain's groups, the start's over the surrogate's at
+# most five.  On one curvature shared by all bounds, the dominant family took
 # 7.58, 6.92 and 6.42 full evaluations (its large bound saturates first) and
 # log-uniform 4.25, 3.83 and 3.5.  From the curve that split off the largest bound
 # they took: dominant 3.5, 3.5 and 3.25; log-uniform 4.08, 3.75 and 3.5; uniform
 # 3.08, 3.0 and 2.67; two-dominant 7.33, 7.08 and 5.75 (its second bound saturates
-# early too)
+# early too).  With the rest as a two-node Gauss rule they took: dominant 2.0, 1.75
+# and 1.5; log-uniform 3.33, 3.0 and 2.5; uniform 2.5, 2.25 and 1.75; two-dominant
+# 2.83, 2.5 and 2.25
 MANY_GROUP_CEILINGS = {
-    ("dominant", 32): (2.0, 7.75), ("dominant", 64): (1.75, 6.75),
-    ("dominant", 200): (1.5, 6.5),
-    ("loguniform", 32): (3.34, 4.09), ("loguniform", 64): (3.0, 3.84),
-    ("loguniform", 200): (2.5, 3.5),
-    ("uniform", 32): (2.5, 3.09), ("uniform", 64): (2.25, 3.0), ("uniform", 200): (1.75, 2.67),
-    ("two_dominant", 32): (2.84, 5.75), ("two_dominant", 64): (2.5, 5.84),
-    ("two_dominant", 200): (2.25, 6.0),
+    ("dominant", 32): (1.25, 7.59), ("dominant", 64): (1.0, 6.92),
+    ("dominant", 200): (1.0, 6.42),
+    ("loguniform", 32): (2.5, 4.25), ("loguniform", 64): (2.0, 3.84),
+    ("loguniform", 200): (1.34, 3.5),
+    ("uniform", 32): (1.5, 3.09), ("uniform", 64): (1.25, 3.0), ("uniform", 200): (1.0, 2.67),
+    ("two_dominant", 32): (1.5, 6.25), ("two_dominant", 64): (1.25, 7.0),
+    ("two_dominant", 200): (1.0, 5.92),
 }
 
 
@@ -364,7 +368,7 @@ def test_split_start_at_the_extremes(monkeypatch, rho):
               for w in (CHAINS["long"], family_chain("dominant", 200, 1), (1e200,) + rest,
                         (50.0,) + agree, (50.0, 1e-6) + rest[1:])]
     assert all(len(c._sums.groups) > chain_module._SPLIT_GROUPS for c in chains)
-    assert [len(c._sums.surrogate) for c in chains] == [3, 3, 3, 2, 3]
+    assert [len(c._sums.surrogate) for c in chains] == [5, 5, 5, 2, 5]
     ts = [chernov_t(c, rho).t for c in chains]
     assert all(math.isfinite(t) and t <= t_wc(c) for c, t in zip(chains, ts)), ts
     # every chain on the plain start
