@@ -30,8 +30,9 @@ g; K = g + lam K' gives phi, psi and psi_tilde.  Every quantile and
 chernov_prob run that root through numerics._root, each quantile from one
 start that follows g from its Gaussian regime to its saturated one (on a
 member that carries the chain's surrogate, moved from there to its root:
-its largest bound exact, the rest as their Gauss rule of at most four nodes;
-chain decides which chains carry one), chernov_prob from right of the root.
+its largest bound exact, the rest as their Gauss rule of two nodes, or of at
+most four on long chains; chain decides which chains carry one and which
+rule), chernov_prob from right of the root.
 Each reports its bound at the lam where the root stops, as it holds at every
 lam: a quantile (K - log(rho / 2)) / lam clamped to the member's limit
 t(inf) (see _quantile), chernov_prob 2 exp(K - lam t), from the g the root
@@ -313,11 +314,13 @@ def _split_start(m: _Member, target: float, start: float, cap: float) -> float:
     """The root, from start, of the gap of the member's surrogate of at most five bounds.
 
     The surrogate keeps the largest group (v1, c1) exact and stands in for the
-    other r = n - c1 bounds by their Gauss rule of at most four nodes, which
-    matches their sum v^2, ..., v^14 (chain._gauss_rest): its gap follows the
-    member's through the Gaussian regime, the saturation of v1 and that of the
-    rest.  Each of its steps is one kernel pass over at most 5 groups.  Where
-    its root raises an ArithmeticError, start is kept.
+    other r = n - c1 bounds by their two-node Gauss rule, which matches their
+    sum v^2, v^4 and v^6 (chain._gauss_rest), or on chains of more than
+    chain._FOUR_NODE_GROUPS groups by their rule of at most four nodes, which
+    matches their sum v^2, ..., v^14 (chain._four_node_rest): its gap follows
+    the member's through the Gaussian regime, the saturation of v1 and that of
+    the rest.  Each of its steps is one kernel pass over at most 5 groups.
+    Where its root raises an ArithmeticError, start is kept.
     """
     try:
         return _root(partial(_gap, m._replace(groups=m.surrogate)), target, start, 0.0, cap)[0]

@@ -12,8 +12,8 @@ once when the chain is built: the number of bounds n, the worst case
 wc = sum w_i, the mean bound wbar, T_RSS, the bounds scaled to mean 1
 (u_i = w_i / wbar) grouped by value, sum u_i^2, sum |u_i - 1|,
 sum (u_i - 1)^2, on chains of more than _SPLIT_GROUPS distinct bounds the
-largest u_i with its count and the Gauss rule of at most four nodes of the other
-u_i, and the dominance D.
+largest u_i with its count and the two-node Gauss rule of the other u_i (their
+rule of at most four nodes past _FOUR_NODE_GROUPS), and the dominance D.
 A contributor whose weighted bound is 0.0, from a zero influence or from
 a product |a_i| * T_i that underflows, is dropped at build time.
 
@@ -79,21 +79,28 @@ class Contributor(_ContributorFields):
 # Only a chain with more groups than this forms the surrogate (_Sums.surrogate), and
 # bounds starts a Chernoff root at the surrogate's root (bounds._split_start) wherever
 # its member carries one: this is the one place that decides where that start runs.
-# Each surrogate step is a kernel pass over at most 5 groups, and the start takes 2 to
-# 12 of them, so it pays only where the full passes it saves cost more.  Timed with and
+# With the rest as its two-node Gauss rule, each surrogate step is a kernel pass over 3
+# groups, and the start takes 2 to 13 of them (6 to 8 on average where one bound
+# dominates), so it pays only where the full passes it saves cost more.  Timed with and
 # without it by chernov_t on a mix of uniform, log-uniform, one-dominant and
 # two-dominant chains (6 seeds x rho in (0.1, 0.0027, 1e-6, 1e-12), medians of 5 runs
-# on 2 cores), the start cost 6 % more at 10 groups, tied at 11, and saved 5 % at 12,
-# 6 % at 13, 12 % at 14, 18 % at 16 and 34 % at 24 (BENCH_34.json "crossover"); on
-# uniform and log-uniform chains alone it pays only from about 16 and 18 groups.  The
-# gate stays at 13 all the same: the Gauss rule costs about 50 us per chain built at
-# 12 to 24 groups, 40 more than the two-node rule it replaced, and a solve at 12 or 13
-# groups saves 1 to 2 us, so a chain built there would need some 30 solves to repay it.
+# on 2 cores), the start cost 4 % more at 11 groups and 1 % at 12, tied at 13, and
+# saved 4 % at 14, 10 % at 16 and 24 % at 24 (BENCH_32.json "crossover").  On
+# one-dominant chains it pays from 10 groups; on uniform ones alone only from about 32.
 _SPLIT_GROUPS = 13
-# the most nodes of the Gauss rule of the bounds below the largest (_gauss_rest), and
-# the most Newton steps _polish takes toward one of them
+# A chain with more groups than this holds the rest as its Gauss rule of at most
+# _GAUSS_NODES nodes (_four_node_rest) instead of the two-node rule (_gauss_rest): the
+# surrogate's root then lies within the root's stopping step, so each Chernoff solve
+# makes one full gap pass, about one fewer than with two nodes.  The rule costs more to
+# form, so the gate sits where one solve repays it.  StackChain.from_bounds plus
+# analyze_all at rho = 0.0027 on a fresh chain, over the same four families (6 seeds
+# each, medians of 3 processes on 2 cores), took 10 % longer with the four-node
+# surrogate than with none at 48 groups and 2 % at 64, tied at 80, and took 9 % less at
+# 96, 7 % at 128 and 4 % at 200 (BENCH_34.json "four_node_gate").  Against the two-node
+# rule that one-shot cost is 4 to 9 % higher from 96 to 400 groups and level at 1000;
+# each further solve of the chain saves the full pass.
+_FOUR_NODE_GROUPS = 95
 _GAUSS_NODES = 4
-_MAX_POLISH = 64
 
 
 class _Sums(NamedTuple):
@@ -107,15 +114,47 @@ class _Sums(NamedTuple):
     curv: float  # sum u_i^2 / 3
     abs_dev: float  # sum |u_i - 1|
     sq_dev: float  # sum (u_i - 1)^2
-    # the Chernoff start's surrogate of at most five bounds (bounds._split_start): the
-    # largest u_i and its count, then the other groups' Gauss rule of at most four nodes
-    # (_gauss_rest); () unless there are more than _SPLIT_GROUPS groups
+    # the Chernoff start's surrogate (bounds._split_start): the largest u_i and its count,
+    # then the other groups' two-node Gauss rule (_gauss_rest), or their rule of at most
+    # four nodes (_four_node_rest) past _FOUR_NODE_GROUPS groups; () unless there are
+    # more than _SPLIT_GROUPS groups
     surrogate: tuple[tuple[float, float], ...]
     d: float  # D = (max w_i - wbar) / wc, with n wbar standing in for wc where it overflows
 
 
 def _gauss_rest(groups: tuple[tuple[float, float], ...],
                 top: float) -> tuple[tuple[float, float], ...]:
+    """The two-node Gauss rule of the groups other than ``top``, as (v, c) pairs with float counts.
+
+    Its r = sum c bounds v match the rest's sum c, sum c v^2, sum c v^4 and sum c v^6
+    (Golub and Welsch 1969).  It is formed on w = v^2 of the bounds scaled by 2^-e,
+    max v 2^-e in [1/2, 1), so that no w underflows where the rest is far below top:
+    with m1 the mean of w and mu2, mu3 its central moments, the nodes are m1 + d,
+    d^2 - (mu3 / mu2) d - mu2 = 0, with counts r d' / (d' - d), d' the other root.
+    The counts need not be integers.  Where mu2 vanishes against m1^2, so that the
+    nodes would agree to half the double precision, the rule is one node at m1; where
+    top is every bound, it is empty.
+    """
+    rest = [(v, c) for v, c in groups if v != top]
+    if not rest:
+        return ()
+    e = math.frexp(max(rest)[0])[1]
+    ws = [(math.ldexp(v, -e) ** 2, c) for v, c in rest]
+    r = math.fsum(c for _, c in rest)
+    m1 = math.fsum(c * w for w, c in ws) / r
+    devs = [(w - m1, c) for w, c in ws]
+    mu2 = math.fsum(c * (d * d) for d, c in devs) / r
+    if not mu2 > 2.0 ** -52 * (m1 * m1):
+        return ((math.ldexp(math.sqrt(m1), e), r),)
+    skew = math.fsum(c * (d * d * d) for d, c in devs) / r / mu2
+    hi = 0.5 * (skew + math.sqrt(skew * skew + 4.0 * mu2))
+    lo = -mu2 / hi  # the roots' product is -mu2: no cancellation
+    return ((math.ldexp(math.sqrt(m1 + hi), e), r * -lo / (hi - lo)),
+            (math.ldexp(math.sqrt(max(m1 + lo, 0.0)), e), r * hi / (hi - lo)))
+
+
+def _four_node_rest(groups: tuple[tuple[float, float], ...],
+                    top: float) -> tuple[tuple[float, float], ...]:
     """The Gauss rule of at most _GAUSS_NODES nodes of the groups other than ``top``, as (v, c).
 
     Its k nodes and float counts match the rest's sum c v^(2j) for j < 2k (Golub and
@@ -124,18 +163,15 @@ def _gauss_rest(groups: tuple[tuple[float, float], ...],
     recurrence (Gautschi 2004, 2.2) p_(j+1) = (w - a_j) p_j - b_j p_(j-1), p_0 = 1,
     gives a_j = sum c w p_j^2 / N_j and b_j = N_j / N_(j-1), N_j = sum c p_j^2, each
     an fsum over the rest.  The nodes are the zeros of p_k (_zeros), the counts the
-    Christoffel numbers 1 / sum_(j<k) p_j^2 / N_j there.  A rest of at most k values is
-    its own rule.  The recurrence stops early where b_j vanishes against a_0^2, so that
-    two nodes would agree to half the double precision (one node at the mean of w
-    where b_1 does), and drops its last step wherever rounding moves a zero out of the
-    rest's range or the counts sum more than 1e-9 off the rest's.  Where top is every
-    bound, the rule is empty.
+    Christoffel numbers 1 / sum_(j<k) p_j^2 / N_j there.  The recurrence stops early
+    where b_j vanishes against a_0^2, so that two nodes would agree to half the double
+    precision (one node at the mean of w where b_1 does, as on a rest of one value), and
+    drops its last step wherever rounding moves a zero out of the rest's range or the
+    counts sum more than 1e-9 off the rest's.  The rest must not be empty.
     """
     vs, cs = map(list, zip(*groups))
     i = vs.index(top)
     del vs[i], cs[i]
-    if len(vs) <= _GAUSS_NODES:
-        return tuple(sorted(zip(vs, cs), reverse=True))
     vmax = max(vs)
     e = math.frexp(vmax)[1]
     ws = [x * x for x in map(math.ldexp, vs, repeat(-e))]
@@ -221,7 +257,7 @@ def _polish(x: float, a: float, neg_a: bool, b: float, coef: list[tuple[float, f
     Each step is kept in the bracket or replaced by its midpoint, until one is at most
     1e-12 of x; that last step is taken where it stays in the bracket.
     """
-    for _ in range(_MAX_POLISH):
+    for _ in range(64):
         _, p, dp = _sturm(x, coef)
         if (p < 0.0) is neg_a:
             a = x
@@ -280,7 +316,8 @@ class StackChain:
             math.fsum(c * (v * v) for v, c in groups) / 3.0,
             math.fsum(abs(ui - 1.0) for ui in u),
             math.fsum((ui - 1.0) * (ui - 1.0) for ui in u),
-            ((top, float(counts[top])), *_gauss_rest(groups, top))
+            ((top, float(counts[top])),
+             *(_four_node_rest if len(groups) > _FOUR_NODE_GROUPS else _gauss_rest)(groups, top))
             if len(groups) > _SPLIT_GROUPS else (),
             (wmax - wbar) / wc if wc < math.inf else (wmax - wbar) / wbar / n,
         ))
