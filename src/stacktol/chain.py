@@ -92,13 +92,14 @@ _SPLIT_GROUPS = 13
 # _GAUSS_NODES nodes (_four_node_rest) instead of the two-node rule (_gauss_rest): the
 # surrogate's root then lies within the root's stopping step, so each Chernoff solve
 # makes one full gap pass, about one fewer than with two nodes.  The rule costs more to
-# form, so the gate sits where one solve repays it.  StackChain.from_bounds plus
-# analyze_all at rho = 0.0027 on a fresh chain, over the same four families (6 seeds
-# each, medians of 3 processes on 2 cores), took 10 % longer with the four-node
-# surrogate than with none at 48 groups and 2 % at 64, tied at 80, and took 9 % less at
-# 96, 7 % at 128 and 4 % at 200 (BENCH_34.json "four_node_gate").  Against the two-node
-# rule that one-shot cost is 4 to 9 % higher from 96 to 400 groups and level at 1000;
-# each further solve of the chain saves the full pass.
+# form, so the gate sits where a chain built and solved once already repays it against
+# no surrogate.  StackChain.from_bounds plus analyze_all at rho = 0.0027 on a fresh
+# chain, over the same four families (6 seeds each, medians of 3 processes on 2 cores),
+# took 10 % longer with the four-node surrogate than with none at 48 groups and 2 % at
+# 64, tied at 80, and took 9 % less at 96, 7 % at 128 and 4 % at 200 (BENCH_34.json
+# "four_node_gate").  Against the two-node rule that one-shot cost is 4 to 9 % higher
+# from 96 to 400 groups and level at 1000; each further solve of the chain saves the
+# full pass.
 _FOUR_NODE_GROUPS = 95
 _GAUSS_NODES = 4
 
